@@ -120,11 +120,16 @@ def plan_from_obj(obj) -> list[engine.Action]:
     actions = []
     for i, item in enumerate(obj):
         try:
-            actions.append(
-                engine.Action(int(item["group"]), int(item["dim"]), str(item["axis"]))
-            )
-        except (KeyError, TypeError, ValueError) as e:
+            group, dim, axis = item["group"], item["dim"], item["axis"]
+        except (KeyError, TypeError) as e:
             raise ConfigError(f"plan entry #{i} is malformed: {e}") from e
+        # bool is an int subclass, so true/false need the exact type test
+        if type(group) is not int or type(dim) is not int or not isinstance(axis, str):
+            raise ConfigError(
+                f"plan entry #{i} is malformed: group and dim must be integers "
+                f"and axis a string, got {item!r}"
+            )
+        actions.append(engine.Action(group, dim, axis))
     return actions
 
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from typing import Mapping, TypeAlias
 
 from . import engine, ir
@@ -462,8 +463,19 @@ def config_from_json(obj: Mapping, mesh: ir.Mesh) -> CostModelConfig:
         )
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"malformed cost config: {e}") from e
-    if cfg.flops_per_second <= 0 or cfg.memory_limit_bytes <= 0:
-        raise ConfigError("flops_per_second and memory_limit_bytes must be positive")
+    # (name, value, whether zero is allowed); NaN and infinities never are
+    checks = [
+        ("flops_per_second", cfg.flops_per_second, False),
+        ("memory_limit_bytes", cfg.memory_limit_bytes, False),
+        ("memory_penalty_slope", cfg.memory_penalty_slope, True),
+    ]
+    for name, link in links.items():
+        checks.append((f"bandwidth of axis {name!r}", link.bandwidth_bytes_per_second, False))
+        checks.append((f"latency of axis {name!r}", link.latency_seconds, True))
+    for what, value, zero_ok in checks:
+        if not math.isfinite(value) or value < 0 or (value == 0 and not zero_ok):
+            bound = "at least 0" if zero_ok else "positive"
+            raise ConfigError(f"{what} must be finite and {bound}, got {value}")
     return cfg
 
 

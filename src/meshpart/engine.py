@@ -9,7 +9,9 @@ conflicting arrivals are dropped, first writer wins in a canonical order.
 A state is fully determined by the *set* of actions applied so far: applying
 an action re-derives the closure from all seeds jointly, in one deterministic
 order, so any application order of the same action set yields identical
-shardings and fingerprints.
+shardings and fingerprints.  The converse does not hold: two different action
+sets may close to the same group shardings (one fingerprint) while op results
+in between carry different shardings.
 
 Propagation rules, per op kind:
 
@@ -33,10 +35,10 @@ group carries the same sharding after closure.
 
 from __future__ import annotations
 
+import array
 import dataclasses
-import math
 import weakref
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from . import ir
 from .errors import IllegalActionError, PlanReplayError, ShapeError
@@ -55,29 +57,42 @@ class Action:
 class Fingerprint:
     """Canonical digest of all argument-group shardings.
 
-    Two states compare equal exactly when every group carries the same set
-    of axes on the same dims; the order in which actions produced the state
-    does not matter.
+    Two fingerprints compare equal exactly when every group carries the same
+    set of axes on the same dims; the order in which actions produced the
+    state does not matter.  It covers argument groups only: states from
+    different action sets may share a fingerprint yet differ in the
+    shardings of op results, and so in cost.
     """
 
     digest: str
 
 
 class _MeshTables:
-    """Axis-to-bit encoding and mask-to-size-product lookup for one mesh."""
+    """Axis-to-bit encoding and mask-to-size-product lookup for one mesh.
 
-    __slots__ = ("mesh", "axis_names", "bit_of", "name_of_bit", "prod", "nbits")
+    `typecode` is the narrowest `array` type that holds an axis mask; states
+    store their masks in arrays of it.
+    """
+
+    __slots__ = (
+        "mesh", "axis_names", "axis_index", "bit_of", "name_of_bit", "prod", "nbits",
+        "typecode",
+    )
 
     def __init__(self, mesh: ir.Mesh):
         self.mesh = mesh
         self.axis_names = mesh.axis_names
         self.nbits = len(mesh.axes)
+        self.axis_index = {a.name: i for i, a in enumerate(mesh.axes)}
         self.bit_of = {a.name: 1 << i for i, a in enumerate(mesh.axes)}
         self.name_of_bit = {1 << i: a.name for i, a in enumerate(mesh.axes)}
         self.prod = [1] * (1 << self.nbits)
         for mask in range(1, 1 << self.nbits):
             low = mask & -mask
             self.prod[mask] = self.prod[mask ^ low] * mesh.axes[low.bit_length() - 1].size
+        self.typecode = next(
+            code for code in "BHILQ" if array.array(code).itemsize * 8 >= self.nbits
+        )
 
     def names(self, mask: int) -> list[str]:
         out = []
@@ -147,9 +162,9 @@ class _Compiled:
 
     __slots__ = (
         "graph", "ids", "index", "dims", "ebytes", "nbytes", "nvals", "n_args",
-        "roles", "producer_op", "out_idx", "groups", "group_rank", "group_dims",
-        "group_members", "offsets", "total_dims", "instances", "op_meta",
-        "consumers",
+        "roles", "producer_op", "out_idx", "groups", "group_pos", "group_rank",
+        "group_members", "seed_base", "seed_slots", "offsets", "total_dims",
+        "instances", "op_meta", "consumers",
     )
 
     def __init__(self, graph: ir.Graph):
@@ -177,7 +192,16 @@ class _Compiled:
         self.groups = sorted((g.id, tuple(self.index[m] for m in g.members)) for g in graph.groups)
         self.group_members = {gid: members for gid, members in self.groups}
         self.group_rank = {gid: len(self.dims[members[0]]) for gid, members in self.groups}
-        self.group_dims = {gid: self.dims[members[0]] for gid, members in self.groups}
+        self.group_pos = {gid: pos for pos, (gid, _) in enumerate(self.groups)}
+        # Seed slots: one per (group, dim), in (group id, dim) order.  On a
+        # mesh of n axes, action (group, dim, axis #k) is seed index
+        # (seed_base[group position] + dim) * n + k, so ascending seed
+        # indices run in (group, dim, axis) order.
+        self.seed_base = []
+        self.seed_slots = []
+        for gid, members in self.groups:
+            self.seed_base.append(len(self.seed_slots))
+            self.seed_slots.extend((gid, d) for d in range(len(self.dims[members[0]])))
 
         self.consumers = [[] for _ in range(self.nvals)]
         instances: list[tuple] = []
@@ -390,37 +414,40 @@ class ModuleState:
     actionable on that axis: a group leaves an axis's worklist as soon as any
     member carries that axis anywhere in its sharding, whether from a direct
     action or from propagation.
+
+    Search keeps every state it reaches, so a state is stored compactly: the
+    per-dim axis masks (`_fm`) and per-value partial masks (`_partials`) are
+    arrays of the mesh's mask typecode, each axis's worklist is one int
+    bitmask over positions in the compiled group list (`_wl`), and the
+    applied action set is one int bitmask of seed indices (`_key`).
     """
 
     __slots__ = (
-        "graph", "mesh", "applied", "worklists", "fingerprint",
-        "_comp", "_mt", "_seeds", "_fm", "_partials", "_used", "_shardings",
+        "graph", "mesh", "applied", "fingerprint",
+        "_comp", "_mt", "_key", "_fm", "_partials", "_wl", "_shardings",
     )
 
-    def __init__(self, graph, mesh, comp, mt, seeds, applied, fm, partials, used):
+    def __init__(self, graph, mesh, comp, mt, key, applied, fm, partials, wl):
         self.graph = graph
         self.mesh = mesh
         self._comp = comp
         self._mt = mt
-        self._seeds = seeds
+        self._key = key
         self.applied = applied
         self._fm = fm
         self._partials = partials
-        self._used = used
+        self._wl = wl
         self._shardings = None
-        self.worklists = self._build_worklists()
         self.fingerprint = Fingerprint(self._digest())
 
-    def _build_worklists(self) -> dict[str, frozenset[int]]:
-        comp, used = self._comp, self._used
-        out = {}
-        for name, bit in self._mt.bit_of.items():
-            out[name] = frozenset(
-                gid
-                for gid, members in comp.groups
-                if all(used[m] & bit == 0 for m in members)
-            )
-        return out
+    @property
+    def worklists(self) -> dict[str, frozenset[int]]:
+        """Per mesh axis, the ids of the groups still actionable on it."""
+        groups = self._comp.groups
+        return {
+            name: frozenset(gid for pos, (gid, _) in enumerate(groups) if mask >> pos & 1)
+            for name, mask in zip(self._mt.axis_names, self._wl)
+        }
 
     def _digest(self) -> str:
         comp, mt, fm = self._comp, self._mt, self._fm
@@ -454,10 +481,16 @@ class ModuleState:
         return self.shardings[value_id]
 
 
-def _make_state(graph, mesh, comp, mt, seeds: frozenset, applied: tuple) -> ModuleState:
+def _make_state(graph, mesh, comp, mt, key: int, applied: tuple) -> ModuleState:
     fm = [0] * comp.total_dims
     partials = [0] * comp.nvals
-    for gid, dim, bit in sorted(seeds):
+    rest = key
+    while rest:  # ascending seed index: (group, dim, axis) order
+        low = rest & -rest
+        rest ^= low
+        slot, k = divmod(low.bit_length() - 1, mt.nbits)
+        gid, dim = comp.seed_slots[slot]
+        bit = 1 << k
         for m in comp.group_members[gid]:
             pos = comp.offsets[m] + dim
             if comp.dims[m][dim] % mt.prod[fm[pos] | bit] != 0:
@@ -467,14 +500,25 @@ def _make_state(graph, mesh, comp, mt, seeds: frozenset, applied: tuple) -> Modu
                 )
             fm[pos] |= bit
     used = _close(comp, mt, fm, partials)
-    return ModuleState(graph, mesh, comp, mt, seeds, applied, fm, partials, used)
+    wl = [0] * mt.nbits
+    for pos, (_, members) in enumerate(comp.groups):
+        u = 0
+        for m in members:
+            u |= used[m]
+        for k in range(mt.nbits):
+            if not u >> k & 1:
+                wl[k] |= 1 << pos
+    return ModuleState(
+        graph, mesh, comp, mt, key, applied,
+        array.array(mt.typecode, fm), array.array(mt.typecode, partials), tuple(wl),
+    )
 
 
 def initial_state(graph: ir.Graph, mesh: ir.Mesh) -> ModuleState:
     """Fully replicated starting state; validates the graph first."""
     comp = _compile(graph)
     mt = _tables(mesh)
-    return _make_state(graph, mesh, comp, mt, frozenset(), ())
+    return _make_state(graph, mesh, comp, mt, 0, ())
 
 
 def legal_actions(state: ModuleState, active_axis: str | None) -> list[Action]:
@@ -494,20 +538,24 @@ def legal_actions(state: ModuleState, active_axis: str | None) -> list[Action]:
         raise ShapeError(f"unknown mesh axis {active_axis!r}; mesh has {mt.axis_names}")
     bit = mt.bit_of[active_axis]
     comp = state._comp
+    groups = comp.groups
     fm = state._fm
     actions = []
-    for gid in sorted(state.worklists[active_axis]):
-        first = comp.group_members[gid][0]
-        base = comp.offsets[first]
-        dims = comp.dims[first]
+    mask = state._wl[mt.axis_index[active_axis]]
+    while mask:  # ascending position: ascending group id
+        low = mask & -mask
+        mask ^= low
+        gid, members = groups[low.bit_length() - 1]
+        base = comp.offsets[members[0]]
+        dims = comp.dims[members[0]]
         for d in range(len(dims)):
             if dims[d] % mt.prod[fm[base + d] | bit] == 0:
                 actions.append(Action(gid, d, active_axis))
     return actions
 
 
-def apply_action(state: ModuleState, action: Action) -> ModuleState:
-    """Apply one action and re-propagate to fixpoint; raises if illegal."""
+def _seed_index(state: ModuleState, action: Action) -> int:
+    """The action's bit position in a state key; raises if it names no seed."""
     mt = state._mt
     comp = state._comp
     if action.axis not in mt.bit_of:
@@ -521,7 +569,16 @@ def apply_action(state: ModuleState, action: Action) -> ModuleState:
         raise IllegalActionError(
             f"dim {action.dim} out of range for group {action.group} of rank {rank}"
         )
-    if action.group not in state.worklists[action.axis]:
+    slot = comp.seed_base[comp.group_pos[action.group]] + action.dim
+    return slot * mt.nbits + mt.axis_index[action.axis]
+
+
+def apply_action(state: ModuleState, action: Action) -> ModuleState:
+    """Apply one action and re-propagate to fixpoint; raises if illegal."""
+    index = _seed_index(state, action)
+    mt = state._mt
+    comp = state._comp
+    if not state._wl[mt.axis_index[action.axis]] >> comp.group_pos[action.group] & 1:
         raise IllegalActionError(
             f"group {action.group} is no longer actionable on axis {action.axis!r}"
         )
@@ -534,9 +591,9 @@ def apply_action(state: ModuleState, action: Action) -> ModuleState:
             f"dim {action.dim} of group {action.group} (size {size}) not divisible "
             f"by axis {action.axis!r} on top of {mt.names(state._fm[pos])}"
         )
-    seeds = state._seeds | {(action.group, action.dim, bit)}
     return _make_state(
-        state.graph, state.mesh, comp, mt, seeds, state.applied + (action,)
+        state.graph, state.mesh, comp, mt, state._key | 1 << index,
+        state.applied + (action,),
     )
 
 
@@ -602,11 +659,10 @@ class StateCache:
 
     def __init__(self, graph: ir.Graph, mesh: ir.Mesh):
         self.root = initial_state(graph, mesh)
-        self._states: dict[frozenset, ModuleState] = {self.root._seeds: self.root}
+        self._states: dict[int, ModuleState] = {self.root._key: self.root}
 
     def apply(self, state: ModuleState, action: Action) -> ModuleState:
-        bit = state._mt.bit_of[action.axis]
-        key = state._seeds | {(action.group, action.dim, bit)}
+        key = state._key | 1 << _seed_index(state, action)
         hit = self._states.get(key)
         if hit is None:
             hit = self._states[key] = apply_action(state, action)

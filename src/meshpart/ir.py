@@ -642,25 +642,42 @@ def graph_to_json(graph: Graph, mesh: Mesh | None = None) -> dict:
     return out
 
 
+def _entries(obj: Mapping, key: str, entry_type: type, noun: str, where: str = "") -> list:
+    """obj[key] as a list whose every entry has the given JSON type."""
+    items = obj[key]
+    if not isinstance(items, (list, tuple)):
+        raise GraphValidationError(f"malformed graph JSON: {where}{key!r} must be a list")
+    for i, item in enumerate(items):
+        if not isinstance(item, entry_type):
+            raise GraphValidationError(
+                f"malformed graph JSON: {where}{key}[{i}] must be {noun}, got {item!r}"
+            )
+    return items
+
+
 def graph_from_json(obj: Mapping) -> tuple[Graph, Mesh | None]:
     """Parse the interchange schema; infers op result types and validates."""
     try:
         name = obj["name"]
         mesh = None
         if "mesh" in obj:
-            mesh = Mesh(tuple(MeshAxis(a["name"], a["size"]) for a in obj["mesh"]))
+            mesh = Mesh(tuple(
+                MeshAxis(a["name"], a["size"]) for a in _entries(obj, "mesh", dict, "an object")
+            ))
         args = []
         types: dict[str, TensorType] = {}
         group_members: dict[int, list[str]] = {}
-        for a in obj["args"]:
+        for a in _entries(obj, "args", dict, "an object"):
             t = TensorType(tuple(a["dims"]), a["element_bytes"])
             args.append(Argument(a["id"], t, Role(a["role"])))
             types[a["id"]] = t
             group_members.setdefault(int(a["group"]), []).append(a["id"])
         ops = []
-        for o in obj["ops"]:
+        for o in _entries(obj, "ops", dict, "an object"):
             kind = _kind_from_json(o)
-            operands = tuple(o["operands"])
+            operands = tuple(
+                _entries(o, "operands", str, "a value id", f"op {o.get('id')!r}: ")
+            )
             missing = [r for r in operands if r not in types]
             if missing:
                 raise GraphValidationError(
@@ -677,7 +694,7 @@ def graph_from_json(obj: Mapping) -> tuple[Graph, Mesh | None]:
             name=name,
             args=tuple(args),
             ops=tuple(ops),
-            outputs=tuple(obj["outputs"]),
+            outputs=tuple(_entries(obj, "outputs", str, "a value id")),
             groups=groups,
         )
     except (KeyError, TypeError, ValueError, ShapeError) as e:

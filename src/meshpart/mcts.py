@@ -1,11 +1,14 @@
 """Monte Carlo tree search over partitioning actions.
 
 The tree is built over canonical state fingerprints, not action sequences:
-a global transposition table maps each digest to a single node, so the many
-action orders that reach the same sharding state share one set of
-statistics.  During expansion, actions that land on an already-known child
-of the current node are recorded as extra edges to it and are never
-simulated again.
+a global transposition table maps each digest to a single node, so every
+action order and action set that closes to the same argument-group shardings
+shares one set of statistics.  A fingerprint does not cover op results,
+which different action sets may shard differently: a node keeps the state of
+the action set that first expanded into it, and the estimate cache keeps the
+cost of the first state priced under a digest.  During expansion, actions
+that land on an already-known child of the current node are recorded as
+extra edges to it and are never simulated again.
 
 Each trajectory runs selection (UCT over children), one expansion, and a
 uniform random rollout that may stop early: at every rollout step the stop

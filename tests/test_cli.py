@@ -205,3 +205,55 @@ def test_broken_plans_exit_two(graph_file, tmp_path, capsys):
     assert run_cli("estimate", "--graph", graph_file, "--plan", str(bad)) == 2
     err = capsys.readouterr().err
     assert "plan action #1" in err
+
+
+def only_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda g: g["ops"].__setitem__(0, 5), "ops[0] must be an object"),
+    (lambda g: g["outputs"].__setitem__(0, []), "outputs[0] must be a value id"),
+])
+def test_mistyped_graph_json_entries_exit_two(tmp_path, capsys, mutate, message):
+    obj = ir.graph_to_json(small_graph(), AB)
+    mutate(obj)
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(json.dumps(obj))
+    plan = tmp_path / "plan.json"
+    plan.write_text("[]")
+    assert run_cli("estimate", "--graph", str(graph_path), "--plan", str(plan)) == 2
+    assert message in only_error_line(capsys)
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ({"axes": [{"name": "a", "bandwidth": 0, "latency": 1e-6}]},
+     "bandwidth of axis 'a' must be finite and positive"),
+    ({"axes": [{"name": "a", "bandwidth": float("nan"), "latency": 1e-6}]},
+     "bandwidth of axis 'a' must be finite and positive"),
+    ({"memory_penalty_slope": -0.5}, "memory_penalty_slope must be finite and at least 0"),
+])
+def test_out_of_range_cost_configs_exit_three(graph_file, tmp_path, capsys, cfg, message):
+    cfg_path = tmp_path / "cost.json"
+    cfg_path.write_text(json.dumps(cfg))  # NaN is written as the bare token NaN
+    plan = tmp_path / "plan.json"
+    plan.write_text("[]")
+    assert run_cli("estimate", "--graph", graph_file, "--plan", str(plan),
+                   "--cost-cfg", str(cfg_path)) == 3
+    assert message in only_error_line(capsys)
+
+
+@pytest.mark.parametrize("entry", [
+    {"group": 0, "dim": 0.5, "axis": "a"},
+    {"group": "0", "dim": 0, "axis": "a"},
+    {"group": True, "dim": 0, "axis": "a"},
+    {"group": 0, "dim": False, "axis": "a"},
+    {"group": 0, "dim": 0, "axis": 1},
+])
+def test_mistyped_plan_entries_exit_three(graph_file, tmp_path, capsys, entry):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps([{"group": 1, "dim": 0, "axis": "a"}, entry]))
+    assert run_cli("estimate", "--graph", graph_file, "--plan", str(plan)) == 3
+    assert "plan entry #1 is malformed" in only_error_line(capsys)

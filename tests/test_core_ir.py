@@ -280,6 +280,27 @@ def test_malformed_graph_json_is_rejected():
         ir.graph_from_json({"name": "g", "args": [{"id": "x"}]})
 
 
+@pytest.mark.parametrize("field, index, bad", [
+    ("args", 0, "x"),
+    ("ops", 0, 5),
+    ("ops", 1, None),
+    ("outputs", 0, []),
+    ("outputs", 0, 3),
+])
+def test_mistyped_graph_json_entries_are_rejected(field, index, bad):
+    obj = ir.graph_to_json(small_chain())
+    obj[field][index] = bad
+    with pytest.raises(GraphValidationError, match=rf"{field}\[{index}\]"):
+        ir.graph_from_json(obj)
+
+
+def test_mistyped_operand_names_its_op():
+    obj = ir.graph_to_json(small_chain())
+    obj["ops"][0]["operands"][0] = ["x"]
+    with pytest.raises(GraphValidationError, match=r"op '.*': operands\[0\]"):
+        ir.graph_from_json(obj)
+
+
 def test_json_round_trip_on_random_graphs():
     from _random_graphs import random_graph
 

@@ -304,6 +304,32 @@ def test_config_from_json_rejects_malformed_input():
         cm.config_from_json({"flops_per_second": -1.0}, mesh)
 
 
+@pytest.mark.parametrize("obj", [
+    {"flops_per_second": 0},
+    {"flops_per_second": float("inf")},
+    {"memory_limit_bytes": float("nan")},
+    {"memory_limit_bytes": 0},
+    {"memory_penalty_slope": -1.0},
+    {"memory_penalty_slope": float("inf")},
+    {"axes": [{"name": "p", "bandwidth": 0.0, "latency": 1e-6}]},
+    {"axes": [{"name": "p", "bandwidth": -1e9, "latency": 1e-6}]},
+    {"axes": [{"name": "p", "bandwidth": float("nan"), "latency": 1e-6}]},
+    {"axes": [{"name": "p", "bandwidth": 1e9, "latency": -1e-6}]},
+    {"axes": [{"name": "p", "bandwidth": 1e9, "latency": float("inf")}]},
+])
+def test_config_from_json_rejects_out_of_range_numbers(obj):
+    with pytest.raises(ConfigError):
+        cm.config_from_json(obj, ir.Mesh((ir.MeshAxis("p", 2),)))
+
+
+def test_config_from_json_accepts_zero_latency_and_slope():
+    mesh = ir.Mesh((ir.MeshAxis("p", 2),))
+    obj = {"axes": [{"name": "p", "bandwidth": 1e9, "latency": 0}], "memory_penalty_slope": 0}
+    cfg = cm.config_from_json(obj, mesh)
+    assert cfg.links["p"].latency_seconds == 0.0
+    assert cfg.memory_penalty_slope == 0.0
+
+
 def test_load_config_file_errors_are_config_errors(tmp_path):
     mesh = ir.Mesh((ir.MeshAxis("p", 2),))
     with pytest.raises(ConfigError):

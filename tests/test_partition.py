@@ -1,10 +1,13 @@
 """Sharding propagation, action legality, fingerprints, and state identity."""
 
+import dataclasses
 import random
+import sys
 
 import pytest
+from hypothesis import assume, given, settings, strategies
 
-from meshpart import engine, ir
+from meshpart import costmodel as cm, engine, ir, models
 from meshpart.errors import IllegalActionError, PlanReplayError
 from _random_graphs import random_graph, random_mesh
 
@@ -351,3 +354,149 @@ def test_state_cache_returns_identical_objects():
     s2 = cache.apply(cache.root, a)
     assert s1 is s2
     assert len(cache) >= 2
+
+
+# --- compact state storage ----------------------------------------------------
+
+# nine axes: masks no longer fit one byte, so states use a wider typecode
+WIDE = ir.Mesh(tuple(ir.MeshAxis(f"ax{i}", 2) for i in range(9)))
+
+
+def random_walk(graph: ir.Graph, mesh: ir.Mesh, picks: list[int]) -> list[engine.Action]:
+    """Apply legal actions chosen by `picks`; return the actions applied."""
+    state = engine.initial_state(graph, mesh)
+    seq = []
+    for pick in picks:
+        legal = engine.legal_actions(state, None)
+        if not legal:
+            break
+        seq.append(legal[pick % len(legal)])
+        state = engine.apply_action(state, seq[-1])
+    return seq
+
+
+def reference_state(state: engine.ModuleState) -> tuple[list[int], list[int], dict]:
+    """From-scratch closure of the state's action set on plain lists."""
+    comp, mt = state._comp, state._mt
+    fm = [0] * comp.total_dims
+    partials = [0] * comp.nvals
+    for a in state.applied:
+        for m in comp.group_members[a.group]:
+            fm[comp.offsets[m] + a.dim] |= mt.bit_of[a.axis]
+    used = engine._close(comp, mt, fm, partials)
+    worklists = {
+        name: frozenset(
+            gid for gid, members in comp.groups
+            if all(used[m] & mt.bit_of[name] == 0 for m in members)
+        )
+        for name in mt.axis_names
+    }
+    return fm, partials, worklists
+
+
+def check_against_reference(state: engine.ModuleState) -> None:
+    fm, partials, worklists = reference_state(state)
+    assert state._fm.tolist() == fm
+    assert state._partials.tolist() == partials
+    assert state.worklists == worklists
+    groups = state._comp.groups
+    for name, mask in zip(state._mt.axis_names, state._wl):
+        assert mask == sum(1 << pos for pos, (gid, _) in enumerate(groups)
+                           if gid in worklists[name])
+
+
+SEEDS = strategies.integers(0, 2**32 - 1)
+PICKS = strategies.integers(0, 1 << 16)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_seed=SEEDS, wide=strategies.booleans(),
+       picks=strategies.lists(PICKS, min_size=1, max_size=5), data=strategies.data())
+def test_permuted_action_sets_store_identical_state(graph_seed, wide, picks, data):
+    rng = random.Random(graph_seed)
+    graph = random_graph(rng)
+    mesh = WIDE if wide else random_mesh(rng)
+    seq = random_walk(graph, mesh, picks)
+    assume(seq)
+    perm = data.draw(strategies.permutations(seq))
+    try:
+        again = engine.replay_plan(graph, mesh, perm)
+    except PlanReplayError:
+        assume(False)  # this order is unreachable; nothing to compare
+    first = engine.replay_plan(graph, mesh, seq)
+    assert again._fm == first._fm
+    assert again._partials == first._partials
+    assert again.worklists == first.worklists
+    assert again.fingerprint == first.fingerprint
+    # one action set, one cache key, whatever the order
+    cache = engine.StateCache(graph, mesh)
+    ends = []
+    for order in (seq, perm):
+        state = cache.root
+        for a in order:
+            state = cache.apply(state, a)
+        ends.append(state)
+    assert ends[0] is ends[1]
+    cfg = cm.default_config(mesh)
+    assert cm.estimate(again, cfg) == cm.estimate(first, cfg)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_seed=SEEDS, wide=strategies.booleans(), picks=strategies.lists(PICKS, max_size=5))
+def test_every_stored_state_matches_the_list_closure(graph_seed, wide, picks):
+    rng = random.Random(graph_seed)
+    graph = random_graph(rng)
+    mesh = WIDE if wide else random_mesh(rng)
+    state = engine.initial_state(graph, mesh)
+    check_against_reference(state)
+    for a in random_walk(graph, mesh, picks):
+        state = engine.apply_action(state, a)
+        check_against_reference(state)
+
+
+def test_masks_past_the_eighth_axis_are_stored_whole():
+    graph = random_graph(random.Random(3))
+    state = engine.initial_state(graph, WIDE)
+    assert state._fm.itemsize > 1
+    a = engine.legal_actions(state, "ax8")[0]
+    state = engine.apply_action(state, a)
+    first = state._comp.group_members[a.group][0]
+    assert state._fm[state._comp.offsets[first] + a.dim] & 1 << 8
+    assert state.sharding_of(graph.args[first].id).per_dim[a.dim].axes[-1] == "ax8"
+    check_against_reference(state)
+
+
+def footprint(state: engine.ModuleState) -> int:
+    """Bytes a state holds of its own: sys.getsizeof summed over its fields.
+
+    Skips the graph, mesh and compiled tables, which every state of a search
+    shares, and Action objects, which the search tree holds anyway.
+    """
+    shared = {"graph", "mesh", "_comp", "_mt"}
+    seen: set[int] = set()
+
+    def size(obj) -> int:
+        if obj is None or isinstance(obj, engine.Action) or id(obj) in seen:
+            return 0
+        seen.add(id(obj))
+        n = sys.getsizeof(obj)
+        if isinstance(obj, dict):
+            n += sum(size(k) + size(v) for k, v in obj.items())
+        elif isinstance(obj, (tuple, list, set, frozenset)):
+            n += sum(size(x) for x in obj)
+        elif dataclasses.is_dataclass(obj):
+            n += sum(size(getattr(obj, f.name)) for f in dataclasses.fields(obj))
+        return n
+
+    return sys.getsizeof(state) + sum(
+        size(getattr(state, f)) for f in type(state).__slots__ if f not in shared
+    )
+
+
+def test_a_transformer_state_stores_under_1500_bytes():
+    mesh = ir.Mesh((ir.MeshAxis("batch", 2), ir.MeshAxis("model", 2)))
+    graph = models.build_named_model("transformer")
+    plan = models.transformer_expert_plans(mesh)["bp_mt"]
+    assert len(plan) == 3
+    state = engine.replay_plan(graph, mesh, list(plan))
+    assert footprint(state) <= 1500
