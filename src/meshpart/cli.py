@@ -135,8 +135,11 @@ def plan_from_obj(obj) -> list[engine.Action]:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as f:
-            f.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as f:
+                f.write(text)
+        except OSError as e:
+            raise ConfigError(f"cannot write {out_path!r}: {e}") from e
     else:
         sys.stdout.write(text)
 
@@ -146,15 +149,19 @@ def _dump_json(obj: dict, out_path: str | None) -> None:
 
 
 def cmd_search(args) -> int:
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
     graph, mesh = _load_graph_and_mesh(args)
     models.check_mesh_compatibility(graph, mesh)
     cost_cfg = _load_cost_cfg(args, mesh)
     schedule = controller.parse_schedule(args.schedule, mesh, args.budget)
+    for path in (args.trace, args.out):
+        if path:
+            _emit("", path)  # an unwritable path fails now, not after the search
 
-    n_runs = max(1, args.seeds)
     trace_rows: list[tuple] = []
     outcomes: list[tuple[int, controller.ScheduleOutcome]] = []
-    for i in range(n_runs):
+    for i in range(args.seeds):
         seed = args.seed + i
         tracer = None
         if args.trace:
@@ -185,8 +192,7 @@ def cmd_search(args) -> int:
         lines = ["seed\ttrajectory\tdepth\tfingerprint\treward\tbest_metric"]
         for s, t, d, fp, r, b in trace_rows:
             lines.append(f"{s}\t{t}\t{d}\t{fp}\t{r!r}\t{b!r}")
-        with open(args.trace, "w", encoding="utf-8") as f:
-            f.write("\n".join(lines) + "\n")
+        _emit("\n".join(lines) + "\n", args.trace)
 
     report = {
         "graph": graph.name,
@@ -225,7 +231,7 @@ def cmd_estimate(args) -> int:
             plan_obj = json.load(f)
     except OSError as e:
         raise ConfigError(f"cannot read plan file {args.plan!r}: {e}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # not JSON, or not UTF-8
         raise ConfigError(f"plan file {args.plan!r} is not valid JSON: {e}") from e
     actions = plan_from_obj(plan_obj)
     state = engine.replay_plan(graph, mesh, actions)
@@ -242,6 +248,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.max_depth is not None and args.max_depth < 0:
+        raise ConfigError(f"--max-depth must be at least 0, got {args.max_depth}")
     graph, mesh = _load_graph_and_mesh(args)
     models.check_mesh_compatibility(graph, mesh)
     cost_cfg = _load_cost_cfg(args, mesh)

@@ -170,17 +170,6 @@ def wire_bytes_per_device(c: Collective, mesh: ir.Mesh) -> float:
     return 2.0 * one_pass if c.kind == ALL_REDUCE else one_pass
 
 
-class _Analysis:
-    __slots__ = ("program", "compute_seconds", "comm_seconds", "peak_bytes", "counts")
-
-    def __init__(self, program, compute_seconds, comm_seconds, peak_bytes, counts):
-        self.program = program
-        self.compute_seconds = compute_seconds
-        self.comm_seconds = comm_seconds
-        self.peak_bytes = peak_bytes
-        self.counts = counts
-
-
 def _bits(mask: int):
     while mask:
         b = mask & -mask
@@ -191,7 +180,10 @@ def _bits(mask: int):
 _OUTPUT = -1  # sentinel consumer: the module boundary itself
 
 
-def _analyze(state: engine.ModuleState, cfg: CostModelConfig) -> _Analysis:
+def _analyze(
+    state: engine.ModuleState, cfg: CostModelConfig
+) -> tuple[LoweredProgram, float, float, int, dict[str, int]]:
+    """(program, compute seconds, comm seconds, peak bytes, counts by kind)."""
     comp = state._comp
     mt = state._mt
     fm = state._fm
@@ -216,10 +208,9 @@ def _analyze(state: engine.ModuleState, cfg: CostModelConfig) -> _Analysis:
     # consumer's own result sharding requires, per the slot's plan.
     part_req: dict[tuple[int, int], list[int]] = {}   # (v, bit) -> requiring ops
     part_full: dict[tuple[int, int], list[int]] = {}  # (v, bit) -> full-needing ops
-    ag_private: dict[int, set[tuple[int, int]]] = {}  # op -> {(v, gmask)}
-    ag_shared: dict[tuple[int, int], list[int]] = {}  # (v, gmask) -> consumer ops
-    slot_gmask: dict[tuple[int, int], int] = {}       # (op, slot) -> gathered axes
-    slot_rs_bits: dict[tuple[int, int], int] = {}     # (op, slot) -> partial bits required
+    # (v, gmask, op) -> consumer ops; op is -1 when gathers are shared
+    ag: dict[tuple[int, int, int], list[int]] = {}
+    reads_base: set[tuple[int, int]] = set()  # (op, v): a slot reads v's own buffer
 
     for meta in comp.op_meta:
         i = meta.op_index
@@ -244,48 +235,39 @@ def _analyze(state: engine.ModuleState, cfg: CostModelConfig) -> _Analysis:
                 req_union |= req
                 gmask |= p & ~req
             if gmask:
-                if cfg.cse_allgather:
-                    sites = ag_shared.setdefault((v, gmask), [])
-                    if not sites or sites[-1] != i:
-                        sites.append(i)
-                else:
-                    ag_private.setdefault(i, set()).add((v, gmask))
-            slot_gmask[(i, slot)] = gmask
-            rs_bits = 0
+                sites = ag.setdefault((v, gmask, -1 if cfg.cse_allgather else i), [])
+                if not sites or sites[-1] != i:
+                    sites.append(i)
+            # every partial bit the slot needs sharded becomes a ReduceScatter
+            needs_rs = False
             for bit in _bits(partials[v]):
                 if req_union & bit:
-                    rs_bits |= bit
+                    needs_rs = True
                     lst = part_req.setdefault((v, bit), [])
-                    if not lst or lst[-1] != i:
-                        lst.append(i)
                 else:
                     lst = part_full.setdefault((v, bit), [])
-                    if not lst or lst[-1] != i:
-                        lst.append(i)
-            slot_rs_bits[(i, slot)] = rs_bits
+                if not lst or lst[-1] != i:
+                    lst.append(i)
+            if not gmask and not needs_rs:
+                reads_base.add((i, v))
 
     for o in comp.out_idx:
         for bit in _bits(partials[o]):
             part_full.setdefault((o, bit), []).append(_OUTPUT)
 
     # --- collective placement ---------------------------------------------
-    # pre[i]: collectives before op i; post[i]: AllReduces right after it.
+    # pre[i]: collectives before op i, gathers then ReduceScatters, each
+    # ordered by value and axes; post[i]: (v, bit) AllReduces right after it.
     pre: list[list[tuple]] = [[] for _ in range(n_ops)]
-    post: list[list[tuple]] = [[] for _ in range(n_ops)]
-    rs_resolved: set[tuple[int, int]] = set()
+    post: list[list[tuple[int, int]]] = [[] for _ in range(n_ops)]
 
-    for (v, bit), req_ops in sorted(part_req.items()):
-        rs_resolved.add((v, bit))
-        full_ops = [c for c in part_full.pop((v, bit), []) if c != _OUTPUT]
-        site = min(req_ops + full_ops)
-        pre[site].append(("rs", v, bit, req_ops, full_ops))
-    for (v, bit), consumers in sorted(part_full.items()):
-        post[comp.producer_op[v]].append(("ar", v, bit))
-    for (v, gmask), consumers in sorted(ag_shared.items()):
+    for (v, gmask, _), consumers in sorted(ag.items()):
         pre[consumers[0]].append(("ag", v, gmask, consumers))
-    for i, entries in ag_private.items():
-        for v, gmask in sorted(entries):
-            pre[i].append(("ag", v, gmask, [i]))
+    for (v, bit), req_ops in sorted(part_req.items()):
+        full_ops = [c for c in part_full.pop((v, bit), []) if c != _OUTPUT]
+        pre[min(req_ops + full_ops)].append(("rs", v, bit, req_ops, full_ops))
+    for v, bit in sorted(part_full):
+        post[comp.producer_op[v]].append((v, bit))
 
     # --- event construction ------------------------------------------------
     events: list[ProgramEvent] = []
@@ -305,15 +287,12 @@ def _analyze(state: engine.ModuleState, cfg: CostModelConfig) -> _Analysis:
         events.append(CollectiveEvent(c))
         counts[kind] += 1
         comm_seconds += collective_time(c, cfg, mt.mesh)
-        e = len(events) - 1
-        if base_read[v] < e:
-            base_read[v] = e
-        return e
+        base_read[v] = len(events) - 1
+        return base_read[v]
 
     for i in range(n_ops):
-        for entry in sorted(pre[i], key=lambda t: (t[0], t[1], t[2])):
-            tag = entry[0]
-            if tag == "ag":
+        for entry in pre[i]:
+            if entry[0] == "ag":
                 _, v, gmask, consumers = entry
                 remaining = dmask[v]
                 prev: tuple[int, int] | None = None
@@ -325,7 +304,7 @@ def _analyze(state: engine.ModuleState, cfg: CostModelConfig) -> _Analysis:
                         buffers.append((prev[0], e, prev[1]))
                     prev = (e, payload)
                 deferred.append((prev[0], consumers, prev[1]))
-            elif tag == "rs":
+            else:
                 _, v, bit, req_ops, full_ops = entry
                 payload = local_bytes(v)
                 e = emit(REDUCE_SCATTER, bit, payload, min(req_ops + full_ops), v)
@@ -336,18 +315,13 @@ def _analyze(state: engine.ModuleState, cfg: CostModelConfig) -> _Analysis:
                     deferred.append((e2, full_ops, payload))
                 deferred.append((e, ends, payload // prod[bit]))
         events.append(OpEvent(comp.graph.ops[i].id))
-        e = len(events) - 1
-        ev_of_op[i] = e
+        e = ev_of_op[i] = len(events) - 1
         meta = comp.op_meta[i]
         def_ev[meta.result_idx] = e
-        for slot, v in enumerate(meta.operand_idx):
-            reads_base = slot_gmask[(i, slot)] == 0 and not any(
-                (v, bit) in rs_resolved for bit in _bits(slot_rs_bits[(i, slot)])
-            )
-            if reads_base and base_read[v] < e:
+        for v in meta.operand_idx:
+            if (i, v) in reads_base:
                 base_read[v] = e
-        for entry in sorted(post[i], key=lambda t: (t[1], t[2])):
-            _, v, bit = entry
+        for v, bit in post[i]:
             emit(ALL_REDUCE, bit, local_bytes(v), i, v)
 
     last = len(events) - 1 if events else 0
@@ -404,23 +378,21 @@ def _analyze(state: engine.ModuleState, cfg: CostModelConfig) -> _Analysis:
         # reshape and const move no data and cost nothing
 
     compute_seconds = flops / cfg.flops_per_second
-    return _Analysis(
-        LoweredProgram(tuple(events)), compute_seconds, comm_seconds, peak, counts
-    )
+    return LoweredProgram(tuple(events)), compute_seconds, comm_seconds, peak, counts
 
 
 def lower(state: engine.ModuleState, cfg: CostModelConfig) -> LoweredProgram:
     """Materialize the collective schedule implied by the state's shardings."""
-    return _analyze(state, cfg).program
+    return _analyze(state, cfg)[0]
 
 
 def estimate(state: engine.ModuleState, cfg: CostModelConfig) -> CostEstimate:
     """Simulated step time, peak per-device memory, and collective counts."""
-    a = _analyze(state, cfg)
-    runtime = a.compute_seconds + a.comm_seconds
-    over = max(0.0, a.peak_bytes / cfg.memory_limit_bytes - 1.0)
+    _, compute_seconds, comm_seconds, peak, counts = _analyze(state, cfg)
+    runtime = compute_seconds + comm_seconds
+    over = max(0.0, peak / cfg.memory_limit_bytes - 1.0)
     penalized = runtime * (1.0 + cfg.memory_penalty_slope * over)
-    return CostEstimate(runtime, a.peak_bytes, dict(a.counts), penalized)
+    return CostEstimate(runtime, peak, counts, penalized)
 
 
 # --- configuration serialization -------------------------------------------
@@ -485,6 +457,6 @@ def load_config_file(path: str, mesh: ir.Mesh) -> CostModelConfig:
             obj = json.load(f)
     except OSError as e:
         raise ConfigError(f"cannot read cost config {path!r}: {e}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # not JSON, or not UTF-8
         raise ConfigError(f"cost config {path!r} is not valid JSON: {e}") from e
     return config_from_json(obj, mesh)

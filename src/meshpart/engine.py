@@ -164,7 +164,7 @@ class _Compiled:
         "graph", "ids", "index", "dims", "ebytes", "nbytes", "nvals", "n_args",
         "roles", "producer_op", "out_idx", "groups", "group_pos", "group_rank",
         "group_members", "seed_base", "seed_slots", "offsets", "total_dims",
-        "instances", "op_meta", "consumers",
+        "instances", "op_meta",
     )
 
     def __init__(self, graph: ir.Graph):
@@ -203,13 +203,14 @@ class _Compiled:
             self.seed_base.append(len(self.seed_slots))
             self.seed_slots.extend((gid, d) for d in range(len(self.dims[members[0]])))
 
-        self.consumers = [[] for _ in range(self.nvals)]
         instances: list[tuple] = []
 
-        def unify(i: int, di: int, j: int, dj: int) -> None:
+        def unify(i: int, di: int, j: int, dj: int, res: int = -1) -> None:
+            """Tie dim di of value i to dim dj of value j; with a result
+            value res, axes on both dims also mark res partial."""
             instances.append((
-                0, i, self.offsets[i] + di, self.dims[i][di],
-                j, self.offsets[j] + dj, self.dims[j][dj],
+                res >= 0, i, self.offsets[i] + di, self.dims[i][di],
+                j, self.offsets[j] + dj, self.dims[j][dj], res,
             ))
 
         for gid, members in self.groups:
@@ -222,8 +223,6 @@ class _Compiled:
         for op_index, op in enumerate(graph.ops):
             res = self.index[op.id]
             operand_idx = tuple(self.index[r] for r in op.operands)
-            for slot, v in enumerate(operand_idx):
-                self.consumers[v].append((op_index, slot))
             kind = op.kind
             contract = ()
             reduce_info = None
@@ -250,10 +249,7 @@ class _Compiled:
                     r_req[d] = (REQ_RES, base + len(lhs_free) + pos)
                 pairs = []
                 for k, (a, b) in enumerate(zip(kind.lhs_contract, kind.rhs_contract)):
-                    instances.append((
-                        1, li, self.offsets[li] + a, self.dims[li][a],
-                        ri, self.offsets[ri] + b, self.dims[ri][b], res,
-                    ))
+                    unify(li, a, ri, b, res)
                     pairs.append((a, b, self.dims[li][a]))
                     l_req[a] = (REQ_COMMON, k)
                     r_req[b] = (REQ_COMMON, k)
@@ -278,7 +274,7 @@ class _Compiled:
                 for d in range(len(self.dims[src])):
                     if d in reduced:
                         if kind.reduce_kind == "sum":
-                            instances.append((2, src, self.offsets[src] + d, res))
+                            unify(src, d, src, d, res)
                             plan.append((REQ_SELF, 0))
                         else:
                             plan.append((REQ_ZERO, 0))
@@ -329,6 +325,15 @@ def _close(comp: _Compiled, mt: _MeshTables, fm: list[int], partials: list[int])
     Returns the per-value used-axis masks.  The instance list is swept in a
     fixed order until no sweep changes anything, so the result depends only
     on the seeded masks, never on arrival order.
+
+    Every instance `(partial, i, pi, size_i, j, pj, size_j, res)` ties dim
+    position `pi` of value `i` to dim position `pj` of value `j`: each axis
+    on one side that the other value does not use yet crosses over if the
+    dim stays divisible.  With `partial` set, axes then on both sides mark
+    value `res` partial.  A contracting pair is such a tie between the two
+    operands.  A sum-reduced dim is a self-tie (`i == j`, `pi == pj`): it
+    moves no axis, because `used[i]` already holds every axis on a dim of
+    `i`, so it only marks the result partial over the dim's axes.
     """
     used = [0] * comp.nvals
     offsets = comp.offsets
@@ -342,64 +347,31 @@ def _close(comp: _Compiled, mt: _MeshTables, fm: list[int], partials: list[int])
     changed = True
     while changed:
         changed = False
-        for inst in instances:
-            tag = inst[0]
-            if tag == 0:
-                _, i, pi, size_i, j, pj, size_j = inst
-                m = fm[pi] & ~used[j]
-                if m:
-                    cur = fm[pj]
-                    while m:
-                        b = m & -m
-                        m ^= b
-                        if size_j % prod[cur | b] == 0:
-                            cur |= b
-                            used[j] |= b
-                            changed = True
-                    fm[pj] = cur
-                m = fm[pj] & ~used[i]
-                if m:
-                    cur = fm[pi]
-                    while m:
-                        b = m & -m
-                        m ^= b
-                        if size_i % prod[cur | b] == 0:
-                            cur |= b
-                            used[i] |= b
-                            changed = True
-                    fm[pi] = cur
-            elif tag == 1:
-                _, li, pl, size_l, ri, pr, size_r, res = inst
-                m = fm[pl] & ~used[ri]
-                if m:
-                    cur = fm[pr]
-                    while m:
-                        b = m & -m
-                        m ^= b
-                        if size_r % prod[cur | b] == 0:
-                            cur |= b
-                            used[ri] |= b
-                            changed = True
-                    fm[pr] = cur
-                m = fm[pr] & ~used[li]
-                if m:
-                    cur = fm[pl]
-                    while m:
-                        b = m & -m
-                        m ^= b
-                        if size_l % prod[cur | b] == 0:
-                            cur |= b
-                            used[li] |= b
-                            changed = True
-                    fm[pl] = cur
-                add = fm[pl] & fm[pr] & ~used[res]
-                if add:
-                    partials[res] |= add
-                    used[res] |= add
-                    changed = True
-            else:
-                _, src, ps, res = inst
-                add = fm[ps] & ~used[res]
+        for partial, i, pi, size_i, j, pj, size_j, res in instances:
+            m = fm[pi] & ~used[j]
+            if m:
+                cur = fm[pj]
+                while m:
+                    b = m & -m
+                    m ^= b
+                    if size_j % prod[cur | b] == 0:
+                        cur |= b
+                        used[j] |= b
+                        changed = True
+                fm[pj] = cur
+            m = fm[pj] & ~used[i]
+            if m:
+                cur = fm[pi]
+                while m:
+                    b = m & -m
+                    m ^= b
+                    if size_i % prod[cur | b] == 0:
+                        cur |= b
+                        used[i] |= b
+                        changed = True
+                fm[pi] = cur
+            if partial:
+                add = fm[pi] & fm[pj] & ~used[res]
                 if add:
                     partials[res] |= add
                     used[res] |= add
@@ -595,10 +567,6 @@ def apply_action(state: ModuleState, action: Action) -> ModuleState:
         state.graph, state.mesh, comp, mt, state._key | 1 << index,
         state.applied + (action,),
     )
-
-
-def fingerprint(state: ModuleState) -> Fingerprint:
-    return state.fingerprint
 
 
 def propagate(

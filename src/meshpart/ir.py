@@ -15,7 +15,7 @@ import json
 import math
 from typing import Iterable, Mapping, TypeAlias
 
-from .errors import GraphValidationError, ShapeError
+from .errors import ConfigError, GraphValidationError, ShapeError
 
 
 class Role(str, enum.Enum):
@@ -279,8 +279,7 @@ def _dot_result_dims(
                 f"contracting pair {k}: lhs dim {a} ({lhs.dims[a]}) != "
                 f"rhs dim {b} ({rhs.dims[b]})"
             )
-    lhs_free = [d for d in range(lhs.rank) if d not in lb and d not in lc]
-    rhs_free = [d for d in range(rhs.rank) if d not in rb and d not in rc]
+    lhs_free, rhs_free = dot_free_dims(kind, lhs.rank, rhs.rank)
     dims = [lhs.dims[d] for d in lb]
     dims += [lhs.dims[d] for d in lhs_free]
     dims += [rhs.dims[d] for d in rhs_free]
@@ -704,9 +703,11 @@ def graph_from_json(obj: Mapping) -> tuple[Graph, Mesh | None]:
 
 
 def load_graph_file(path: str) -> tuple[Graph, Mesh | None]:
-    with open(path, "r", encoding="utf-8") as f:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as f:
             obj = json.load(f)
-        except json.JSONDecodeError as e:
-            raise GraphValidationError(f"graph file {path!r} is not valid JSON: {e}") from e
+    except OSError as e:
+        raise ConfigError(f"cannot read graph file {path!r}: {e}") from e
+    except ValueError as e:  # not JSON, or not UTF-8
+        raise GraphValidationError(f"graph file {path!r} is not valid JSON: {e}") from e
     return graph_from_json(obj)

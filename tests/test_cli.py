@@ -257,3 +257,54 @@ def test_mistyped_plan_entries_exit_three(graph_file, tmp_path, capsys, entry):
     plan.write_text(json.dumps([{"group": 1, "dim": 0, "axis": "a"}, entry]))
     assert run_cli("estimate", "--graph", graph_file, "--plan", str(plan)) == 3
     assert "plan entry #1 is malformed" in only_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["search", "estimate", "oracle", "dump-graph"])
+def test_missing_graph_file_exits_three(tmp_path, capsys, command):
+    plan = tmp_path / "plan.json"
+    plan.write_text("[]")
+    extra = ["--plan", str(plan)] if command == "estimate" else []
+    assert run_cli(command, "--graph", str(tmp_path / "absent.json"), *extra) == 3
+    assert "cannot read graph file" in only_error_line(capsys)
+
+
+@pytest.mark.parametrize("flag", ["--out", "--trace"])
+def test_unwritable_search_outputs_exit_three(graph_file, tmp_path, capsys, flag):
+    target = str(tmp_path / "no_such_dir" / "file")
+    assert run_cli("search", "--graph", graph_file, "--budget", "40", flag, target) == 3
+    assert "cannot write" in only_error_line(capsys)
+
+
+def test_unwritable_out_exits_three_for_every_command(graph_file, tmp_path, capsys):
+    target = str(tmp_path / "no_such_dir" / "out")
+    plan = tmp_path / "plan.json"
+    plan.write_text("[]")
+    assert run_cli("estimate", "--graph", graph_file, "--plan", str(plan), "--out", target) == 3
+    assert "cannot write" in only_error_line(capsys)
+    assert run_cli("oracle", "--graph", graph_file, "--out", target) == 3
+    assert "cannot write" in only_error_line(capsys)
+    assert run_cli("dump-graph", "--graph", graph_file, "--out", target) == 3
+    assert "cannot write" in only_error_line(capsys)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["search", "--seeds", "0"], "--seeds must be at least 1"),
+    (["search", "--seeds", "-3"], "--seeds must be at least 1"),
+    (["oracle", "--max-depth", "-1"], "--max-depth must be at least 0"),
+])
+def test_out_of_range_counts_exit_three(graph_file, capsys, argv, message):
+    assert run_cli(*argv, "--graph", graph_file) == 3
+    assert message in only_error_line(capsys)
+
+
+@pytest.mark.parametrize("which, code", [("graph", 2), ("plan", 3), ("cost", 3)])
+def test_files_that_are_not_utf8_give_one_error_line(graph_file, tmp_path, capsys, which, code):
+    paths = {"graph": graph_file, "plan": str(tmp_path / "plan.json"),
+             "cost": str(tmp_path / "cost.json")}
+    (tmp_path / "plan.json").write_text("[]")
+    (tmp_path / "cost.json").write_text("{}")
+    paths[which] = str(tmp_path / "binary.json")
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe\x00not text")
+    assert run_cli("estimate", "--graph", paths["graph"], "--plan", paths["plan"],
+                   "--cost-cfg", paths["cost"]) == code
+    assert "is not valid JSON" in only_error_line(capsys)

@@ -500,3 +500,52 @@ def test_a_transformer_state_stores_under_1500_bytes():
     assert len(plan) == 3
     state = engine.replay_plan(graph, mesh, list(plan))
     assert footprint(state) <= 1500
+
+
+# --- properties of the closure and lowering kernels ---------------------------
+
+
+def walk_states(graph_seed: int, wide: bool, picks: list[int]):
+    """The states of a random walk on a random graph, the start included."""
+    rng = random.Random(graph_seed)
+    graph = random_graph(rng)
+    mesh = WIDE if wide else random_mesh(rng)
+    state = engine.initial_state(graph, mesh)
+    yield state
+    for a in random_walk(graph, mesh, picks):
+        state = engine.apply_action(state, a)
+        yield state
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph_seed=SEEDS, wide=strategies.booleans(), picks=strategies.lists(PICKS, max_size=5))
+def test_closing_a_closed_state_again_changes_nothing(graph_seed, wide, picks):
+    for state in walk_states(graph_seed, wide, picks):
+        fm, partials = state._fm.tolist(), state._partials.tolist()
+        engine._close(state._comp, state._mt, fm, partials)
+        assert fm == state._fm.tolist()
+        assert partials == state._partials.tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph_seed=SEEDS, wide=strategies.booleans(), picks=strategies.lists(PICKS, max_size=5))
+def test_estimates_agree_with_the_lowered_program(graph_seed, wide, picks):
+    for state in walk_states(graph_seed, wide, picks):
+        mesh = state.mesh
+        resident = 0
+        for arg in state.graph.args:
+            if arg.role in (ir.Role.PARAMETER, ir.Role.OPTIMIZER_STATE):
+                shards = 1
+                for dim in state.sharding_of(arg.id).per_dim:
+                    for axis in dim.axes:
+                        shards *= mesh.axis_size(axis)
+                resident += arg.type.byte_size // shards
+        for cse in (False, True):
+            cfg = cm.default_config(mesh, cse_allgather=cse)
+            est = cm.estimate(state, cfg)
+            collectives = cm.lower(state, cfg).collectives
+            assert est.counts == {
+                kind: sum(c.kind == kind for c in collectives) for kind in cm.COLLECTIVE_KINDS
+            }
+            assert est.runtime_seconds >= sum(cm.collective_time(c, cfg, mesh) for c in collectives)
+            assert est.peak_memory_bytes >= resident
