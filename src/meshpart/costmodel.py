@@ -147,15 +147,19 @@ class LoweredProgram:
         )
 
 
+def _ring_terms(cfg: CostModelConfig, mesh: ir.Mesh, axis: str) -> tuple[float, int, float]:
+    """`((n-1)*latency, n-1, n*bandwidth)` of one axis's ring of n devices."""
+    n = mesh.axis_size(axis)
+    link = cfg.links.get(axis)
+    if link is None:
+        raise ConfigError(f"cost config has no link parameters for axis {axis!r}")
+    return (n - 1) * link.latency_seconds, n - 1, n * link.bandwidth_bytes_per_second
+
+
 def collective_time(c: Collective, cfg: CostModelConfig, mesh: ir.Mesh) -> float:
     """Ring-schedule time for one collective over its mesh axis."""
-    n = mesh.axis_size(c.axis)
-    link = cfg.links.get(c.axis)
-    if link is None:
-        raise ConfigError(f"cost config has no link parameters for axis {c.axis!r}")
-    steps = (n - 1) * link.latency_seconds + c.payload_bytes * (n - 1) / (
-        n * link.bandwidth_bytes_per_second
-    )
+    latency, hops, width = _ring_terms(cfg, mesh, c.axis)
+    steps = latency + c.payload_bytes * hops / width
     if c.kind == ALL_REDUCE:
         return 2.0 * steps
     if c.kind in (ALL_GATHER, REDUCE_SCATTER):
@@ -182,23 +186,26 @@ _OUTPUT = -1  # sentinel consumer: the module boundary itself
 
 def _analyze(
     state: engine.ModuleState, cfg: CostModelConfig
-) -> tuple[LoweredProgram, float, float, int, dict[str, int]]:
-    """(program, compute seconds, comm seconds, peak bytes, counts by kind)."""
+) -> tuple[list, float, float, int, dict[str, int]]:
+    """(events, compute seconds, comm seconds, peak bytes, counts by kind).
+
+    An event is an op index, or a collective `(kind, axis bit, payload
+    bytes, site op index)`; `lower` turns them into `ProgramEvent`s.
+    """
     comp = state._comp
     mt = state._mt
-    fm = state._fm
+    fm = state._fm.tolist()
+    fm.append(0)  # the zero slot that plans read at comp.total_dims
     partials = state._partials
     prod = mt.prod
-    offsets = comp.offsets
     nvals = comp.nvals
-    n_ops = len(comp.op_meta)
+    op_meta = comp.op_meta
+    n_ops = len(op_meta)
 
-    dmask = [0] * nvals
-    for v in range(nvals):
-        m = 0
-        for p in range(offsets[v], offsets[v] + len(comp.dims[v])):
-            m |= fm[p]
-        dmask[v] = m
+    dmask = [0] * nvals  # per value, the axes on any of its dims
+    for v, m in zip(comp.value_of, fm):
+        if m:
+            dmask[v] |= m
 
     def local_bytes(v: int) -> int:
         return comp.nbytes[v] // prod[dmask[v]]
@@ -210,46 +217,33 @@ def _analyze(
     part_full: dict[tuple[int, int], list[int]] = {}  # (v, bit) -> full-needing ops
     # (v, gmask, op) -> consumer ops; op is -1 when gathers are shared
     ag: dict[tuple[int, int, int], list[int]] = {}
-    reads_base: set[tuple[int, int]] = set()  # (op, v): a slot reads v's own buffer
+    base_op = [-1] * nvals  # last op with a slot that reads the value's own buffer
 
-    for meta in comp.op_meta:
-        i = meta.op_index
-        res_base = offsets[meta.result_idx]
-        for slot, v in enumerate(meta.operand_idx):
-            vbase = offsets[v]
-            plan = meta.req_plans[slot]
+    for i, (_, operand_idx, plans, _) in enumerate(op_meta):
+        for v, plan in zip(operand_idx, plans):
             gmask = 0
             req_union = 0
-            for d, (code, aux) in enumerate(plan):
-                p = fm[vbase + d]
-                if code == engine.REQ_RES:
-                    req = fm[res_base + aux]
-                elif code == engine.REQ_SELF:
-                    req = p
-                elif code == engine.REQ_COMMON:
-                    l_dim, r_dim, _ = meta.contract[aux]
-                    li, ri = meta.operand_idx
-                    req = fm[offsets[li] + l_dim] & fm[offsets[ri] + r_dim]
-                else:
-                    req = 0
+            for p, q, r in plan:
+                req = fm[q] & fm[r]
                 req_union |= req
-                gmask |= p & ~req
+                gmask |= fm[p] & ~req
             if gmask:
                 sites = ag.setdefault((v, gmask, -1 if cfg.cse_allgather else i), [])
                 if not sites or sites[-1] != i:
                     sites.append(i)
             # every partial bit the slot needs sharded becomes a ReduceScatter
             needs_rs = False
-            for bit in _bits(partials[v]):
-                if req_union & bit:
-                    needs_rs = True
-                    lst = part_req.setdefault((v, bit), [])
-                else:
-                    lst = part_full.setdefault((v, bit), [])
-                if not lst or lst[-1] != i:
-                    lst.append(i)
+            if partials[v]:
+                for bit in _bits(partials[v]):
+                    if req_union & bit:
+                        needs_rs = True
+                        lst = part_req.setdefault((v, bit), [])
+                    else:
+                        lst = part_full.setdefault((v, bit), [])
+                    if not lst or lst[-1] != i:
+                        lst.append(i)
             if not gmask and not needs_rs:
-                reads_base.add((i, v))
+                base_op[v] = i
 
     for o in comp.out_idx:
         for bit in _bits(partials[o]):
@@ -270,23 +264,26 @@ def _analyze(
         post[comp.producer_op[v]].append((v, bit))
 
     # --- event construction ------------------------------------------------
-    events: list[ProgramEvent] = []
+    events: list = []
     ev_of_op = [0] * n_ops
-    base_read = [-1] * nvals  # last event that touches the value's own buffer
+    base_read = [-1] * nvals  # last collective that touches the value's own buffer
     def_ev = [0] * nvals
     buffers: list[tuple[int, int, int]] = []  # (start event, end event, bytes)
     deferred: list[tuple[int, list[int], int]] = []  # ends at consumers' op events
     comm_seconds = 0.0
     counts = {ALL_GATHER: 0, ALL_REDUCE: 0, REDUCE_SCATTER: 0}
+    ring: dict[int, tuple[float, int, float]] = {}  # axis bit -> _ring_terms
 
     def emit(kind: str, axis_bit: int, payload: int, site_op: int, v: int) -> int:
+        # adds collective_time in event order, with its float operations
         nonlocal comm_seconds
-        c = Collective(
-            kind, mt.name_of_bit[axis_bit], payload, comp.graph.ops[site_op].id
-        )
-        events.append(CollectiveEvent(c))
+        terms = ring.get(axis_bit)
+        if terms is None:
+            terms = ring[axis_bit] = _ring_terms(cfg, mt.mesh, mt.name_of_bit[axis_bit])
+        steps = terms[0] + payload * terms[1] / terms[2]
+        comm_seconds += 2.0 * steps if kind == ALL_REDUCE else steps
+        events.append((kind, axis_bit, payload, site_op))
         counts[kind] += 1
-        comm_seconds += collective_time(c, cfg, mt.mesh)
         base_read[v] = len(events) - 1
         return base_read[v]
 
@@ -314,13 +311,8 @@ def _analyze(
                     ends.append(e2)  # scattered buffer feeds the gather
                     deferred.append((e2, full_ops, payload))
                 deferred.append((e, ends, payload // prod[bit]))
-        events.append(OpEvent(comp.graph.ops[i].id))
-        e = ev_of_op[i] = len(events) - 1
-        meta = comp.op_meta[i]
-        def_ev[meta.result_idx] = e
-        for v in meta.operand_idx:
-            if (i, v) in reads_base:
-                base_read[v] = e
+        events.append(i)
+        ev_of_op[i] = def_ev[op_meta[i].result_idx] = len(events) - 1
         for v, bit in post[i]:
             emit(ALL_REDUCE, bit, local_bytes(v), i, v)
 
@@ -330,14 +322,14 @@ def _analyze(
         end = max(c if c >= start else ev_of_op[c] for c in consumers)
         buffers.append((start, end, nbytes))
 
-    out_set = set(comp.out_idx)
-    for v in range(nvals):
-        start = 0 if v < comp.n_args else def_ev[v]
-        if v in out_set or comp.roles[v] in (ir.Role.PARAMETER, ir.Role.OPTIMIZER_STATE):
+    for pinned, start, coll, op, nbytes, m in zip(
+        comp.live_to_end, def_ev, base_read, base_op, comp.nbytes, dmask
+    ):  # start is 0 for an argument
+        if pinned:
             end = last
         else:
-            end = max(base_read[v], start)
-        buffers.append((start, end, local_bytes(v)))
+            end = max(coll, ev_of_op[op] if op >= 0 else -1, start)
+        buffers.append((start, end, nbytes // prod[m]))
 
     # --- peak memory: sweep live bytes across events -----------------------
     delta = [0] * (last + 2)
@@ -353,37 +345,25 @@ def _analyze(
 
     # --- local compute time ------------------------------------------------
     flops = 0
-    for meta in comp.op_meta:
-        res = meta.result_idx
-        res_base = offsets[res]
-        res_dims = comp.dims[res]
-        n = 1
-        for d in range(len(res_dims)):
-            n *= res_dims[d] // prod[fm[res_base + d]]
-        if meta.tag == "dot":
-            li, ri = meta.operand_idx
-            for l_dim, r_dim, size in meta.contract:
-                common = fm[offsets[li] + l_dim] & fm[offsets[ri] + r_dim]
-                n *= size // prod[common]
-            flops += 2 * n
-        elif meta.tag in ("ew", "transpose"):
-            flops += n
-        elif meta.tag == "reduce":
-            (src,) = meta.operand_idx
-            kind, reduced_dims = meta.reduce_info
-            for d in reduced_dims:
-                size = comp.dims[src][d]
-                n *= size // prod[fm[offsets[src] + d]] if kind == "sum" else size
-            flops += n
-        # reshape and const move no data and cost nothing
+    for _, _, _, (mult, terms) in op_meta:
+        n = mult
+        for size, q, r in terms:
+            n *= size // prod[fm[q] & fm[r]]
+        flops += n
 
     compute_seconds = flops / cfg.flops_per_second
-    return LoweredProgram(tuple(events)), compute_seconds, comm_seconds, peak, counts
+    return events, compute_seconds, comm_seconds, peak, counts
 
 
 def lower(state: engine.ModuleState, cfg: CostModelConfig) -> LoweredProgram:
     """Materialize the collective schedule implied by the state's shardings."""
-    return _analyze(state, cfg)[0]
+    ops = state.graph.ops
+    axis_name = state._mt.name_of_bit
+    return LoweredProgram(tuple(
+        OpEvent(ops[e].id) if type(e) is int
+        else CollectiveEvent(Collective(e[0], axis_name[e[1]], e[2], ops[e[3]].id))
+        for e in _analyze(state, cfg)[0]
+    ))
 
 
 def estimate(state: engine.ModuleState, cfg: CostModelConfig) -> CostEstimate:

@@ -38,7 +38,7 @@ from __future__ import annotations
 import array
 import dataclasses
 import weakref
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from . import ir
 from .errors import IllegalActionError, PlanReplayError, ShapeError
@@ -135,41 +135,36 @@ def _reshape_dim_pairs(src: tuple[int, ...], dst: tuple[int, ...]) -> list[tuple
     return pairs
 
 
-# Required-operand-sharding sources, used by lowering (see costmodel).
-REQ_SELF = 0     # producer's own sharding is acceptable as-is
-REQ_ZERO = 1     # dim must be unsharded at the consumer
-REQ_RES = 2      # dim must match a result dim (aux = result dim index)
-REQ_COMMON = 3   # contracting dim: axes shared by both operands (aux = pair index)
+class _OpMeta(NamedTuple):
+    """Per-op lowering tables, in absolute dim positions.
 
+    `plans[s]` holds one `(p, q, r)` per dim of operand slot s: the dim sits
+    at position p, and the op requires the axes `fm[q] & fm[r]` on it.  A
+    dim that must match a result dim reads that result dim twice; one whose
+    own sharding is acceptable as-is reads p twice; a contracting dim reads
+    both dims of its pair (axes on both sides); one that must be unsharded
+    reads the zero slot at position `total_dims`, one past the last dim,
+    twice.  The op's local flops are `flops[0]` times the product of
+    `size // prod[fm[q] & fm[r]]` over the `(size, q, r)` of `flops[1]`.
+    """
 
-class _OpMeta:
-    """Per-op lowering metadata: operand/result indices and requirement plans."""
-
-    __slots__ = ("tag", "op_index", "operand_idx", "result_idx", "req_plans", "contract", "reduce_info")
-
-    def __init__(self, tag, op_index, operand_idx, result_idx, req_plans, contract, reduce_info):
-        self.tag = tag                  # "dot"|"ew"|"reduce"|"transpose"|"reshape"|"const"
-        self.op_index = op_index
-        self.operand_idx = operand_idx  # value indices per slot
-        self.result_idx = result_idx
-        self.req_plans = req_plans      # per slot: tuple of (code, aux) per operand dim
-        self.contract = contract        # dot only: tuple of (l_dim, r_dim, size)
-        self.reduce_info = reduce_info  # reduce only: (reduce_kind, reduced_dims)
+    result_idx: int
+    operand_idx: tuple[int, ...]
+    plans: tuple[tuple[tuple[int, int, int], ...], ...]
+    flops: tuple[int, tuple[tuple[int, int, int], ...]]
 
 
 class _Compiled:
     """Mesh-independent propagation/lowering tables derived from one graph."""
 
     __slots__ = (
-        "graph", "ids", "index", "dims", "ebytes", "nbytes", "nvals", "n_args",
-        "roles", "producer_op", "out_idx", "groups", "group_pos", "group_rank",
-        "group_members", "seed_base", "seed_slots", "offsets", "total_dims",
-        "instances", "op_meta",
+        "ids", "index", "dims", "ebytes", "nbytes", "nvals", "live_to_end",
+        "producer_op", "out_idx", "groups", "group_pos", "group_rank", "group_members",
+        "seed_base", "seed_slots", "offsets", "value_of", "total_dims", "instances", "op_meta",
     )
 
     def __init__(self, graph: ir.Graph):
         ir.check_valid(graph)
-        self.graph = graph
         self.ids = [a.id for a in graph.args] + [op.id for op in graph.ops]
         self.index = {vid: i for i, vid in enumerate(self.ids)}
         types = [a.type for a in graph.args] + [op.result_type for op in graph.ops]
@@ -177,10 +172,13 @@ class _Compiled:
         self.ebytes = [t.element_bytes for t in types]
         self.nbytes = [t.byte_size for t in types]
         self.nvals = len(self.ids)
-        self.n_args = len(graph.args)
-        self.roles = [a.role for a in graph.args] + [None] * len(graph.ops)
-        self.producer_op = [-1] * self.n_args + list(range(len(graph.ops)))
+        self.producer_op = [-1] * len(graph.args) + list(range(len(graph.ops)))
         self.out_idx = [self.index[o] for o in graph.outputs]
+        # values whose buffer stays live to the end of the program
+        resident = (ir.Role.PARAMETER, ir.Role.OPTIMIZER_STATE)
+        self.live_to_end = [a.role in resident for a in graph.args] + [False] * len(graph.ops)
+        for v in self.out_idx:
+            self.live_to_end[v] = True
 
         self.offsets = []
         total = 0
@@ -188,6 +186,8 @@ class _Compiled:
             self.offsets.append(total)
             total += len(d)
         self.total_dims = total
+        self.value_of = [v for v, dims in enumerate(self.dims) for _ in dims]  # per dim position
+        zero = total  # plans read a zero slot one past the last dim
 
         self.groups = sorted((g.id, tuple(self.index[m] for m in g.members)) for g in graph.groups)
         self.group_members = {gid: members for gid, members in self.groups}
@@ -219,93 +219,105 @@ class _Compiled:
                 for d in range(len(self.dims[first])):
                     unify(first, d, other, d)
 
+        def like(p: int, q: int) -> tuple[int, int, int]:
+            """Plan entry: the dim at position p must carry the axes at q."""
+            return (p, q, q)
+
+        def unsharded(v: int) -> list[tuple[int, int, int]]:
+            base = self.offsets[v]
+            return [like(base + d, zero) for d in range(len(self.dims[v]))]
+
         self.op_meta = []
-        for op_index, op in enumerate(graph.ops):
+        for op in graph.ops:
             res = self.index[op.id]
+            res_base = self.offsets[res]
+            # local compute covers every element of the local result
+            res_terms = tuple(
+                (size, res_base + k, res_base + k) for k, size in enumerate(self.dims[res])
+            )
             operand_idx = tuple(self.index[r] for r in op.operands)
             kind = op.kind
-            contract = ()
-            reduce_info = None
             if isinstance(kind, ir.DotGeneral):
-                tag = "dot"
                 li, ri = operand_idx
+                l_base, r_base = self.offsets[li], self.offsets[ri]
                 lhs_free, rhs_free = ir.dot_free_dims(
                     kind, len(self.dims[li]), len(self.dims[ri])
                 )
-                l_req = [(REQ_ZERO, 0)] * len(self.dims[li])
-                r_req = [(REQ_ZERO, 0)] * len(self.dims[ri])
+                l_req, r_req = unsharded(li), unsharded(ri)
                 for k, (a, b) in enumerate(zip(kind.lhs_batch, kind.rhs_batch)):
                     unify(li, a, res, k)
                     unify(ri, b, res, k)
                     unify(li, a, ri, b)
-                    l_req[a] = (REQ_RES, k)
-                    r_req[b] = (REQ_RES, k)
-                base = len(kind.lhs_batch)
-                for pos, d in enumerate(lhs_free):
-                    unify(li, d, res, base + pos)
-                    l_req[d] = (REQ_RES, base + pos)
-                for pos, d in enumerate(rhs_free):
-                    unify(ri, d, res, base + len(lhs_free) + pos)
-                    r_req[d] = (REQ_RES, base + len(lhs_free) + pos)
-                pairs = []
-                for k, (a, b) in enumerate(zip(kind.lhs_contract, kind.rhs_contract)):
+                    l_req[a] = like(l_base + a, res_base + k)
+                    r_req[b] = like(r_base + b, res_base + k)
+                k = len(kind.lhs_batch)
+                for d in lhs_free:
+                    unify(li, d, res, k)
+                    l_req[d] = like(l_base + d, res_base + k)
+                    k += 1
+                for d in rhs_free:
+                    unify(ri, d, res, k)
+                    r_req[d] = like(r_base + d, res_base + k)
+                    k += 1
+                contract = []
+                for a, b in zip(kind.lhs_contract, kind.rhs_contract):
                     unify(li, a, ri, b, res)
-                    pairs.append((a, b, self.dims[li][a]))
-                    l_req[a] = (REQ_COMMON, k)
-                    r_req[b] = (REQ_COMMON, k)
-                contract = tuple(pairs)
-                req_plans = (tuple(l_req), tuple(r_req))
+                    # the axes both sides carry
+                    l_req[a] = (l_base + a, l_base + a, r_base + b)
+                    r_req[b] = (r_base + b, l_base + a, r_base + b)
+                    contract.append((self.dims[li][a], l_base + a, r_base + b))
+                plans = (tuple(l_req), tuple(r_req))
+                flops = (2, res_terms + tuple(contract))
             elif isinstance(kind, ir.Elementwise):
-                tag = "ew"
-                req_plans = []
+                rank = len(self.dims[res])  # every operand has the result's shape
                 for v in operand_idx:
-                    plan = []
-                    for d in range(len(self.dims[v])):
+                    for d in range(rank):
                         unify(v, d, res, d)
-                        plan.append((REQ_RES, d))
-                    req_plans.append(tuple(plan))
-                req_plans = tuple(req_plans)
+                plans = tuple(
+                    tuple(like(self.offsets[v] + d, res_base + d) for d in range(rank))
+                    for v in operand_idx
+                )
+                flops = (1, res_terms)
             elif isinstance(kind, ir.Reduce):
-                tag = "reduce"
                 (src,) = operand_idx
-                reduced = set(kind.dims)
                 plan = []
+                reduced = []
                 out_pos = 0
-                for d in range(len(self.dims[src])):
-                    if d in reduced:
-                        if kind.reduce_kind == "sum":
-                            unify(src, d, src, d, res)
-                            plan.append((REQ_SELF, 0))
-                        else:
-                            plan.append((REQ_ZERO, 0))
-                    else:
+                for d, size in enumerate(self.dims[src]):
+                    p = self.offsets[src] + d
+                    if d not in kind.dims:
                         unify(src, d, res, out_pos)
-                        plan.append((REQ_RES, out_pos))
+                        plan.append(like(p, res_base + out_pos))
                         out_pos += 1
-                req_plans = (tuple(plan),)
-                reduce_info = (kind.reduce_kind, kind.dims)
+                    elif kind.reduce_kind == "sum":  # any sharding will do
+                        unify(src, d, src, d, res)
+                        plan.append(like(p, p))
+                        reduced.append((size, p, p))
+                    else:  # max needs the dim whole
+                        plan.append(like(p, zero))
+                        reduced.append((size, zero, zero))
+                plans = (tuple(plan),)
+                flops = (1, res_terms + tuple(reduced))
             elif isinstance(kind, ir.Transpose):
-                tag = "transpose"
                 (src,) = operand_idx
-                plan = [(REQ_ZERO, 0)] * len(self.dims[src])
+                plan = unsharded(src)
                 for out_d, in_d in enumerate(kind.permutation):
                     unify(src, in_d, res, out_d)
-                    plan[in_d] = (REQ_RES, out_d)
-                req_plans = (tuple(plan),)
+                    plan[in_d] = like(self.offsets[src] + in_d, res_base + out_d)
+                plans = (tuple(plan),)
+                flops = (1, res_terms)
             elif isinstance(kind, ir.Reshape):
-                tag = "reshape"
                 (src,) = operand_idx
-                plan = [(REQ_ZERO, 0)] * len(self.dims[src])
+                plan = unsharded(src)
                 for sd, td in _reshape_dim_pairs(self.dims[src], kind.target_dims):
                     unify(src, sd, res, td)
-                    plan[sd] = (REQ_RES, td)
-                req_plans = (tuple(plan),)
-            else:
-                tag = "const"
-                req_plans = ()
-            self.op_meta.append(
-                _OpMeta(tag, op_index, operand_idx, res, req_plans, contract, reduce_info)
-            )
+                    plan[sd] = like(self.offsets[src] + sd, res_base + td)
+                plans = (tuple(plan),)
+                flops = (0, ())  # moves no data
+            else:  # constant
+                plans = ()
+                flops = (0, ())
+            self.op_meta.append(_OpMeta(res, operand_idx, plans, flops))
         self.instances = tuple(instances)
 
 
@@ -331,47 +343,50 @@ def _close(comp: _Compiled, mt: _MeshTables, fm: list[int], partials: list[int])
     on one side that the other value does not use yet crosses over if the
     dim stays divisible.  With `partial` set, axes then on both sides mark
     value `res` partial.  A contracting pair is such a tie between the two
-    operands.  A sum-reduced dim is a self-tie (`i == j`, `pi == pj`): it
-    moves no axis, because `used[i]` already holds every axis on a dim of
-    `i`, so it only marks the result partial over the dim's axes.
+    operands.  A sum-reduced dim is a self-tie (`i == j`, `pi == pj`), which
+    only marks the result partial over the dim's axes.
+
+    `used[v]` always holds every axis on a dim of `v`, so a tie whose two
+    masks are equal moves no axis in either direction and goes straight to
+    its partial mark; a self-tie always does.
     """
-    used = [0] * comp.nvals
-    offsets = comp.offsets
-    for v in range(comp.nvals):
-        u = partials[v]
-        for p in range(offsets[v], offsets[v] + len(comp.dims[v])):
-            u |= fm[p]
-        used[v] = u
+    used = list(partials)
+    for v, m in zip(comp.value_of, fm):
+        if m:
+            used[v] |= m
     prod = mt.prod
     instances = comp.instances
     changed = True
     while changed:
         changed = False
         for partial, i, pi, size_i, j, pj, size_j, res in instances:
-            m = fm[pi] & ~used[j]
-            if m:
-                cur = fm[pj]
-                while m:
-                    b = m & -m
-                    m ^= b
-                    if size_j % prod[cur | b] == 0:
-                        cur |= b
-                        used[j] |= b
-                        changed = True
-                fm[pj] = cur
-            m = fm[pj] & ~used[i]
-            if m:
-                cur = fm[pi]
-                while m:
-                    b = m & -m
-                    m ^= b
-                    if size_i % prod[cur | b] == 0:
-                        cur |= b
-                        used[i] |= b
-                        changed = True
-                fm[pi] = cur
+            a = fm[pi]
+            c = fm[pj]
+            if a != c:  # equal masks move no axis either way
+                m = a & ~used[j]
+                if m:
+                    cur = c
+                    while m:
+                        b = m & -m
+                        m ^= b
+                        if size_j % prod[cur | b] == 0:
+                            cur |= b
+                            used[j] |= b
+                            changed = True
+                    fm[pj] = c = cur
+                m = c & ~used[i]
+                if m:
+                    cur = a
+                    while m:
+                        b = m & -m
+                        m ^= b
+                        if size_i % prod[cur | b] == 0:
+                            cur |= b
+                            used[i] |= b
+                            changed = True
+                    fm[pi] = a = cur
             if partial:
-                add = fm[pi] & fm[pj] & ~used[res]
+                add = a & c & ~used[res]
                 if add:
                     partials[res] |= add
                     used[res] |= add

@@ -592,25 +592,46 @@ def _kind_to_json(kind: OpKind) -> dict:
     return out
 
 
+def _int(value, what: str) -> int:
+    """A JSON integer as is; a bool, float or string is an error."""
+    if type(value) is not int:
+        raise GraphValidationError(
+            f"malformed graph JSON: {what} must be an integer, got {value!r}"
+        )
+    return value
+
+
+def _ints(obj: Mapping, key: str, where: str, default=None) -> tuple[int, ...]:
+    """obj[key] as a tuple of JSON integers; `default` stands in when absent."""
+    items = obj[key] if default is None else obj.get(key, default)
+    if not isinstance(items, (list, tuple)):
+        raise GraphValidationError(
+            f"malformed graph JSON: {where}{key!r} must be a list of integers, got {items!r}"
+        )
+    return tuple(_int(x, f"{where}{key}[{i}]") for i, x in enumerate(items))
+
+
 def _kind_from_json(obj: Mapping) -> OpKind:
     kind = obj.get("kind")
+    where = f"op {obj.get('id')!r}: "
     if kind == "DotGeneral":
-        return DotGeneral(
-            tuple(obj.get("lhs_batch_dims", ())),
-            tuple(obj.get("rhs_batch_dims", ())),
-            tuple(obj.get("lhs_contracting_dims", ())),
-            tuple(obj.get("rhs_contracting_dims", ())),
-        )
+        return DotGeneral(*(
+            _ints(obj, key, where, ())
+            for key in ("lhs_batch_dims", "rhs_batch_dims",
+                        "lhs_contracting_dims", "rhs_contracting_dims")
+        ))
     if kind == "Elementwise":
         return Elementwise(obj["op_name"])
     if kind == "Reduce":
-        return Reduce(obj["reduce_kind"], tuple(obj["dims"]))
+        return Reduce(obj["reduce_kind"], _ints(obj, "dims", where))
     if kind == "Transpose":
-        return Transpose(tuple(obj["permutation"]))
+        return Transpose(_ints(obj, "permutation", where))
     if kind == "Reshape":
-        return Reshape(tuple(obj["target_dims"]))
+        return Reshape(_ints(obj, "target_dims", where))
     if kind == "Constant":
-        return Constant(TensorType(tuple(obj["dims"]), obj["element_bytes"]))
+        return Constant(TensorType(
+            _ints(obj, "dims", where), _int(obj["element_bytes"], f"{where}'element_bytes'")
+        ))
     raise GraphValidationError(f"unknown op kind {kind!r}")
 
 
@@ -661,16 +682,20 @@ def graph_from_json(obj: Mapping) -> tuple[Graph, Mesh | None]:
         mesh = None
         if "mesh" in obj:
             mesh = Mesh(tuple(
-                MeshAxis(a["name"], a["size"]) for a in _entries(obj, "mesh", dict, "an object")
+                MeshAxis(a["name"], _int(a["size"], f"mesh axis {a['name']!r}: 'size'"))
+                for a in _entries(obj, "mesh", dict, "an object")
             ))
         args = []
         types: dict[str, TensorType] = {}
         group_members: dict[int, list[str]] = {}
         for a in _entries(obj, "args", dict, "an object"):
-            t = TensorType(tuple(a["dims"]), a["element_bytes"])
+            where = f"arg {a.get('id')!r}: "
+            t = TensorType(
+                _ints(a, "dims", where), _int(a["element_bytes"], f"{where}'element_bytes'")
+            )
             args.append(Argument(a["id"], t, Role(a["role"])))
             types[a["id"]] = t
-            group_members.setdefault(int(a["group"]), []).append(a["id"])
+            group_members.setdefault(_int(a["group"], f"{where}'group'"), []).append(a["id"])
         ops = []
         for o in _entries(obj, "ops", dict, "an object"):
             kind = _kind_from_json(o)

@@ -79,3 +79,26 @@ def random_graph(rng: random.Random, max_groups: int = 4, max_ops: int = 8) -> i
     sinks = [v for v in values if v not in consumed]
     b.output(*(sinks or values[-1:]))
     return b.build()
+
+
+def self_tied_graph(rng: random.Random) -> ir.Graph:
+    """A graph whose closure ties dims of one value to each other.
+
+    It holds a product of a value with itself, a contraction of a value's
+    dim with the same dim (a self-tie that marks its result partial), an
+    elementwise op on one value twice and sum reductions, with random sizes
+    and roles.
+    """
+    b = ir.GraphBuilder(f"tied{rng.randrange(1 << 16)}")
+    n = rng.choice(DIM_SIZES)
+    x = b.arg("x", (n, n), role=rng.choice(ROLES), group="gx")
+    y = b.arg("y", (rng.choice(DIM_SIZES), rng.choice(DIM_SIZES)), role=rng.choice(ROLES),
+              group="gy")
+    square = b.dot(x, x, lhs_contract=(1,), rhs_contract=(0,))
+    gram = b.dot(y, y, lhs_contract=(0,), rhs_contract=(0,))
+    double = b.elementwise("add", square, square)
+    b.output(
+        b.reduce(double, (rng.randrange(2),), kind="sum"),
+        b.reduce(gram, (rng.randrange(2),), kind=rng.choice(("sum", "max"))),
+    )
+    return b.build()

@@ -1,10 +1,12 @@
 """End-to-end command-line behavior: reports, plans, exit codes, determinism."""
 
+import copy
 import json
+import random
 
 import pytest
 
-from meshpart import cli, costmodel as cm, engine, ir, oracle
+from meshpart import cli, costmodel as cm, engine, ir, models, oracle
 
 AB = ir.Mesh((ir.MeshAxis("a", 2), ir.MeshAxis("b", 2)))
 
@@ -308,3 +310,132 @@ def test_files_that_are_not_utf8_give_one_error_line(graph_file, tmp_path, capsy
     assert run_cli("estimate", "--graph", paths["graph"], "--plan", paths["plan"],
                    "--cost-cfg", paths["cost"]) == code
     assert "is not valid JSON" in only_error_line(capsys)
+
+
+def every_kind_graph() -> ir.Graph:
+    b = ir.GraphBuilder("every_kind")
+    b.arg("x", (8, 4), role=ir.Role.DATA, group="x")
+    b.arg("w", (4, 8), role=ir.Role.PARAMETER, group="w")
+    y = b.dot("x", "w", lhs_contract=(1,), rhs_contract=(0,))
+    t = b.transpose(y, (1, 0))
+    r = b.reshape(t, (8, 2, 4))
+    s = b.reduce(r, (1,), kind="sum")
+    b.output(b.add(s, b.constant((8, 4))))
+    return b.build()
+
+
+@pytest.mark.parametrize("path, bad", [
+    (("args", 0, "group"), 0.5),
+    (("args", 0, "group"), "0"),
+    (("args", 1, "group"), True),
+    (("args", 0, "dims"), [8.0, 4]),
+    (("args", 0, "dims"), "84"),
+    (("args", 1, "element_bytes"), 2.5),
+    (("args", 1, "element_bytes"), False),
+    (("mesh", 0, "size"), 2.0),
+    (("mesh", 1, "size"), "2"),
+    (("ops", 0, "lhs_contracting_dims"), [1.0]),
+    (("ops", 0, "rhs_batch_dims"), [True]),
+    (("ops", 1, "permutation"), [1, 0.0]),
+    (("ops", 2, "target_dims"), [8, 2, "4"]),
+    (("ops", 3, "dims"), [1.0]),
+    (("ops", 4, "dims"), [8.0, 4]),
+    (("ops", 4, "element_bytes"), 4.0),
+])
+def test_graph_numbers_must_be_json_integers(tmp_path, capsys, path, bad):
+    obj = ir.graph_to_json(every_kind_graph(), AB)
+    *parents, key = path
+    entry = obj
+    for step in parents:
+        entry = entry[step]
+    entry[key] = bad
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(json.dumps(obj))
+    plan = tmp_path / "plan.json"
+    plan.write_text("[]")
+    assert run_cli("estimate", "--graph", str(graph_path), "--plan", str(plan)) == 2
+    err = only_error_line(capsys)
+    assert f"{key}" in err and "integer" in err
+
+
+def test_the_every_kind_graph_loads_unmutated(tmp_path):
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(json.dumps(ir.graph_to_json(every_kind_graph(), AB)))
+    plan = tmp_path / "plan.json"
+    plan.write_text("[]")
+    assert run_cli("estimate", "--graph", str(graph_path), "--plan", str(plan)) == 0
+
+
+# values a mutant may put anywhere in the graph JSON
+FUZZ_VALUES = (
+    None, True, False, 0, -1, 1, 2, 3, 7, 4096, 2.5, 1.0, -0.0, float("nan"), "", "x",
+    "v0", "Reduce", "sum", "parameter", [], [0], [1, 2], [-1], [[]], {}, {"kind": "Reduce"},
+)
+
+
+def json_paths(node, prefix=()):
+    """The path of every entry below node, parents before children."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from json_paths(value, prefix + (key,))
+
+
+def mutate(obj, rng: random.Random, paths: list[tuple]) -> list[str]:
+    """Apply one to three random edits to obj in place; describe them."""
+    done = []
+    for _ in range(rng.randint(1, 3)):
+        path = rng.choice(paths)
+        parent = obj
+        try:
+            for step in path[:-1]:
+                parent = parent[step]
+            key = path[-1]
+            parent[key]
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier edit removed this entry
+        how = rng.choice(("set", "set", "swap", "delete", "duplicate"))
+        if how == "set":
+            parent[key] = copy.deepcopy(rng.choice(FUZZ_VALUES))
+        elif how == "swap":  # a value from elsewhere in the file
+            other = obj
+            try:
+                for step in rng.choice(paths):
+                    other = other[step]
+            except (KeyError, IndexError, TypeError):
+                continue
+            parent[key] = copy.deepcopy(other)
+        elif how == "delete":
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+        else:
+            continue
+        done.append(f"{how} {'/'.join(map(str, path))}")
+    return done
+
+
+def test_mutated_graph_files_end_in_one_error_line_or_a_result(tmp_path, capsys):
+    mesh = ir.Mesh((ir.MeshAxis("batch", 2), ir.MeshAxis("model", 2)))
+    text = json.dumps(ir.graph_to_json(models.build_named_model("transformer"), mesh))
+    paths = list(json_paths(json.loads(text)))
+    plan = tmp_path / "plan.json"
+    plan.write_text("[]")
+    graph_path = tmp_path / "g.json"
+    rng = random.Random(2022)
+    codes = set()
+    for k in range(300):
+        obj = json.loads(text)
+        edits = mutate(obj, rng, paths)
+        graph_path.write_text(json.dumps(obj))
+        try:
+            code = run_cli("estimate", "--graph", str(graph_path), "--plan", str(plan))
+        except Exception as e:  # only MeshPartError may leave the loader, and main maps it
+            pytest.fail(f"mutant {k} ({'; '.join(edits)}) raised {type(e).__name__}: {e}")
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), (k, edits, code)
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1, (k, edits, err)
+        codes.add(code)
+    assert codes >= {0, 2}  # the mutants reach both outcomes

@@ -1,15 +1,17 @@
 """Sharding propagation, action legality, fingerprints, and state identity."""
 
 import dataclasses
+import gc
 import random
 import sys
+import weakref
 
 import pytest
 from hypothesis import assume, given, settings, strategies
 
 from meshpart import costmodel as cm, engine, ir, models
-from meshpart.errors import IllegalActionError, PlanReplayError
-from _random_graphs import random_graph, random_mesh
+from meshpart.errors import ConfigError, IllegalActionError, PlanReplayError
+from _random_graphs import random_graph, random_mesh, self_tied_graph
 
 A2 = ir.Mesh((ir.MeshAxis("a", 2),))
 AB = ir.Mesh((ir.MeshAxis("a", 2), ir.MeshAxis("b", 2)))
@@ -375,6 +377,39 @@ def random_walk(graph: ir.Graph, mesh: ir.Mesh, picks: list[int]) -> list[engine
     return seq
 
 
+def reference_close(comp, mt, fm: list[int], partials: list[int]) -> list[int]:
+    """The closure swept instance by instance, with no shortcut.
+
+    Every instance runs both directions of its tie and then its partial
+    mark, whatever the masks; `engine._close` must give the same result.
+    """
+    used = [0] * comp.nvals
+    for v in range(comp.nvals):
+        u = partials[v]
+        for p in range(comp.offsets[v], comp.offsets[v] + len(comp.dims[v])):
+            u |= fm[p]
+        used[v] = u
+    prod = mt.prod
+    changed = True
+    while changed:
+        changed = False
+        for partial, i, pi, size_i, j, pj, size_j, res in comp.instances:
+            for src, dst, v, size in ((pi, pj, j, size_j), (pj, pi, i, size_i)):
+                for k in range(mt.nbits):
+                    b = 1 << k
+                    if fm[src] & b and not used[v] & b and size % prod[fm[dst] | b] == 0:
+                        fm[dst] |= b
+                        used[v] |= b
+                        changed = True
+            if partial:
+                add = fm[pi] & fm[pj] & ~used[res]
+                if add:
+                    partials[res] |= add
+                    used[res] |= add
+                    changed = True
+    return used
+
+
 def reference_state(state: engine.ModuleState) -> tuple[list[int], list[int], dict]:
     """From-scratch closure of the state's action set on plain lists."""
     comp, mt = state._comp, state._mt
@@ -383,7 +418,7 @@ def reference_state(state: engine.ModuleState) -> tuple[list[int], list[int], di
     for a in state.applied:
         for m in comp.group_members[a.group]:
             fm[comp.offsets[m] + a.dim] |= mt.bit_of[a.axis]
-    used = engine._close(comp, mt, fm, partials)
+    used = reference_close(comp, mt, fm, partials)
     worklists = {
         name: frozenset(
             gid for gid, members in comp.groups
@@ -549,3 +584,113 @@ def test_estimates_agree_with_the_lowered_program(graph_seed, wide, picks):
             }
             assert est.runtime_seconds >= sum(cm.collective_time(c, cfg, mesh) for c in collectives)
             assert est.peak_memory_bytes >= resident
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_seed=SEEDS, wide=strategies.booleans(), tied=strategies.booleans(),
+       mask_seed=SEEDS)
+def test_the_closure_matches_the_plain_sweep(graph_seed, wide, tied, mask_seed):
+    rng = random.Random(graph_seed)
+    graph = self_tied_graph(rng) if tied else random_graph(rng)
+    mesh = WIDE if wide else random_mesh(rng)
+    comp, mt = engine._compile(graph), engine._tables(mesh)
+    # arbitrary starting masks, so ties meet equal, disjoint and overlapping sides
+    rng = random.Random(mask_seed)
+    fm = [rng.randrange(1 << mt.nbits) if rng.random() < 0.3 else 0
+          for _ in range(comp.total_dims)]
+    partials = [rng.randrange(1 << mt.nbits) if rng.random() < 0.2 else 0
+                for _ in range(comp.nvals)]
+    ref_fm, ref_partials = fm[:], partials[:]
+    ref_used = reference_close(comp, mt, ref_fm, ref_partials)
+    assert engine._close(comp, mt, fm, partials) == ref_used
+    assert fm == ref_fm
+    assert partials == ref_partials
+
+
+def local_flops(state: engine.ModuleState) -> int:
+    """Per-device flops of the state's ops, counted from its public shardings."""
+    mesh = state.mesh
+
+    def shards(axes) -> int:
+        n = 1
+        for axis in axes:
+            n *= mesh.axis_size(axis)
+        return n
+
+    def dim_axes(vid: str, d: int) -> tuple[str, ...]:
+        return state.sharding_of(vid).per_dim[d].axes
+
+    graph = state.graph
+    dims = {a.id: a.type.dims for a in graph.args} | {op.id: op.result_type.dims for op in graph.ops}
+    total = 0
+    for op in graph.ops:
+        kind = op.kind
+        n = 1
+        for d, size in enumerate(op.result_type.dims):
+            n *= size // shards(dim_axes(op.id, d))
+        if isinstance(kind, ir.DotGeneral):
+            lhs, rhs = op.operands
+            for a, b in zip(kind.lhs_contract, kind.rhs_contract):
+                common = set(dim_axes(lhs, a)) & set(dim_axes(rhs, b))
+                n *= dims[lhs][a] // shards(common)
+            total += 2 * n
+        elif isinstance(kind, ir.Reduce):
+            (src,) = op.operands
+            for d in kind.dims:
+                size = dims[src][d]
+                n *= size // shards(dim_axes(src, d)) if kind.reduce_kind == "sum" else size
+            total += n
+        elif isinstance(kind, (ir.Elementwise, ir.Transpose)):
+            total += n
+    return total
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph_seed=SEEDS, wide=strategies.booleans(), picks=strategies.lists(PICKS, max_size=5))
+def test_runtime_is_compute_plus_the_lowered_collective_times(graph_seed, wide, picks):
+    for state in walk_states(graph_seed, wide, picks):
+        # uneven, slow links with a tiny latency: the transfer term then
+        # sets the low bits of the sum, so any change in its float
+        # operations shows
+        links = {
+            name: cm.AxisLink(1e9 / (1.7 + k), 3.1e-12 * (1.3 + k))
+            for k, name in enumerate(state.mesh.axis_names)
+        }
+        for cse in (False, True):
+            cfg = cm.default_config(state.mesh, cse_allgather=cse, links=links)
+            comm = 0.0
+            for c in cm.lower(state, cfg).collectives:
+                comm += cm.collective_time(c, cfg, state.mesh)
+            compute = local_flops(state) / cfg.flops_per_second
+            assert cm.estimate(state, cfg).runtime_seconds == compute + comm
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph_seed=SEEDS, wide=strategies.booleans(), picks=strategies.lists(PICKS, max_size=5))
+def test_a_missing_link_fails_only_where_its_axis_carries_a_collective(graph_seed, wide, picks):
+    for state in walk_states(graph_seed, wide, picks):
+        cfg = cm.default_config(state.mesh)
+        full = cm.estimate(state, cfg)
+        carried = {c.axis for c in cm.lower(state, cfg).collectives}
+        for axis in state.mesh.axis_names:
+            links = {name: link for name, link in cfg.links.items() if name != axis}
+            partial_cfg = dataclasses.replace(cfg, links=links)
+            if axis in carried:
+                with pytest.raises(ConfigError, match=f"no link parameters for axis '{axis}'"):
+                    cm.estimate(state, partial_cfg)
+            else:
+                assert cm.estimate(state, partial_cfg) == full
+
+
+def test_compiled_tables_are_freed_with_their_graph():
+    mesh = ir.Mesh((ir.MeshAxis("batch", 2), ir.MeshAxis("model", 2)))
+    graphs = [models.build_named_model("transformer") for _ in range(20)]
+    for graph in graphs:
+        engine.initial_state(graph, mesh)
+    held = len(engine._compiled_cache)
+    assert held >= 20
+    refs = [weakref.ref(graph) for graph in graphs]
+    del graphs, graph
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    assert len(engine._compiled_cache) <= held - 20
