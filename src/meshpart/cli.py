@@ -42,7 +42,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_mesh_spec(text: str) -> ir.Mesh:
-    """``name=size[,name=size...]`` -> Mesh."""
+    """``name=size[,name=size...]`` -> Mesh; every mistake is a ConfigError."""
     axes = []
     for part in text.split(","):
         part = part.strip()
@@ -55,10 +55,13 @@ def parse_mesh_spec(text: str) -> ir.Mesh:
             n = int(size)
         except ValueError:
             raise ConfigError(f"bad mesh axis size in {part!r}") from None
-        axes.append(ir.MeshAxis(name.strip(), n))
+        axes.append((name.strip(), n))
     if not axes:
         raise ConfigError(f"mesh spec {text!r} has no axes")
-    return ir.Mesh(tuple(axes))
+    try:
+        return ir.Mesh(tuple(ir.MeshAxis(name, n) for name, n in axes))
+    except ShapeError as e:
+        raise ConfigError(f"bad mesh spec {text!r}: {e}") from e
 
 
 def _load_model_cfg(text: str | None) -> dict:
@@ -73,7 +76,7 @@ def _load_model_cfg(text: str | None) -> dict:
     return obj
 
 
-def _load_graph_and_mesh(args) -> tuple[ir.Graph, ir.Mesh]:
+def _load_graph_and_mesh(args, mesh_required: bool = True) -> tuple[ir.Graph, ir.Mesh | None]:
     if getattr(args, "graph", None):
         if getattr(args, "model", None):
             raise ConfigError("give either --graph or --model, not both")
@@ -85,7 +88,7 @@ def _load_graph_and_mesh(args) -> tuple[ir.Graph, ir.Mesh]:
         raise ConfigError("one of --graph or --model is required")
     if getattr(args, "mesh", None):
         mesh = parse_mesh_spec(args.mesh)
-    elif embedded is not None:
+    elif embedded is not None or not mesh_required:
         mesh = embedded
     else:
         raise ConfigError("no mesh: pass --mesh or embed one in the graph file")
@@ -276,15 +279,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_dump_graph(args) -> int:
-    graph, mesh = None, None
-    if args.graph:
-        graph, mesh = ir.load_graph_file(args.graph)
-    else:
-        if not args.model:
-            raise ConfigError("one of --graph or --model is required")
-        graph = models.build_named_model(args.model, _load_model_cfg(args.model_cfg))
-    if args.mesh:
-        mesh = parse_mesh_spec(args.mesh)
+    graph, mesh = _load_graph_and_mesh(args, mesh_required=False)
     _dump_json(ir.graph_to_json(graph, mesh), args.out)
     return EXIT_OK
 

@@ -3,9 +3,11 @@
 A schedule is an ordered list of (axis, objective) goals sharing one
 trajectory budget.  Goals run sequentially: each searches from the current
 committed state, restricted to its axis (None searches every axis at once),
-and its best state is committed only when it strictly improves the goal's
-own metric.  Goals with explicit budgets keep them; the rest split the
-remaining total evenly, remainder to the last.
+and its best state is committed exactly when the search found a state that
+strictly improves the goal's own metric on the start state
+(`trajectories_to_best > 0`), so a goal with no budget never commits.
+Goals with explicit budgets keep them; the rest split the remaining total
+evenly, remainder to the last.
 
 Built-in schedules (axis order = mesh declaration order, first axis is the
 batch-like one):
@@ -131,16 +133,12 @@ def run_schedule(
     for i, goal in enumerate(schedule.goals):
         budget = budgets[i] + carry
         carry = 0
-        gcfg = cost_cfg
-        if goal.penalty_scale != 1.0:
-            gcfg = dataclasses.replace(
-                cost_cfg,
-                memory_penalty_slope=cost_cfg.memory_penalty_slope * goal.penalty_scale,
-            )
+        gcfg = dataclasses.replace(
+            cost_cfg, memory_penalty_slope=cost_cfg.memory_penalty_slope * goal.penalty_scale
+        )
         ecache = estimate_caches.setdefault(goal.penalty_scale, {})
         if budget <= 0:
-            est = costmodel.estimate(state, gcfg)
-            result = mcts.SearchResult(state, est, 0, 0, 1)
+            result = mcts.SearchResult(state, costmodel.estimate(state, gcfg), 0, 0, 1)
         else:
             scfg = mcts.SearchConfig(
                 trajectory_budget=budget, seed=goal_seeds[i], objective=goal.objective
@@ -159,12 +157,8 @@ def run_schedule(
                 trace=goal_trace,
             )
             trajectories_before += result.trajectories_used
-        current = ecache.get(state.fingerprint.digest)
-        if current is None:
-            current = costmodel.estimate(state, gcfg)
-        committed = costmodel.metric_value(
-            result.best_cost, goal.objective
-        ) < costmodel.metric_value(current, goal.objective)
+        # the search found a state that beats the start on the goal's metric
+        committed = result.trajectories_to_best > 0
         if committed:
             state = result.best_state
             _check_state(state)

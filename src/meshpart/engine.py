@@ -411,7 +411,7 @@ class ModuleState:
 
     __slots__ = (
         "graph", "mesh", "applied", "fingerprint",
-        "_comp", "_mt", "_key", "_fm", "_partials", "_wl", "_shardings",
+        "_comp", "_mt", "_key", "_fm", "_partials", "_wl",
     )
 
     def __init__(self, graph, mesh, comp, mt, key, applied, fm, partials, wl):
@@ -424,7 +424,6 @@ class ModuleState:
         self._fm = fm
         self._partials = partials
         self._wl = wl
-        self._shardings = None
         self.fingerprint = Fingerprint(self._digest())
 
     @property
@@ -451,21 +450,22 @@ class ModuleState:
     @property
     def shardings(self) -> dict[str, ir.Sharding]:
         """Public per-value shardings; axes listed in mesh declaration order."""
-        if self._shardings is None:
-            comp, mt = self._comp, self._mt
-            out = {}
-            for v, vid in enumerate(comp.ids):
-                base = comp.offsets[v]
-                per_dim = tuple(
-                    ir.DimSharding(tuple(mt.names(self._fm[base + d])))
-                    for d in range(len(comp.dims[v]))
-                )
-                out[vid] = ir.Sharding(per_dim, frozenset(mt.names(self._partials[v])))
-            self._shardings = out
-        return self._shardings
+        return _sharding_map(self._comp, self._mt, self._fm, self._partials)
 
     def sharding_of(self, value_id: str) -> ir.Sharding:
         return self.shardings[value_id]
+
+
+def _sharding_map(comp: _Compiled, mt: _MeshTables, fm, partials) -> dict[str, ir.Sharding]:
+    """Every value's sharding from its dim and partial masks."""
+    out = {}
+    for v, vid in enumerate(comp.ids):
+        base = comp.offsets[v]
+        per_dim = tuple(
+            ir.DimSharding(tuple(mt.names(fm[base + d]))) for d in range(len(comp.dims[v]))
+        )
+        out[vid] = ir.Sharding(per_dim, frozenset(mt.names(partials[v])))
+    return out
 
 
 def _make_state(graph, mesh, comp, mt, key: int, applied: tuple) -> ModuleState:
@@ -610,15 +610,7 @@ def propagate(
         for name in sharding.partial_axes:
             partials[v] |= mt.bit_of[name]
     _close(comp, mt, fm, partials)
-    out = {}
-    for v, vid in enumerate(comp.ids):
-        base = comp.offsets[v]
-        per_dim = tuple(
-            ir.DimSharding(tuple(mt.names(fm[base + d])))
-            for d in range(len(comp.dims[v]))
-        )
-        out[vid] = ir.Sharding(per_dim, frozenset(mt.names(partials[v])))
-    return out
+    return _sharding_map(comp, mt, fm, partials)
 
 
 def replay_plan(graph: ir.Graph, mesh: ir.Mesh, actions: list[Action]) -> ModuleState:

@@ -4,18 +4,19 @@ The tree is built over canonical state fingerprints, not action sequences:
 a global transposition table maps each digest to a single node, so every
 action order and action set that closes to the same argument-group shardings
 shares one set of statistics.  A fingerprint does not cover op results,
-which different action sets may shard differently: a node keeps the state of
+which different action sets may shard differently: a node holds the state of
 the action set that first expanded into it, and the estimate cache keeps the
 cost of the first state priced under a digest.  During expansion, actions
-that land on an already-known child of the current node are recorded as
-extra edges to it and are never simulated again.
+that land on an already-known child of the current node are skipped and
+never simulated again.
 
 Each trajectory runs selection (UCT over children), one expansion, and a
 uniform random rollout that may stop early: at every rollout step the stop
 choice is one extra slot next to the legal actions, so it is taken with
 probability 1/(1+|legal|).  The terminal state's cost yields the reward,
 normalized against the episode-start baseline, and the best state is
-tracked over every evaluated terminal, rollout endpoints included.
+tracked over every state that joins the tree and every evaluated terminal,
+rollout endpoints included.
 """
 
 from __future__ import annotations
@@ -48,6 +49,12 @@ class SearchConfig:
 
 @dataclasses.dataclass(frozen=True)
 class SearchResult:
+    """The cheapest state a search evaluated, and the trajectory that found it.
+
+    `trajectories_to_best` is 0 exactly when nothing beat the start; then
+    `best_state` is the start state and `best_cost` its estimate.
+    """
+
     best_state: engine.ModuleState
     best_cost: costmodel.CostEstimate
     trajectories_used: int
@@ -58,19 +65,19 @@ class SearchResult:
 class SearchNode:
     """One tree node per distinct fingerprint.
 
-    `edges` maps every simulated action to the digest of the child it
-    produces; several actions may share one child.  `untried` holds actions
-    not yet simulated from here (None until the node is first expanded).
+    `state` is the state the node was created with; `children` maps each
+    child's digest to its node, and several actions may lead to one child.
+    `untried` holds actions not yet simulated from here (None until the
+    node is first expanded).
     """
 
-    __slots__ = ("fingerprint", "visit_count", "total_value", "children", "edges", "untried")
+    __slots__ = ("state", "visit_count", "total_value", "children", "untried")
 
-    def __init__(self, fingerprint: engine.Fingerprint):
-        self.fingerprint = fingerprint
+    def __init__(self, state: engine.ModuleState):
+        self.state = state
         self.visit_count = 0
         self.total_value = 0.0
         self.children: dict[str, SearchNode] = {}
-        self.edges: dict[engine.Action, str] = {}
         self.untried: list[engine.Action] | None = None
 
 
@@ -87,11 +94,10 @@ def reward(
     return min(max(ratio, 0.0), 2.0) / 2.0
 
 
-def select_child(node: SearchNode, cfg: SearchConfig) -> tuple[engine.Action, SearchNode]:
+def select_child(node: SearchNode, cfg: SearchConfig) -> SearchNode:
     """UCT pick among children; ties go to the smallest digest.
 
-    A child reached through several actions is one candidate; the returned
-    action is the smallest edge leading to it.
+    A child reached through several actions is one candidate.
     """
     log_n = math.log(node.visit_count) if node.visit_count > 1 else 0.0
     best_digest = None
@@ -107,8 +113,7 @@ def select_child(node: SearchNode, cfg: SearchConfig) -> tuple[engine.Action, Se
             best_digest = digest
     if best_digest is None:
         raise ValueError("select_child on a node with no children")
-    action = min(a for a, d in node.edges.items() if d == best_digest)
-    return action, node.children[best_digest]
+    return node.children[best_digest]
 
 
 def run_search(
@@ -152,9 +157,8 @@ def run_search(
     if not engine.legal_actions(start, axis):
         return SearchResult(start, baseline, 0, 0, 1)
 
-    root = SearchNode(start.fingerprint)
+    root = SearchNode(start)
     table: dict[str, SearchNode] = {start.fingerprint.digest: root}
-    node_state: dict[str, engine.ModuleState] = {start.fingerprint.digest: start}
     seen: set[str] = {start.fingerprint.digest}
 
     for t in range(1, cfg.trajectory_budget + 1):
@@ -162,50 +166,37 @@ def run_search(
         state = start
         depth = 0
         path = [node]
+        candidates = []  # weighed against the best in order: a new tree state, the terminal
 
         # Selection and one expansion.
-        while depth < max_depth:
+        expanded = False
+        while depth < max_depth and not expanded:
             if node.untried is None:
                 node.untried = engine.legal_actions(state, axis)
                 rng.shuffle(node.untried)
-            expanded = False
             while node.untried:
-                action = node.untried.pop()
-                child_state = state_cache.apply(state, action)
+                child_state = state_cache.apply(state, node.untried.pop())
                 digest = child_state.fingerprint.digest
-                node.edges[action] = digest
                 if digest in node.children:
                     continue  # grouped action: same child, nothing new to simulate
                 child = table.get(digest)
                 if child is None:
-                    child = table[digest] = SearchNode(child_state.fingerprint)
-                    node_state[digest] = child_state
+                    child = table[digest] = SearchNode(child_state)
                     # a state becomes best-eligible as soon as it joins the
                     # tree; rollouts alone would rarely stop right here
-                    cand = est_of(child_state)
-                    cand_metric = costmodel.metric_value(cand, objective)
-                    if cand_metric < best_metric:
-                        best_metric = cand_metric
-                        best_state = child_state
-                        best_cost = cand
-                        to_best = t
+                    candidates.append(child_state)
                 node.children[digest] = child
                 node, state = child, child_state
-                depth += 1
-                path.append(node)
-                seen.add(digest)
                 expanded = True
                 break
-            if expanded:
-                break
-            if not node.children:
-                break  # terminal: no legal actions at all
-            action, child = select_child(node, cfg)
-            node = child
-            state = node_state[node.fingerprint.digest]
+            else:  # every action is simulated: descend by UCT
+                if not node.children:
+                    break  # terminal: no legal actions at all
+                node = select_child(node, cfg)
+                state = node.state
             depth += 1
             path.append(node)
-            seen.add(node.fingerprint.digest)
+            seen.add(state.fingerprint.digest)
 
         # Rollout from wherever the tree phase stopped.
         while depth < max_depth:
@@ -219,14 +210,13 @@ def run_search(
             depth += 1
             seen.add(state.fingerprint.digest)
 
-        est = est_of(state)
-        r = reward(est, baseline, objective)
-        metric = costmodel.metric_value(est, objective)
-        if metric < best_metric:
-            best_metric = metric
-            best_state = state
-            best_cost = est
-            to_best = t
+        candidates.append(state)
+        for cand in candidates:
+            est = est_of(cand)
+            metric = costmodel.metric_value(est, objective)
+            if metric < best_metric:
+                best_metric, best_state, best_cost, to_best = metric, cand, est, t
+        r = reward(est, baseline, objective)  # the terminal's, weighed last
         for n in path:
             n.visit_count += 1
             n.total_value += r

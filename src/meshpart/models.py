@@ -469,6 +469,18 @@ MODEL_BUILDERS = {
 }
 
 
+# config field annotation -> (accepts the value, what it must be); bool is an
+# int subclass, so the integer tests compare exact types
+_FIELD_RULES = {
+    "int": (lambda v: type(v) is int, "an integer"),
+    "bool": (lambda v: type(v) is bool, "true or false"),
+    "tuple[int, ...]": (
+        lambda v: isinstance(v, (list, tuple)) and all(type(w) is int for w in v),
+        "a list of integers",
+    ),
+}
+
+
 def build_named_model(name: str, cfg_overrides: dict | None = None) -> ir.Graph:
     entry = MODEL_BUILDERS.get(name)
     if entry is None:
@@ -477,8 +489,18 @@ def build_named_model(name: str, cfg_overrides: dict | None = None) -> ir.Graph:
         )
     cfg_cls, builder = entry
     overrides = dict(cfg_overrides or {})
-    if "widths" in overrides:
-        overrides["widths"] = tuple(overrides["widths"])
+    for field in dataclasses.fields(cfg_cls):
+        if field.name not in overrides:
+            continue  # unknown names are left to the constructor to reject
+        value = overrides[field.name]
+        accepts, expected = _FIELD_RULES[field.type]
+        if not accepts(value):
+            raise ConfigError(
+                f"bad model config for {name!r}: {field.name} must be {expected}, "
+                f"got {value!r}"
+            )
+        if isinstance(value, list):
+            overrides[field.name] = tuple(value)
     try:
         cfg = cfg_cls(**overrides)
     except TypeError as e:
@@ -489,17 +511,19 @@ def build_named_model(name: str, cfg_overrides: dict | None = None) -> ir.Graph:
 def check_mesh_compatibility(graph: ir.Graph, mesh: ir.Mesh) -> None:
     """Every mesh axis must be able to shard something, or the mesh is unusable."""
     state = engine.initial_state(graph, mesh)
-    problems = []
-    for axis in mesh.axis_names:
-        if not engine.legal_actions(state, axis):
-            size = mesh.axis_size(axis)
-            example = graph.groups[0]
-            dims = graph.args[0].type.dims if graph.args else ()
-            problems.append(
-                f"axis {axis!r} (size {size}) divides no dimension of any argument "
-                f"group (e.g. group {example.id} dims {dims})"
-            )
-    if problems:
-        raise GraphValidationError(
-            f"mesh is incompatible with graph {graph.name!r}: " + "; ".join(problems)
+    unusable = [axis for axis in mesh.axis_names if not engine.legal_actions(state, axis)]
+    if not unusable:
+        return
+    example = ""
+    if graph.groups:
+        group = graph.groups[0]
+        dims = next(a.type.dims for a in graph.args if a.id == group.members[0])
+        example = f" (e.g. group {group.id} dims {dims})"
+    raise GraphValidationError(
+        f"mesh is incompatible with graph {graph.name!r}: "
+        + "; ".join(
+            f"axis {axis!r} (size {mesh.axis_size(axis)}) divides no dimension of any "
+            f"argument group{example}"
+            for axis in unusable
         )
+    )

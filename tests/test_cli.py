@@ -191,6 +191,7 @@ def test_config_mistakes_exit_three(graph_file, tmp_path, capsys):
     assert run_cli("search", "--graph", graph_file, "--breakfast") == 3
     assert run_cli("search") == 3  # neither --graph nor --model
     assert run_cli("search", "--graph", graph_file, "--model", "unet") == 3
+    assert run_cli("dump-graph", "--graph", graph_file, "--model", "unet") == 3
     assert run_cli("search", "--model", "unet") == 3  # no mesh anywhere
     assert run_cli("search", "--model", "unet", "--mesh", "a=") == 3
     assert run_cli("search", "--model", "transformer", "--mesh", "batch=2",
@@ -259,6 +260,78 @@ def test_mistyped_plan_entries_exit_three(graph_file, tmp_path, capsys, entry):
     plan.write_text(json.dumps([{"group": 1, "dim": 0, "axis": "a"}, entry]))
     assert run_cli("estimate", "--graph", graph_file, "--plan", str(plan)) == 3
     assert "plan entry #1 is malformed" in only_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["search", "estimate", "oracle"])
+def test_a_graph_without_arguments_exits_two(tmp_path, capsys, command):
+    obj = {
+        "name": "no_args",
+        "mesh": [{"name": "a", "size": 2}],
+        "args": [],
+        "ops": [{"id": "c", "kind": "Constant", "dims": [4], "element_bytes": 4,
+                 "operands": []}],
+        "outputs": ["c"],
+    }
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(json.dumps(obj))
+    plan = tmp_path / "plan.json"
+    plan.write_text("[]")
+    extra = ["--plan", str(plan)] if command == "estimate" else []
+    assert run_cli(command, "--graph", str(graph_path), *extra) == 2
+    assert "axis 'a' (size 2) divides no dimension" in only_error_line(capsys)
+
+
+def test_incompatible_mesh_names_a_group_with_its_own_dims(tmp_path, capsys):
+    obj = ir.graph_to_json(small_graph(), ir.Mesh((ir.MeshAxis("a", 3),)))
+    obj["args"][0]["group"], obj["args"][1]["group"] = 1, 0  # x (8, 4), w (4, 8)
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(json.dumps(obj))
+    assert run_cli("search", "--graph", str(graph_path), "--budget", "4") == 2
+    assert "(e.g. group 0 dims (4, 8))" in only_error_line(capsys)
+
+
+@pytest.mark.parametrize("model, cfg, message", [
+    ("transformer", {"layers": 1.5}, "layers must be an integer, got 1.5"),
+    ("transformer", {"batch": True}, "batch must be an integer, got True"),
+    ("transformer", {"d_model": "64"}, "d_model must be an integer, got '64'"),
+    ("gns", {"edges": 2.5}, "edges must be an integer, got 2.5"),
+    ("unet", {"widths": 5}, "widths must be a list of integers, got 5"),
+    ("unet", {"widths": [16, 32.0]}, "widths must be a list of integers"),
+    ("unet", {"widths": [16, False]}, "widths must be a list of integers"),
+    ("unet", {"batch": True}, "batch must be an integer, got True"),
+    ("unet", {"skip_connections": "no"}, "skip_connections must be true or false"),
+    ("unet", {"skip_connections": 0}, "skip_connections must be true or false"),
+    ("transformer", {"widths": [16, 32]}, "unexpected keyword argument 'widths'"),
+])
+def test_mistyped_model_configs_exit_three(tmp_path, capsys, model, cfg, message):
+    plan = tmp_path / "plan.json"
+    plan.write_text("[]")
+    assert run_cli("estimate", "--model", model, "--mesh", "a=2", "--plan", str(plan),
+                   "--model-cfg", json.dumps(cfg)) == 3
+    assert message in only_error_line(capsys)
+
+
+def test_well_typed_model_configs_are_accepted(tmp_path):
+    out = tmp_path / "g.json"
+    assert run_cli("dump-graph", "--model", "unet", "--out", str(out), "--model-cfg",
+                   json.dumps({"widths": [16, 32], "batch": 4, "skip_connections": False})) == 0
+    graph, _ = ir.load_graph_file(str(out))
+    assert graph.args[0].type.dims == (4, 16)
+
+
+@pytest.mark.parametrize("spec", ["a=1", "a=-3", "a=2,a=2", "a=x"])
+def test_every_bad_mesh_flag_exits_three(graph_file, capsys, spec):
+    assert run_cli("search", "--graph", graph_file, "--mesh", spec, "--budget", "4") == 3
+    only_error_line(capsys)
+
+
+def test_a_bad_mesh_inside_a_graph_file_exits_two(tmp_path, capsys):
+    obj = ir.graph_to_json(small_graph(), AB)
+    obj["mesh"][1]["size"] = 1
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(json.dumps(obj))
+    assert run_cli("search", "--graph", str(graph_path), "--budget", "4") == 2
+    assert "size 1" in only_error_line(capsys)
 
 
 @pytest.mark.parametrize("command", ["search", "estimate", "oracle", "dump-graph"])

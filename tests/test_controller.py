@@ -154,6 +154,31 @@ def test_zero_budget_schedule_is_a_no_op():
     assert out.final_state.fingerprint.digest == "()"
 
 
+def test_a_zero_budget_goal_between_searching_goals_never_commits(monkeypatch):
+    # One digest can cover states of different cost, so pricing the current
+    # state afresh may disagree with the price the search cached for its
+    # digest.  Model that by making every pricing a little cheaper than the
+    # one before: a goal that runs no trajectory must still not commit.
+    real_estimate = cm.estimate
+    calls = []
+
+    def drifting_estimate(state, cfg):
+        calls.append(None)
+        est = real_estimate(state, cfg)
+        runtime = est.runtime_seconds * (1.0 - 1e-6 * len(calls))
+        return cm.CostEstimate(runtime, est.peak_memory_bytes, est.counts, runtime)
+
+    monkeypatch.setattr(cm, "estimate", drifting_estimate)
+    graph = matmul_bias_graph()
+    s = sched([ctl.Goal("a", RT, budget=40), ctl.Goal("b", RT), ctl.Goal("b", MEM, budget=40)], 80)
+    for seed in range(3):
+        first, idle, _ = ctl.run_schedule(graph, AB, s, seed=seed).goal_outcomes
+        assert first.committed
+        assert idle.budget == 0 and idle.result.trajectories_to_best == 0
+        assert not idle.committed
+        assert idle.result.best_state is first.result.best_state
+
+
 def test_goals_only_improve_their_own_metric():
     graph = matmul_bias_graph()
     baseline = cm.estimate(

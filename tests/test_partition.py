@@ -296,7 +296,7 @@ def test_initial_state_is_empty_and_replicated():
     start = engine.initial_state(matmul_bias_graph(), A2)
     assert start.fingerprint.digest == "()"
     assert start.applied == ()
-    assert all(s.is_replicated for s in start.shardings.values())
+    assert all(s.is_replicated() for s in start.shardings.values())
 
 
 def test_action_order_never_changes_the_resulting_state():

@@ -40,55 +40,42 @@ def test_reward_is_clamped_metric_ratio():
 # --- UCT selection -----------------------------------------------------------
 
 
-def node(digest: str, visits: int = 0, total: float = 0.0) -> mcts.SearchNode:
-    n = mcts.SearchNode(engine.Fingerprint(digest))
+def node(visits: int = 0, total: float = 0.0) -> mcts.SearchNode:
+    # selection reads only the statistics and the children's digest keys
+    n = mcts.SearchNode(engine.initial_state(matmul_bias_graph(), A2))
     n.visit_count = visits
     n.total_value = total
     return n
 
 
 def parented(children: dict[str, mcts.SearchNode]) -> mcts.SearchNode:
-    p = node("root", visits=sum(c.visit_count for c in children.values()))
+    p = node(visits=sum(c.visit_count for c in children.values()))
     p.children = dict(children)
-    p.edges = {engine.Action(i, 0, "a"): d for i, d in enumerate(children)}
     return p
 
 
 def test_uct_balances_value_against_visit_count():
-    a, b = node("s_a", 2, 0.6), node("s_b", 8, 3.2)
+    a, b = node(2, 0.6), node(8, 3.2)
     parent = parented({"s_a": a, "s_b": b})
     explore = mcts.SearchConfig(trajectory_budget=1, uct_c=1.0)
     # 0.3 + sqrt(ln 10 / 2) = 1.373 beats 0.4 + sqrt(ln 10 / 8) = 0.936
-    assert mcts.select_child(parent, explore)[1] is a
+    assert mcts.select_child(parent, explore) is a
     greedy = mcts.SearchConfig(trajectory_budget=1, uct_c=0.0)
-    assert mcts.select_child(parent, greedy)[1] is b
+    assert mcts.select_child(parent, greedy) is b
 
 
 def test_unvisited_children_have_priority_and_ties_pick_smallest_digest():
-    fresh1, fresh2 = node("z_late"), node("a_early")
-    seasoned = node("mid", 5, 5.0)
+    fresh1, fresh2 = node(), node()
+    seasoned = node(5, 5.0)
     parent = parented({"z_late": fresh1, "a_early": fresh2, "mid": seasoned})
     cfg = mcts.SearchConfig(trajectory_budget=1)
-    action, chosen = mcts.select_child(parent, cfg)
-    assert chosen is fresh2  # both unvisited score inf; 'a_early' < 'z_late'
-
-
-def test_selection_returns_smallest_action_among_parallel_edges():
-    child = node("only", 1, 0.5)
-    parent = node("root", visits=1)
-    parent.children = {"only": child}
-    parent.edges = {
-        engine.Action(3, 0, "a"): "only",
-        engine.Action(1, 1, "a"): "only",
-    }
-    cfg = mcts.SearchConfig(trajectory_budget=1)
-    action, chosen = mcts.select_child(parent, cfg)
-    assert action == engine.Action(1, 1, "a")
+    # both unvisited score inf; 'a_early' < 'z_late'
+    assert mcts.select_child(parent, cfg) is fresh2
 
 
 def test_select_child_requires_children():
     with pytest.raises(ValueError):
-        mcts.select_child(node("leaf"), mcts.SearchConfig(trajectory_budget=1))
+        mcts.select_child(node(), mcts.SearchConfig(trajectory_budget=1))
 
 
 def test_search_config_validation():
@@ -158,6 +145,28 @@ def test_axis_with_no_legal_actions_returns_the_start():
     assert r.trajectories_used == 0
     assert r.distinct_states_visited == 1
     assert r.best_state.fingerprint.digest == "()"
+
+
+def test_the_start_is_returned_exactly_when_nothing_beat_it():
+    rng = random.Random(17)
+    beaten_seen = set()
+    for k in range(30):
+        graph = matmul_bias_graph() if k % 3 == 0 else random_graph(rng, max_groups=3, max_ops=5)
+        mesh = random_mesh(rng)
+        objective = (cm.RUNTIME, cm.MEMORY, cm.PENALIZED_RUNTIME)[k % 3]
+        cost_cfg = cm.default_config(mesh)
+        start = engine.initial_state(graph, mesh)
+        baseline = cm.metric_value(cm.estimate(start, cost_cfg), objective)
+        cfg = mcts.SearchConfig(trajectory_budget=rng.randint(1, 20), seed=k, objective=objective)
+        r = mcts.run_search(start, None, cfg, cost_cfg)
+        beaten = r.trajectories_to_best > 0
+        assert (r.best_state is not start) == beaten
+        if beaten:
+            assert cm.metric_value(r.best_cost, objective) < baseline
+        else:
+            assert cm.metric_value(r.best_cost, objective) == baseline
+        beaten_seen.add(beaten)
+    assert beaten_seen == {True, False}
 
 
 def test_max_depth_bounds_the_returned_plan():
