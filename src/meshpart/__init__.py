@@ -37,7 +37,6 @@ from .costmodel import (
     load_config_file,
     lower,
     metric_value,
-    wire_bytes_per_device,
 )
 from .engine import (
     Action,
@@ -47,7 +46,6 @@ from .engine import (
     apply_action,
     initial_state,
     legal_actions,
-    propagate,
     replay_plan,
 )
 from .errors import (
@@ -84,7 +82,6 @@ from .ir import (
     infer_result_type,
     load_graph_file,
     local_shape,
-    mesh_devices,
     validate_graph,
     validate_sharding,
 )

@@ -257,11 +257,15 @@ def cmd_oracle(args) -> int:
     models.check_mesh_compatibility(graph, mesh)
     cost_cfg = _load_cost_cfg(args, mesh)
     axes = None
-    if args.axes:
+    if args.axes is not None:
         axes = tuple(a.strip() for a in args.axes.split(",") if a.strip())
+        if not axes:
+            raise ConfigError(f"--axes {args.axes!r} names no mesh axis")
         for a in axes:
             if not mesh.has_axis(a):
                 raise ConfigError(f"--axes names unknown mesh axis {a!r}")
+        if len(set(axes)) < len(axes):
+            raise ConfigError(f"--axes {args.axes!r} names an axis twice")
     start = engine.initial_state(graph, mesh)
     table = oracle.enumerate_states(start, axes, args.max_depth, cost_cfg)
     lines = [

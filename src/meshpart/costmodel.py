@@ -167,13 +167,6 @@ def collective_time(c: Collective, cfg: CostModelConfig, mesh: ir.Mesh) -> float
     raise ConfigError(f"unknown collective kind {c.kind!r}")
 
 
-def wire_bytes_per_device(c: Collective, mesh: ir.Mesh) -> float:
-    """Bytes each device sends over the ring; AllReduce moves twice the data."""
-    n = mesh.axis_size(c.axis)
-    one_pass = c.payload_bytes * (n - 1) / n
-    return 2.0 * one_pass if c.kind == ALL_REDUCE else one_pass
-
-
 def _bits(mask: int):
     while mask:
         b = mask & -mask
@@ -395,40 +388,63 @@ def config_to_json(cfg: CostModelConfig) -> dict:
     }
 
 
-def config_from_json(obj: Mapping, mesh: ir.Mesh) -> CostModelConfig:
-    try:
-        links = {
-            a["name"]: AxisLink(float(a["bandwidth"]), float(a["latency"]))
-            for a in obj.get("axes", [])
-        }
-        for axis in mesh.axes:
-            if axis.name not in links:
-                links[axis.name] = AxisLink(DEFAULT_BANDWIDTH, DEFAULT_LATENCY)
-        cfg = CostModelConfig(
-            flops_per_second=float(obj.get("flops_per_second", DEFAULT_FLOPS_PER_SECOND)),
-            links=links,
-            memory_limit_bytes=float(obj.get("memory_limit_bytes", DEFAULT_MEMORY_LIMIT)),
-            memory_penalty_slope=float(
-                obj.get("memory_penalty_slope", DEFAULT_PENALTY_SLOPE)
-            ),
-            cse_allgather=bool(obj.get("cse_allgather", False)),
-        )
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"malformed cost config: {e}") from e
-    # (name, value, whether zero is allowed); NaN and infinities never are
-    checks = [
-        ("flops_per_second", cfg.flops_per_second, False),
-        ("memory_limit_bytes", cfg.memory_limit_bytes, False),
-        ("memory_penalty_slope", cfg.memory_penalty_slope, True),
-    ]
-    for name, link in links.items():
-        checks.append((f"bandwidth of axis {name!r}", link.bandwidth_bytes_per_second, False))
-        checks.append((f"latency of axis {name!r}", link.latency_seconds, True))
-    for what, value, zero_ok in checks:
+def config_from_json(obj: object, mesh: ir.Mesh) -> CostModelConfig:
+    """Read a cost config; mesh axes it gives no link get the default link.
+
+    The top level is an object.  Numbers are JSON numbers (not strings or
+    booleans), finite and positive; latencies and the penalty slope may be 0.
+    `cse_allgather` is a boolean, and `axes` a list of objects, each naming a
+    mesh axis at most once.
+    """
+    if not isinstance(obj, dict):
+        raise ConfigError(f"cost config must be a JSON object, got {type(obj).__name__}")
+
+    def number(what: str, value, zero_ok: bool) -> float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{what} must be a JSON number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:  # an integer past the float range
+            value = math.inf
         if not math.isfinite(value) or value < 0 or (value == 0 and not zero_ok):
             bound = "at least 0" if zero_ok else "positive"
             raise ConfigError(f"{what} must be finite and {bound}, got {value}")
-    return cfg
+        return value
+
+    flops = number(
+        "flops_per_second", obj.get("flops_per_second", DEFAULT_FLOPS_PER_SECOND), False
+    )
+    limit = number(
+        "memory_limit_bytes", obj.get("memory_limit_bytes", DEFAULT_MEMORY_LIMIT), False
+    )
+    slope = number(
+        "memory_penalty_slope", obj.get("memory_penalty_slope", DEFAULT_PENALTY_SLOPE), True
+    )
+    cse = obj.get("cse_allgather", False)
+    if not isinstance(cse, bool):
+        raise ConfigError(f"cse_allgather must be true or false, got {cse!r}")
+    entries = obj.get("axes", [])
+    if not isinstance(entries, list):
+        raise ConfigError(f"cost config axes must be a list, got {entries!r}")
+    links = {}
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise ConfigError(f"cost config axes entries must be objects, got {entry!r}")
+        name = entry.get("name")
+        if not isinstance(name, str) or not mesh.has_axis(name):
+            raise ConfigError(
+                f"cost config axis {name!r} names no mesh axis; mesh has {mesh.axis_names}"
+            )
+        if name in links:
+            raise ConfigError(f"cost config gives axis {name!r} twice")
+        links[name] = AxisLink(
+            number(f"bandwidth of axis {name!r}", entry.get("bandwidth"), False),
+            number(f"latency of axis {name!r}", entry.get("latency"), True),
+        )
+    for axis in mesh.axes:
+        if axis.name not in links:
+            links[axis.name] = AxisLink(DEFAULT_BANDWIDTH, DEFAULT_LATENCY)
+    return CostModelConfig(flops, links, limit, slope, cse)
 
 
 def load_config_file(path: str, mesh: ir.Mesh) -> CostModelConfig:

@@ -6,6 +6,11 @@ graph.  Propagation is monotone (axis assignments only grow) and conservative:
 an axis only lands on a dim when divisibility and the single-use rule hold;
 conflicting arrivals are dropped, first writer wins in a canonical order.
 
+A state is made only from a legal action set.  `apply_action` (and so
+`replay_plan`) and `StateCache.apply` admit an action only through
+`_seed_index`, which holds the whole legality rule, so the cache raises
+exactly when `apply_action` does.
+
 A state is fully determined by the *set* of actions applied so far: applying
 an action re-derives the closure from all seeds jointly, in one deterministic
 order, so any application order of the same action set yields identical
@@ -38,7 +43,7 @@ from __future__ import annotations
 import array
 import dataclasses
 import weakref
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from . import ir
 from .errors import IllegalActionError, PlanReplayError, ShapeError
@@ -450,25 +455,27 @@ class ModuleState:
     @property
     def shardings(self) -> dict[str, ir.Sharding]:
         """Public per-value shardings; axes listed in mesh declaration order."""
-        return _sharding_map(self._comp, self._mt, self._fm, self._partials)
+        comp, mt, fm = self._comp, self._mt, self._fm
+        out = {}
+        for v, vid in enumerate(comp.ids):
+            base = comp.offsets[v]
+            per_dim = tuple(
+                ir.DimSharding(tuple(mt.names(fm[base + d]))) for d in range(len(comp.dims[v]))
+            )
+            out[vid] = ir.Sharding(per_dim, frozenset(mt.names(self._partials[v])))
+        return out
 
     def sharding_of(self, value_id: str) -> ir.Sharding:
         return self.shardings[value_id]
 
 
-def _sharding_map(comp: _Compiled, mt: _MeshTables, fm, partials) -> dict[str, ir.Sharding]:
-    """Every value's sharding from its dim and partial masks."""
-    out = {}
-    for v, vid in enumerate(comp.ids):
-        base = comp.offsets[v]
-        per_dim = tuple(
-            ir.DimSharding(tuple(mt.names(fm[base + d]))) for d in range(len(comp.dims[v]))
-        )
-        out[vid] = ir.Sharding(per_dim, frozenset(mt.names(partials[v])))
-    return out
-
-
 def _make_state(graph, mesh, comp, mt, key: int, applied: tuple) -> ModuleState:
+    """Seed the actions of `key`, a legal action set, and close.
+
+    Every seed divides its dim: a legal seed's axes there are a subset of
+    the parent's closed axes plus the new one, and the members of a group
+    share their dims.
+    """
     fm = [0] * comp.total_dims
     partials = [0] * comp.nvals
     rest = key
@@ -477,15 +484,8 @@ def _make_state(graph, mesh, comp, mt, key: int, applied: tuple) -> ModuleState:
         rest ^= low
         slot, k = divmod(low.bit_length() - 1, mt.nbits)
         gid, dim = comp.seed_slots[slot]
-        bit = 1 << k
         for m in comp.group_members[gid]:
-            pos = comp.offsets[m] + dim
-            if comp.dims[m][dim] % mt.prod[fm[pos] | bit] != 0:
-                raise IllegalActionError(
-                    f"dim {dim} of group {gid} (size {comp.dims[m][dim]}) not divisible "
-                    f"under axes {mt.names(fm[pos] | bit)}"
-                )
-            fm[pos] |= bit
+            fm[comp.offsets[m] + dim] |= 1 << k
     used = _close(comp, mt, fm, partials)
     wl = [0] * mt.nbits
     for pos, (_, members) in enumerate(comp.groups):
@@ -542,7 +542,12 @@ def legal_actions(state: ModuleState, active_axis: str | None) -> list[Action]:
 
 
 def _seed_index(state: ModuleState, action: Action) -> int:
-    """The action's bit position in a state key; raises if it names no seed."""
+    """The action's bit position in a state key; raises unless it is legal.
+
+    This is the one legality rule: the axis and group exist, the dim is in
+    range, the group is still on the axis's worklist, and the dim stays
+    divisible with the axis added to the axes it carries.
+    """
     mt = state._mt
     comp = state._comp
     if action.axis not in mt.bit_of:
@@ -556,61 +561,29 @@ def _seed_index(state: ModuleState, action: Action) -> int:
         raise IllegalActionError(
             f"dim {action.dim} out of range for group {action.group} of rank {rank}"
         )
-    slot = comp.seed_base[comp.group_pos[action.group]] + action.dim
-    return slot * mt.nbits + mt.axis_index[action.axis]
-
-
-def apply_action(state: ModuleState, action: Action) -> ModuleState:
-    """Apply one action and re-propagate to fixpoint; raises if illegal."""
-    index = _seed_index(state, action)
-    mt = state._mt
-    comp = state._comp
-    if not state._wl[mt.axis_index[action.axis]] >> comp.group_pos[action.group] & 1:
+    k = mt.axis_index[action.axis]
+    group_pos = comp.group_pos[action.group]
+    if not state._wl[k] >> group_pos & 1:
         raise IllegalActionError(
             f"group {action.group} is no longer actionable on axis {action.axis!r}"
         )
-    bit = mt.bit_of[action.axis]
     first = comp.group_members[action.group][0]
     pos = comp.offsets[first] + action.dim
     size = comp.dims[first][action.dim]
-    if size % mt.prod[state._fm[pos] | bit] != 0:
+    if size % mt.prod[state._fm[pos] | 1 << k] != 0:
         raise IllegalActionError(
             f"dim {action.dim} of group {action.group} (size {size}) not divisible "
             f"by axis {action.axis!r} on top of {mt.names(state._fm[pos])}"
         )
+    return (comp.seed_base[group_pos] + action.dim) * mt.nbits + k
+
+
+def apply_action(state: ModuleState, action: Action) -> ModuleState:
+    """Apply one action and re-propagate to fixpoint; raises if illegal."""
     return _make_state(
-        state.graph, state.mesh, comp, mt, state._key | 1 << index,
-        state.applied + (action,),
+        state.graph, state.mesh, state._comp, state._mt,
+        state._key | 1 << _seed_index(state, action), state.applied + (action,),
     )
-
-
-def propagate(
-    graph: ir.Graph, mesh: ir.Mesh, shardings: Mapping[str, ir.Sharding]
-) -> dict[str, ir.Sharding]:
-    """Close an explicit sharding map over the propagation rules.
-
-    Input entries may cover any subset of values (missing values start
-    replicated) and must individually be valid; the returned map covers
-    every argument and op result.
-    """
-    comp = _compile(graph)
-    mt = _tables(mesh)
-    fm = [0] * comp.total_dims
-    partials = [0] * comp.nvals
-    for vid, sharding in shardings.items():
-        if vid not in comp.index:
-            raise ShapeError(f"unknown value {vid!r} in sharding map")
-        v = comp.index[vid]
-        ttype = ir.TensorType(comp.dims[v], comp.ebytes[v])
-        ir.validate_sharding(ttype, sharding, mesh)
-        base = comp.offsets[v]
-        for d, dim_sharding in enumerate(sharding.per_dim):
-            for name in dim_sharding.axes:
-                fm[base + d] |= mt.bit_of[name]
-        for name in sharding.partial_axes:
-            partials[v] |= mt.bit_of[name]
-    _close(comp, mt, fm, partials)
-    return _sharding_map(comp, mt, fm, partials)
 
 
 def replay_plan(graph: ir.Graph, mesh: ir.Mesh, actions: list[Action]) -> ModuleState:
@@ -629,7 +602,9 @@ class StateCache:
 
     Search and enumeration revisit the same states through many action
     orders; since a state is a pure function of its action set, the closure
-    is computed once per distinct set.
+    is computed once per distinct set.  `apply` checks the action with the
+    same rule as `apply_action`, on a hit too, so it raises exactly when
+    `apply_action` does, with the same message.
     """
 
     def __init__(self, graph: ir.Graph, mesh: ir.Mesh):

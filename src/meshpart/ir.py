@@ -65,11 +65,6 @@ class Mesh:
         return any(a.name == name for a in self.axes)
 
 
-def mesh_devices(mesh: Mesh) -> int:
-    """Total device count: the product of all axis sizes."""
-    return math.prod(a.size for a in mesh.axes)
-
-
 @dataclasses.dataclass(frozen=True)
 class TensorType:
     """Dense tensor shape plus element width in bytes."""
@@ -115,12 +110,6 @@ class Sharding:
     @staticmethod
     def replicated(rank: int) -> "Sharding":
         return Sharding(per_dim=tuple(DimSharding() for _ in range(rank)))
-
-    def used_axes(self) -> frozenset[str]:
-        used = set(self.partial_axes)
-        for d in self.per_dim:
-            used.update(d.axes)
-        return frozenset(used)
 
     def is_replicated(self) -> bool:
         return not self.partial_axes and all(not d.axes for d in self.per_dim)
@@ -480,9 +469,6 @@ class GraphBuilder:
             self._group_members[group] = []
         self._group_members[group].append(id)
         return id
-
-    def group_id(self, label: str) -> int:
-        return self._group_order.index(label)
 
     def _emit(self, kind: OpKind, operands: tuple[str, ...], name: str | None) -> str:
         for ref in operands:

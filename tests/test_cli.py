@@ -237,6 +237,13 @@ def test_mistyped_graph_json_entries_exit_two(tmp_path, capsys, mutate, message)
     ({"axes": [{"name": "a", "bandwidth": float("nan"), "latency": 1e-6}]},
      "bandwidth of axis 'a' must be finite and positive"),
     ({"memory_penalty_slope": -0.5}, "memory_penalty_slope must be finite and at least 0"),
+    ([], "cost config must be a JSON object, got list"),
+    ({"cse_allgather": "no"}, "cse_allgather must be true or false"),
+    ({"flops_per_second": "1e12"}, "flops_per_second must be a JSON number"),
+    ({"axes": [{"name": "modle", "bandwidth": 1e9, "latency": 0}]},
+     "cost config axis 'modle' names no mesh axis"),
+    ({"axes": [{"name": "a", "bandwidth": 1e9, "latency": 0}] * 2},
+     "cost config gives axis 'a' twice"),
 ])
 def test_out_of_range_cost_configs_exit_three(graph_file, tmp_path, capsys, cfg, message):
     cfg_path = tmp_path / "cost.json"
@@ -366,6 +373,11 @@ def test_unwritable_out_exits_three_for_every_command(graph_file, tmp_path, caps
     (["search", "--seeds", "0"], "--seeds must be at least 1"),
     (["search", "--seeds", "-3"], "--seeds must be at least 1"),
     (["oracle", "--max-depth", "-1"], "--max-depth must be at least 0"),
+    (["oracle", "--axes", ","], "names no mesh axis"),
+    (["oracle", "--axes", " "], "names no mesh axis"),
+    (["oracle", "--axes", ""], "names no mesh axis"),
+    (["oracle", "--axes", "a,a"], "names an axis twice"),
+    (["oracle", "--axes", "a, b ,a"], "names an axis twice"),
 ])
 def test_out_of_range_counts_exit_three(graph_file, capsys, argv, message):
     assert run_cli(*argv, "--graph", graph_file) == 3

@@ -16,11 +16,6 @@ def mesh2x2() -> ir.Mesh:
 # --- mesh --------------------------------------------------------------------
 
 
-def test_mesh_devices_is_product_of_axis_sizes():
-    mesh = ir.Mesh((ir.MeshAxis("a", 4), ir.MeshAxis("b", 8)))
-    assert ir.mesh_devices(mesh) == 32
-
-
 def test_mesh_rejects_duplicate_axis_names():
     with pytest.raises(ShapeError):
         ir.Mesh((ir.MeshAxis("a", 2), ir.MeshAxis("a", 2)))

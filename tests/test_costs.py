@@ -59,13 +59,6 @@ def test_allreduce_time_equals_gather_plus_scatter():
         assert ar == ag + rs
 
 
-def test_wire_bytes_double_for_allreduce():
-    ag = cm.Collective(cm.ALL_GATHER, "a", 4000, "s")
-    ar = cm.Collective(cm.ALL_REDUCE, "a", 4000, "s")
-    assert cm.wire_bytes_per_device(ag, A4) == pytest.approx(3000.0)
-    assert cm.wire_bytes_per_device(ar, A4) == pytest.approx(6000.0)
-
-
 def test_collective_time_rejects_bad_axis_link_and_kind():
     cfg = clean_cfg(A2)
     with pytest.raises(ShapeError):
@@ -316,9 +309,35 @@ def test_config_from_json_rejects_malformed_input():
     {"axes": [{"name": "p", "bandwidth": float("nan"), "latency": 1e-6}]},
     {"axes": [{"name": "p", "bandwidth": 1e9, "latency": -1e-6}]},
     {"axes": [{"name": "p", "bandwidth": 1e9, "latency": float("inf")}]},
+    {"flops_per_second": 10**400},
+    # not a JSON number
+    {"flops_per_second": "1e12"},
+    {"flops_per_second": True},
+    {"memory_limit_bytes": False},
+    {"memory_penalty_slope": None},
+    {"axes": [{"name": "p", "bandwidth": "1e9", "latency": 1e-6}]},
+    {"axes": [{"name": "p", "bandwidth": 1e9, "latency": True}]},
+    # not a boolean
+    {"cse_allgather": "no"},
+    {"cse_allgather": 1},
+    {"cse_allgather": None},
+    # not a list of objects naming each mesh axis at most once
+    {"axes": {"p": {"bandwidth": 1e9, "latency": 1e-6}}},
+    {"axes": ["p"]},
+    {"axes": [{"bandwidth": 1e9, "latency": 1e-6}]},
+    {"axes": [{"name": "modle", "bandwidth": 1e9, "latency": 1e-6}]},
+    {"axes": [{"name": 0, "bandwidth": 1e9, "latency": 1e-6}]},
+    {"axes": [{"name": "p", "bandwidth": 1e9, "latency": 1e-6},
+              {"name": "p", "bandwidth": 2e9, "latency": 1e-6}]},
 ])
 def test_config_from_json_rejects_out_of_range_numbers(obj):
     with pytest.raises(ConfigError):
+        cm.config_from_json(obj, ir.Mesh((ir.MeshAxis("p", 2),)))
+
+
+@pytest.mark.parametrize("obj", [[], 5, "x", None])
+def test_config_from_json_rejects_a_top_level_that_is_not_an_object(obj):
+    with pytest.raises(ConfigError, match="must be a JSON object"):
         cm.config_from_json(obj, ir.Mesh((ir.MeshAxis("p", 2),)))
 
 

@@ -180,16 +180,20 @@ def test_closure_conflict_resolves_to_one_axis_deterministically():
         b.arg("q", (4, 8), role=ir.Role.DATA, group="gq")
         b.output(b.add("p", "q"))
 
-    graph = build(g)
-    seed_p = ir.Sharding((ir.DimSharding(("b",)), ir.DimSharding()))
-    seed_q = ir.Sharding((ir.DimSharding(("a",)), ir.DimSharding()))
-    closed = engine.propagate(graph, mesh, {"p": seed_p, "q": seed_q})
-    # dim0 (size 4) cannot hold both a size-2 and a size-4 axis
-    axes = closed["v0"].per_dim[0].axes
-    assert axes in (("a",), ("b",))
-    # insertion order of the seed map must not matter
-    again = engine.propagate(graph, mesh, {"q": seed_q, "p": seed_p})
-    assert again == closed
+    # No legal action set seeds this conflict: either action closes its axis
+    # onto the other argument, whose dim0 cannot also take the second axis.
+    # So seed the masks directly.
+    comp, mt = engine._compile(build(g)), engine._tables(mesh)
+    p, q, v0 = (comp.offsets[comp.index[vid]] for vid in ("p", "q", "v0"))
+    fm = [0] * comp.total_dims
+    fm[p] = mt.bit_of["b"]
+    fm[q] = mt.bit_of["a"]
+    partials = [0] * comp.nvals
+    engine._close(comp, mt, fm, partials)
+    # dim0 (size 4) cannot hold both a size-2 and a size-4 axis: the tie
+    # of p, first in instance order, wins, and each seed stays put
+    assert (fm[p], fm[q], fm[v0]) == (mt.bit_of["b"], mt.bit_of["a"], mt.bit_of["b"])
+    assert partials == [0] * comp.nvals
 
 
 # --- legality and worklists --------------------------------------------------
@@ -338,16 +342,6 @@ def test_replay_plan_reports_failing_action_index():
     assert exc.value.action_index == 1
 
 
-def test_propagate_map_matches_action_closure():
-    graph = matmul_bias_graph()
-    st = engine.apply_action(engine.initial_state(graph, A2), engine.Action(0, 0, "a"))
-    seeded = {
-        "x": ir.Sharding((ir.DimSharding(("a",)), ir.DimSharding())),
-    }
-    closed = engine.propagate(graph, A2, seeded)
-    assert closed == st.shardings
-
-
 def test_state_cache_returns_identical_objects():
     graph = matmul_bias_graph()
     cache = engine.StateCache(graph, A2)
@@ -487,6 +481,61 @@ def test_every_stored_state_matches_the_list_closure(graph_seed, wide, picks):
     for a in random_walk(graph, mesh, picks):
         state = engine.apply_action(state, a)
         check_against_reference(state)
+
+
+def outcome(apply, state: engine.ModuleState, action: engine.Action):
+    """The state `apply` makes, or the message it raises."""
+    try:
+        return apply(state, action)
+    except IllegalActionError as e:
+        return str(e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph_seed=SEEDS, picks=strategies.lists(PICKS, min_size=1, max_size=5))
+def test_the_state_cache_admits_exactly_the_actions_apply_action_does(graph_seed, picks):
+    rng = random.Random(graph_seed)
+    graph = random_graph(rng)
+    mesh = random_mesh(rng)
+    cache = engine.StateCache(graph, mesh)
+    comp = cache.root._comp
+    # every group and one unknown, every dim and one past the widest rank,
+    # every axis and one unknown
+    gids = [gid for gid, _ in comp.groups] + [len(comp.groups)]
+    dims = range(max(comp.group_rank.values()) + 1)
+    axes = mesh.axis_names + ("zz",)
+    # one cache across the walk: every child of every state on it is
+    # stored, so later states meet action sets the cache already holds
+    state = cache.root
+    seq = []
+    for pick in [*picks, None]:
+        accepted = set()
+        for gid in gids:
+            for dim in dims:
+                for axis in axes:
+                    action = engine.Action(gid, dim, axis)
+                    got = outcome(cache.apply, state, action)
+                    want = outcome(engine.apply_action, state, action)
+                    if isinstance(want, str):
+                        assert got == want
+                    else:
+                        assert not isinstance(got, str), got
+                        assert got._key == want._key
+                        assert got._fm == want._fm
+                        assert got._partials == want._partials
+                        accepted.add(action)
+        legal = engine.legal_actions(state, None)
+        assert sorted(legal) == sorted(accepted)
+        if pick is None or not legal:
+            break
+        seq.append(legal[pick % len(legal)])
+        state = cache.apply(state, seq[-1])
+    replayed = engine.replay_plan(graph, mesh, seq)
+    assert replayed._fm == state._fm
+    assert replayed._partials == state._partials
+    assert replayed.fingerprint.digest == state.fingerprint.digest
+    cfg = cm.default_config(mesh)
+    assert cm.estimate(replayed, cfg) == cm.estimate(state, cfg)
 
 
 def test_masks_past_the_eighth_axis_are_stored_whole():
