@@ -229,14 +229,7 @@ def cmd_estimate(args) -> int:
     graph, mesh = _load_graph_and_mesh(args)
     models.check_mesh_compatibility(graph, mesh)
     cost_cfg = _load_cost_cfg(args, mesh)
-    try:
-        with open(args.plan, "r", encoding="utf-8") as f:
-            plan_obj = json.load(f)
-    except OSError as e:
-        raise ConfigError(f"cannot read plan file {args.plan!r}: {e}") from e
-    except ValueError as e:  # not JSON, or not UTF-8
-        raise ConfigError(f"plan file {args.plan!r} is not valid JSON: {e}") from e
-    actions = plan_from_obj(plan_obj)
+    actions = plan_from_obj(ir.read_json_file(args.plan, "plan file"))
     state = engine.replay_plan(graph, mesh, actions)
     est = costmodel.estimate(state, cost_cfg)
     report = {

@@ -96,10 +96,10 @@ def resolve_budgets(schedule: Schedule) -> list[int]:
 
 def _check_state(state: engine.ModuleState) -> None:
     # single-use and divisibility must survive propagation on every value
+    graph = state.graph
+    types = {a.id: a.type for a in graph.args} | {op.id: op.result_type for op in graph.ops}
     for vid, sharding in state.shardings.items():
-        v = state._comp.index[vid]
-        ttype = ir.TensorType(state._comp.dims[v], state._comp.ebytes[v])
-        ir.validate_sharding(ttype, sharding, state.mesh)
+        ir.validate_sharding(types[vid], sharding, state.mesh)
 
 
 def run_schedule(
@@ -136,27 +136,22 @@ def run_schedule(
         gcfg = dataclasses.replace(
             cost_cfg, memory_penalty_slope=cost_cfg.memory_penalty_slope * goal.penalty_scale
         )
-        ecache = estimate_caches.setdefault(goal.penalty_scale, {})
-        if budget <= 0:
-            result = mcts.SearchResult(state, costmodel.estimate(state, gcfg), 0, 0, 1)
-        else:
-            scfg = mcts.SearchConfig(
-                trajectory_budget=budget, seed=goal_seeds[i], objective=goal.objective
-            )
-            offset = trajectories_before
-            goal_trace = None
-            if trace is not None:
-                goal_trace = lambda t, d, fp, r, b, _o=offset: trace(_o + t, d, fp, r, b)
-            result = mcts.run_search(
-                state,
-                goal.axis,
-                scfg,
-                gcfg,
-                state_cache=cache,
-                estimate_cache=ecache,
-                trace=goal_trace,
-            )
-            trajectories_before += result.trajectories_used
+        scfg = mcts.SearchConfig(
+            trajectory_budget=budget, seed=goal_seeds[i], objective=goal.objective
+        )
+        goal_trace = None
+        if trace is not None:
+            goal_trace = lambda t, d, fp, r, b, _o=trajectories_before: trace(_o + t, d, fp, r, b)
+        result = mcts.run_search(
+            state,
+            goal.axis,
+            scfg,
+            gcfg,
+            state_cache=cache,
+            estimate_cache=estimate_caches.setdefault(goal.penalty_scale, {}),
+            trace=goal_trace,
+        )
+        trajectories_before += result.trajectories_used
         # the search found a state that beats the start on the goal's metric
         committed = result.trajectories_to_best > 0
         if committed:

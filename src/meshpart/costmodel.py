@@ -39,7 +39,6 @@ The penalized cost multiplies runtime by a soft over-limit factor.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from typing import Mapping, TypeAlias
 
@@ -388,16 +387,30 @@ def config_to_json(cfg: CostModelConfig) -> dict:
     }
 
 
+_CONFIG_KEYS = (
+    "flops_per_second", "axes", "memory_limit_bytes", "memory_penalty_slope", "cse_allgather",
+)
+_AXIS_KEYS = ("name", "bandwidth", "latency")
+
+
+def _reject_unknown_keys(obj: dict, known: tuple[str, ...], where: str) -> None:
+    unknown = sorted(k for k in obj if k not in known)
+    if unknown:
+        raise ConfigError(f"{where} has unknown key(s) {unknown}; expected {list(known)}")
+
+
 def config_from_json(obj: object, mesh: ir.Mesh) -> CostModelConfig:
     """Read a cost config; mesh axes it gives no link get the default link.
 
-    The top level is an object.  Numbers are JSON numbers (not strings or
-    booleans), finite and positive; latencies and the penalty slope may be 0.
-    `cse_allgather` is a boolean, and `axes` a list of objects, each naming a
-    mesh axis at most once.
+    The top level is an object with only the keys `config_to_json` writes.
+    Numbers are JSON numbers (not strings or booleans), finite and positive;
+    latencies and the penalty slope may be 0.  `cse_allgather` is a boolean,
+    and `axes` a list of objects with only the keys `name`, `bandwidth` and
+    `latency`, each naming a mesh axis at most once.
     """
     if not isinstance(obj, dict):
         raise ConfigError(f"cost config must be a JSON object, got {type(obj).__name__}")
+    _reject_unknown_keys(obj, _CONFIG_KEYS, "cost config")
 
     def number(what: str, value, zero_ok: bool) -> float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -430,6 +443,7 @@ def config_from_json(obj: object, mesh: ir.Mesh) -> CostModelConfig:
     for entry in entries:
         if not isinstance(entry, dict):
             raise ConfigError(f"cost config axes entries must be objects, got {entry!r}")
+        _reject_unknown_keys(entry, _AXIS_KEYS, "cost config axes entry")
         name = entry.get("name")
         if not isinstance(name, str) or not mesh.has_axis(name):
             raise ConfigError(
@@ -448,11 +462,4 @@ def config_from_json(obj: object, mesh: ir.Mesh) -> CostModelConfig:
 
 
 def load_config_file(path: str, mesh: ir.Mesh) -> CostModelConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            obj = json.load(f)
-    except OSError as e:
-        raise ConfigError(f"cannot read cost config {path!r}: {e}") from e
-    except ValueError as e:  # not JSON, or not UTF-8
-        raise ConfigError(f"cost config {path!r} is not valid JSON: {e}") from e
-    return config_from_json(obj, mesh)
+    return config_from_json(ir.read_json_file(path, "cost config"), mesh)

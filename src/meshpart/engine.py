@@ -11,6 +11,12 @@ A state is made only from a legal action set.  `apply_action` (and so
 `_seed_index`, which holds the whole legality rule, so the cache raises
 exactly when `apply_action` does.
 
+The compiled graph tables (`_Compiled`) and mesh tables (`_MeshTables`)
+belong to a root state: `initial_state` builds them, and every state made
+from that root shares them.  There is no process-wide cache, so each
+`initial_state` call compiles its own tables, and they are freed with the
+last state that holds them.
+
 A state is fully determined by the *set* of actions applied so far: applying
 an action re-derives the closure from all seeds jointly, in one deterministic
 order, so any application order of the same action set yields identical
@@ -42,7 +48,6 @@ from __future__ import annotations
 
 import array
 import dataclasses
-import weakref
 from typing import NamedTuple
 
 from . import ir
@@ -108,17 +113,6 @@ class _MeshTables:
         return out
 
 
-_mesh_tables_cache: dict[tuple, _MeshTables] = {}
-
-
-def _tables(mesh: ir.Mesh) -> _MeshTables:
-    key = tuple((a.name, a.size) for a in mesh.axes)
-    mt = _mesh_tables_cache.get(key)
-    if mt is None:
-        mt = _mesh_tables_cache[key] = _MeshTables(mesh)
-    return mt
-
-
 def _reshape_dim_pairs(src: tuple[int, ...], dst: tuple[int, ...]) -> list[tuple[int, int]]:
     """Dims preserved whole by a reshape: equal size and equal prefix product."""
     pairs = []
@@ -163,7 +157,7 @@ class _Compiled:
     """Mesh-independent propagation/lowering tables derived from one graph."""
 
     __slots__ = (
-        "ids", "index", "dims", "ebytes", "nbytes", "nvals", "live_to_end",
+        "ids", "index", "dims", "nbytes", "nvals", "live_to_end",
         "producer_op", "out_idx", "groups", "group_pos", "group_rank", "group_members",
         "seed_base", "seed_slots", "offsets", "value_of", "total_dims", "instances", "op_meta",
     )
@@ -174,7 +168,6 @@ class _Compiled:
         self.index = {vid: i for i, vid in enumerate(self.ids)}
         types = [a.type for a in graph.args] + [op.result_type for op in graph.ops]
         self.dims = [t.dims for t in types]
-        self.ebytes = [t.element_bytes for t in types]
         self.nbytes = [t.byte_size for t in types]
         self.nvals = len(self.ids)
         self.producer_op = [-1] * len(graph.args) + list(range(len(graph.ops)))
@@ -324,16 +317,6 @@ class _Compiled:
                 flops = (0, ())
             self.op_meta.append(_OpMeta(res, operand_idx, plans, flops))
         self.instances = tuple(instances)
-
-
-_compiled_cache: "weakref.WeakKeyDictionary[ir.Graph, _Compiled]" = weakref.WeakKeyDictionary()
-
-
-def _compile(graph: ir.Graph) -> _Compiled:
-    comp = _compiled_cache.get(graph)
-    if comp is None:
-        comp = _compiled_cache[graph] = _Compiled(graph)
-    return comp
 
 
 def _close(comp: _Compiled, mt: _MeshTables, fm: list[int], partials: list[int]) -> list[int]:
@@ -503,9 +486,7 @@ def _make_state(graph, mesh, comp, mt, key: int, applied: tuple) -> ModuleState:
 
 def initial_state(graph: ir.Graph, mesh: ir.Mesh) -> ModuleState:
     """Fully replicated starting state; validates the graph first."""
-    comp = _compile(graph)
-    mt = _tables(mesh)
-    return _make_state(graph, mesh, comp, mt, 0, ())
+    return _make_state(graph, mesh, _Compiled(graph), _MeshTables(mesh), 0, ())
 
 
 def legal_actions(state: ModuleState, active_axis: str | None) -> list[Action]:

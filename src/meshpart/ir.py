@@ -713,12 +713,20 @@ def graph_from_json(obj: Mapping) -> tuple[Graph, Mesh | None]:
     return graph, mesh
 
 
-def load_graph_file(path: str) -> tuple[Graph, Mesh | None]:
+def read_json_file(path: str, what: str, invalid: type[Exception] = ConfigError) -> object:
+    """Parse a JSON file; `what` names it in errors.
+
+    An unreadable file raises ConfigError, and text that is not JSON (or not
+    UTF-8) raises `invalid`.
+    """
     try:
         with open(path, "r", encoding="utf-8") as f:
-            obj = json.load(f)
+            return json.load(f)
     except OSError as e:
-        raise ConfigError(f"cannot read graph file {path!r}: {e}") from e
+        raise ConfigError(f"cannot read {what} {path!r}: {e}") from e
     except ValueError as e:  # not JSON, or not UTF-8
-        raise GraphValidationError(f"graph file {path!r} is not valid JSON: {e}") from e
-    return graph_from_json(obj)
+        raise invalid(f"{what} {path!r} is not valid JSON: {e}") from e
+
+
+def load_graph_file(path: str) -> tuple[Graph, Mesh | None]:
+    return graph_from_json(read_json_file(path, "graph file", GraphValidationError))

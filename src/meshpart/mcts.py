@@ -41,8 +41,8 @@ class SearchConfig:
     objective: str = costmodel.PENALIZED_RUNTIME
 
     def __post_init__(self):
-        if self.trajectory_budget < 1:
-            raise ValueError("trajectory_budget must be >= 1")
+        if self.trajectory_budget < 0:
+            raise ValueError("trajectory_budget must be >= 0")
         if self.uct_c < 0:
             raise ValueError("uct_c must be >= 0")
 
@@ -130,7 +130,8 @@ def run_search(
 
     Runs exactly cfg.trajectory_budget trajectories (zero when the start
     state has no legal actions) and returns the cheapest state evaluated
-    under cfg.objective, which may be the start state itself.
+    under cfg.objective, which may be the start state itself.  With a
+    budget of 0 that is the start state and its estimate.
     """
     if state_cache is None:
         state_cache = engine.StateCache(start.graph, start.mesh)

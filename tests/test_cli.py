@@ -244,6 +244,10 @@ def test_mistyped_graph_json_entries_exit_two(tmp_path, capsys, mutate, message)
      "cost config axis 'modle' names no mesh axis"),
     ({"axes": [{"name": "a", "bandwidth": 1e9, "latency": 0}] * 2},
      "cost config gives axis 'a' twice"),
+    ({"flops_per_secnd": 1, "memory_limit": 5},
+     "cost config has unknown key(s) ['flops_per_secnd', 'memory_limit']"),
+    ({"axes": [{"name": "a", "bandwidth": 1e9, "latency": 0, "lat": 1}]},
+     "cost config axes entry has unknown key(s) ['lat']"),
 ])
 def test_out_of_range_cost_configs_exit_three(graph_file, tmp_path, capsys, cfg, message):
     cfg_path = tmp_path / "cost.json"

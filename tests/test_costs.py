@@ -3,7 +3,7 @@
 import pytest
 
 from meshpart import costmodel as cm
-from meshpart import engine, ir
+from meshpart import engine, ir, models
 from meshpart.errors import ConfigError, ShapeError
 
 A2 = ir.Mesh((ir.MeshAxis("a", 2),))
@@ -124,6 +124,21 @@ def test_parameters_stay_resident_to_the_end():
     est = cm.estimate(state_of(build(g), A2), clean_cfg(A2))
     # w (16384) is live at the last event alongside both relu buffers
     assert est.peak_memory_bytes >= 16384 + 2 * 128
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "liveness defect, see the FOUND line on costmodel._analyze in CHANGES.md: a "
+    "deferred buffer end mixes consumer op indices with re-gather event indices"
+))
+def test_a_gathered_buffer_lives_until_its_last_consumer_runs():
+    mesh = ir.Mesh((ir.MeshAxis("batch", 2), ir.MeshAxis("model", 2)))
+    state = engine.replay_plan(
+        models.build_named_model("gns"), mesh,
+        [engine.Action(7, 0, "model"), engine.Action(0, 1, "model")],
+    )
+    # a gather at event 24 serves op mask1_1 (index 38), which runs at
+    # event 47; holding its buffer to event 47 gives this peak
+    assert cm.estimate(state, cm.default_config(mesh)).peak_memory_bytes == 1_753_088
 
 
 # --- lowering decisions ------------------------------------------------------
@@ -329,6 +344,11 @@ def test_config_from_json_rejects_malformed_input():
     {"axes": [{"name": 0, "bandwidth": 1e9, "latency": 1e-6}]},
     {"axes": [{"name": "p", "bandwidth": 1e9, "latency": 1e-6},
               {"name": "p", "bandwidth": 2e9, "latency": 1e-6}]},
+    # a key config_to_json does not write
+    {"flops_per_secnd": 1, "memory_limit": 5},
+    {"memory_limit_bytes": 1e9, "links": []},
+    {"axes": [{"name": "p", "bandwidth": 1e9, "latency": 1e-6, "latncy": 0}]},
+    {"axes": [{"name": "p", "bandwidth": 1e9, "latency": 1e-6, "size": 2}]},
 ])
 def test_config_from_json_rejects_out_of_range_numbers(obj):
     with pytest.raises(ConfigError):

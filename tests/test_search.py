@@ -80,7 +80,7 @@ def test_select_child_requires_children():
 
 def test_search_config_validation():
     with pytest.raises(ValueError):
-        mcts.SearchConfig(trajectory_budget=0)
+        mcts.SearchConfig(trajectory_budget=-1)
     with pytest.raises(ValueError):
         mcts.SearchConfig(trajectory_budget=10, uct_c=-0.5)
 
@@ -99,6 +99,21 @@ def test_budget_one_still_returns_a_valid_result():
     assert r.trajectories_used == 1
     assert r.trajectories_to_best <= 1
     assert r.best_cost.runtime_seconds > 0
+
+
+@pytest.mark.parametrize("objective", cm.OBJECTIVES)
+def test_zero_budget_returns_the_start_without_a_trajectory(objective):
+    start = engine.initial_state(matmul_bias_graph(), AB)
+    assert engine.legal_actions(start, None)
+    cost_cfg = cm.default_config(AB)
+    cfg = mcts.SearchConfig(trajectory_budget=0, objective=objective)
+    calls = []
+    r = mcts.run_search(start, None, cfg, cost_cfg, trace=lambda *a: calls.append(a))
+    assert r.best_state is start
+    assert r.best_cost == cm.estimate(start, cost_cfg)
+    assert r.trajectories_used == r.trajectories_to_best == 0
+    assert r.distinct_states_visited == 1
+    assert calls == []
 
 
 def test_search_never_returns_worse_than_the_start():
