@@ -155,7 +155,8 @@ def cmd_search(args) -> int:
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
     graph, mesh = _load_graph_and_mesh(args)
-    models.check_mesh_compatibility(graph, mesh)
+    start = engine.initial_state(graph, mesh)
+    models.check_mesh_compatibility(start)
     cost_cfg = _load_cost_cfg(args, mesh)
     schedule = controller.parse_schedule(args.schedule, mesh, args.budget)
     for path in (args.trace, args.out):
@@ -175,8 +176,7 @@ def cmd_search(args) -> int:
             (
                 seed,
                 controller.run_schedule(
-                    graph,
-                    mesh,
+                    start,
                     schedule,
                     cost_cfg=cost_cfg,
                     seed=seed,
@@ -227,7 +227,7 @@ def cmd_search(args) -> int:
 
 def cmd_estimate(args) -> int:
     graph, mesh = _load_graph_and_mesh(args)
-    models.check_mesh_compatibility(graph, mesh)
+    models.check_mesh_compatibility(engine.initial_state(graph, mesh))
     cost_cfg = _load_cost_cfg(args, mesh)
     actions = plan_from_obj(ir.read_json_file(args.plan, "plan file"))
     state = engine.replay_plan(graph, mesh, actions)
@@ -247,7 +247,8 @@ def cmd_oracle(args) -> int:
     if args.max_depth is not None and args.max_depth < 0:
         raise ConfigError(f"--max-depth must be at least 0, got {args.max_depth}")
     graph, mesh = _load_graph_and_mesh(args)
-    models.check_mesh_compatibility(graph, mesh)
+    start = engine.initial_state(graph, mesh)
+    models.check_mesh_compatibility(start)
     cost_cfg = _load_cost_cfg(args, mesh)
     axes = None
     if args.axes is not None:
@@ -259,7 +260,6 @@ def cmd_oracle(args) -> int:
                 raise ConfigError(f"--axes names unknown mesh axis {a!r}")
         if len(set(axes)) < len(axes):
             raise ConfigError(f"--axes {args.axes!r} names an axis twice")
-    start = engine.initial_state(graph, mesh)
     table = oracle.enumerate_states(start, axes, args.max_depth, cost_cfg)
     lines = [
         "fingerprint,runtime_seconds,peak_memory_bytes,penalized_cost,"

@@ -103,25 +103,27 @@ def _check_state(state: engine.ModuleState) -> None:
 
 
 def run_schedule(
-    graph: ir.Graph,
-    mesh: ir.Mesh,
+    start: engine.ModuleState,
     schedule: Schedule,
     cost_cfg: costmodel.CostModelConfig | None = None,
     seed: int = 0,
     rollover: bool = False,
     trace: mcts.TraceFn | None = None,
 ) -> ScheduleOutcome:
-    """Run every goal in order and return the final committed state and plan.
+    """Run every goal in order from `start` and return the final committed
+    state and plan.
 
-    All randomness derives from `seed`.  With rollover enabled, a committed
-    goal passes its unused trajectories (budget minus trajectories-to-best)
-    on to the next goal.  The trace callback sees trajectory indices
-    numbered consecutively across goals.
+    `start` is normally the replicated state of `engine.initial_state`, and
+    every state the schedule reaches shares its tables.  All randomness
+    derives from `seed`.  With rollover enabled, a committed goal passes its
+    unused trajectories (budget minus trajectories-to-best) on to the next
+    goal.  The trace callback sees trajectory indices numbered consecutively
+    across goals.
     """
     if cost_cfg is None:
-        cost_cfg = costmodel.default_config(mesh)
-    cache = engine.StateCache(graph, mesh)
-    state = cache.root
+        cost_cfg = costmodel.default_config(start.mesh)
+    cache = engine.StateCache(start)
+    state = start
     master = random.Random(seed)
     goal_seeds = [master.getrandbits(32) for _ in schedule.goals]
     budgets = resolve_budgets(schedule)

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Mapping, TypeAlias
+from typing import Mapping
 
 from . import engine, ir
 from .errors import ConfigError
@@ -121,29 +121,17 @@ def metric_value(est: CostEstimate, objective: str) -> float:
 
 
 @dataclasses.dataclass(frozen=True)
-class OpEvent:
-    op_id: str
-
-
-@dataclasses.dataclass(frozen=True)
-class CollectiveEvent:
-    collective: Collective
-
-
-ProgramEvent: TypeAlias = OpEvent | CollectiveEvent
-
-
-@dataclasses.dataclass(frozen=True)
 class LoweredProgram:
-    """Graph ops in original order with collectives spliced around them."""
+    """Graph ops in original order with collectives spliced around them.
 
-    events: tuple[ProgramEvent, ...]
+    An event is an op id (`str`) or a `Collective`.
+    """
+
+    events: tuple[str | Collective, ...]
 
     @property
     def collectives(self) -> tuple[Collective, ...]:
-        return tuple(
-            e.collective for e in self.events if isinstance(e, CollectiveEvent)
-        )
+        return tuple(e for e in self.events if isinstance(e, Collective))
 
 
 def _ring_terms(cfg: CostModelConfig, mesh: ir.Mesh, axis: str) -> tuple[float, int, float]:
@@ -176,20 +164,41 @@ def _bits(mask: int):
 _OUTPUT = -1  # sentinel consumer: the module boundary itself
 
 
+def _price(state: engine.ModuleState, cfg: CostModelConfig) -> tuple[list, CostEstimate]:
+    """(events, estimate): the one place a state's costs are computed.
+
+    Raises ConfigError when a cost does not convert to a finite float (a
+    model or cost config far out of range), so no estimate, report or
+    reward ever holds an infinite or NaN cost.
+    """
+    try:
+        events, compute_seconds, comm_seconds, peak, counts = _analyze(state, cfg)
+        runtime = compute_seconds + comm_seconds
+        over = max(0.0, peak / cfg.memory_limit_bytes - 1.0)
+        penalized = runtime * (1.0 + cfg.memory_penalty_slope * over)
+    except OverflowError:  # an integer cost past the float range
+        runtime = penalized = math.inf
+    if not (math.isfinite(runtime) and math.isfinite(penalized)):
+        raise ConfigError(
+            f"the cost of this plan is not a finite number (runtime {runtime} s, "
+            f"penalized cost {penalized}); the model or cost config is out of range"
+        )
+    return events, CostEstimate(runtime, peak, counts, penalized)
+
+
 def _analyze(
     state: engine.ModuleState, cfg: CostModelConfig
 ) -> tuple[list, float, float, int, dict[str, int]]:
     """(events, compute seconds, comm seconds, peak bytes, counts by kind).
 
     An event is an op index, or a collective `(kind, axis bit, payload
-    bytes, site op index)`; `lower` turns them into `ProgramEvent`s.
+    bytes, site op index)`; `lower` turns them into ids and `Collective`s.
     """
     comp = state._comp
-    mt = state._mt
     fm = state._fm.tolist()
     fm.append(0)  # the zero slot that plans read at comp.total_dims
     partials = state._partials
-    prod = mt.prod
+    prod = comp.prod
     nvals = comp.nvals
     op_meta = comp.op_meta
     n_ops = len(op_meta)
@@ -271,7 +280,7 @@ def _analyze(
         nonlocal comm_seconds
         terms = ring.get(axis_bit)
         if terms is None:
-            terms = ring[axis_bit] = _ring_terms(cfg, mt.mesh, mt.name_of_bit[axis_bit])
+            terms = ring[axis_bit] = _ring_terms(cfg, comp.mesh, comp.name_of_bit[axis_bit])
         steps = terms[0] + payload * terms[1] / terms[2]
         comm_seconds += 2.0 * steps if kind == ALL_REDUCE else steps
         events.append((kind, axis_bit, payload, site_op))
@@ -350,21 +359,17 @@ def _analyze(
 def lower(state: engine.ModuleState, cfg: CostModelConfig) -> LoweredProgram:
     """Materialize the collective schedule implied by the state's shardings."""
     ops = state.graph.ops
-    axis_name = state._mt.name_of_bit
+    axis_name = state._comp.name_of_bit
     return LoweredProgram(tuple(
-        OpEvent(ops[e].id) if type(e) is int
-        else CollectiveEvent(Collective(e[0], axis_name[e[1]], e[2], ops[e[3]].id))
-        for e in _analyze(state, cfg)[0]
+        ops[e].id if type(e) is int
+        else Collective(e[0], axis_name[e[1]], e[2], ops[e[3]].id)
+        for e in _price(state, cfg)[0]
     ))
 
 
 def estimate(state: engine.ModuleState, cfg: CostModelConfig) -> CostEstimate:
     """Simulated step time, peak per-device memory, and collective counts."""
-    _, compute_seconds, comm_seconds, peak, counts = _analyze(state, cfg)
-    runtime = compute_seconds + comm_seconds
-    over = max(0.0, peak / cfg.memory_limit_bytes - 1.0)
-    penalized = runtime * (1.0 + cfg.memory_penalty_slope * over)
-    return CostEstimate(runtime, peak, counts, penalized)
+    return _price(state, cfg)[1]
 
 
 # --- configuration serialization -------------------------------------------

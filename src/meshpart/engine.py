@@ -11,11 +11,13 @@ A state is made only from a legal action set.  `apply_action` (and so
 `_seed_index`, which holds the whole legality rule, so the cache raises
 exactly when `apply_action` does.
 
-The compiled graph tables (`_Compiled`) and mesh tables (`_MeshTables`)
-belong to a root state: `initial_state` builds them, and every state made
-from that root shares them.  There is no process-wide cache, so each
-`initial_state` call compiles its own tables, and they are freed with the
-last state that holds them.
+One table object, `_Compiled(graph, mesh)`, holds everything derived from
+the graph and the mesh: the propagation and lowering tables and the axis
+encoding.  It belongs to a root state: `initial_state` builds it, every
+state made from that root shares it, and a state reads its graph and mesh
+through it.  There is no process-wide cache, so each `initial_state` call
+compiles its own tables, and they are freed with the last state that holds
+them; a command builds its root once and hands it to every consumer.
 
 A state is fully determined by the *set* of actions applied so far: applying
 an action re-derives the closure from all seeds jointly, in one deterministic
@@ -77,42 +79,6 @@ class Fingerprint:
     digest: str
 
 
-class _MeshTables:
-    """Axis-to-bit encoding and mask-to-size-product lookup for one mesh.
-
-    `typecode` is the narrowest `array` type that holds an axis mask; states
-    store their masks in arrays of it.
-    """
-
-    __slots__ = (
-        "mesh", "axis_names", "axis_index", "bit_of", "name_of_bit", "prod", "nbits",
-        "typecode",
-    )
-
-    def __init__(self, mesh: ir.Mesh):
-        self.mesh = mesh
-        self.axis_names = mesh.axis_names
-        self.nbits = len(mesh.axes)
-        self.axis_index = {a.name: i for i, a in enumerate(mesh.axes)}
-        self.bit_of = {a.name: 1 << i for i, a in enumerate(mesh.axes)}
-        self.name_of_bit = {1 << i: a.name for i, a in enumerate(mesh.axes)}
-        self.prod = [1] * (1 << self.nbits)
-        for mask in range(1, 1 << self.nbits):
-            low = mask & -mask
-            self.prod[mask] = self.prod[mask ^ low] * mesh.axes[low.bit_length() - 1].size
-        self.typecode = next(
-            code for code in "BHILQ" if array.array(code).itemsize * 8 >= self.nbits
-        )
-
-    def names(self, mask: int) -> list[str]:
-        out = []
-        while mask:
-            b = mask & -mask
-            mask ^= b
-            out.append(self.name_of_bit[b])
-        return out
-
-
 def _reshape_dim_pairs(src: tuple[int, ...], dst: tuple[int, ...]) -> list[tuple[int, int]]:
     """Dims preserved whole by a reshape: equal size and equal prefix product."""
     pairs = []
@@ -154,16 +120,38 @@ class _OpMeta(NamedTuple):
 
 
 class _Compiled:
-    """Mesh-independent propagation/lowering tables derived from one graph."""
+    """Propagation/lowering tables and the axis encoding for one graph on one mesh.
+
+    Axis #k of the mesh is mask bit `1 << k`; `prod[mask]` is the product of
+    the sizes of the axes in `mask`.  `typecode` is the narrowest `array`
+    type that holds an axis mask; states store their masks in arrays of it.
+    """
 
     __slots__ = (
+        "graph", "mesh", "axis_names", "axis_index", "bit_of", "name_of_bit", "prod", "nbits",
+        "typecode",
         "ids", "index", "dims", "nbytes", "nvals", "live_to_end",
         "producer_op", "out_idx", "groups", "group_pos", "group_rank", "group_members",
         "seed_base", "seed_slots", "offsets", "value_of", "total_dims", "instances", "op_meta",
     )
 
-    def __init__(self, graph: ir.Graph):
+    def __init__(self, graph: ir.Graph, mesh: ir.Mesh):
         ir.check_valid(graph)
+        self.graph = graph
+        self.mesh = mesh
+        self.axis_names = mesh.axis_names
+        self.nbits = len(mesh.axes)
+        self.axis_index = {a.name: i for i, a in enumerate(mesh.axes)}
+        self.bit_of = {a.name: 1 << i for i, a in enumerate(mesh.axes)}
+        self.name_of_bit = {1 << i: a.name for i, a in enumerate(mesh.axes)}
+        self.prod = [1] * (1 << self.nbits)
+        for mask in range(1, 1 << self.nbits):
+            low = mask & -mask
+            self.prod[mask] = self.prod[mask ^ low] * mesh.axes[low.bit_length() - 1].size
+        self.typecode = next(
+            code for code in "BHILQ" if array.array(code).itemsize * 8 >= self.nbits
+        )
+
         self.ids = [a.id for a in graph.args] + [op.id for op in graph.ops]
         self.index = {vid: i for i, vid in enumerate(self.ids)}
         types = [a.type for a in graph.args] + [op.result_type for op in graph.ops]
@@ -318,8 +306,16 @@ class _Compiled:
             self.op_meta.append(_OpMeta(res, operand_idx, plans, flops))
         self.instances = tuple(instances)
 
+    def names(self, mask: int) -> list[str]:
+        out = []
+        while mask:
+            b = mask & -mask
+            mask ^= b
+            out.append(self.name_of_bit[b])
+        return out
 
-def _close(comp: _Compiled, mt: _MeshTables, fm: list[int], partials: list[int]) -> list[int]:
+
+def _close(comp: _Compiled, fm: list[int], partials: list[int]) -> list[int]:
     """Run all propagation instances to a fixpoint.  Mutates fm/partials.
 
     Returns the per-value used-axis masks.  The instance list is swept in a
@@ -342,7 +338,7 @@ def _close(comp: _Compiled, mt: _MeshTables, fm: list[int], partials: list[int])
     for v, m in zip(comp.value_of, fm):
         if m:
             used[v] |= m
-    prod = mt.prod
+    prod = comp.prod
     instances = comp.instances
     changed = True
     while changed:
@@ -397,16 +393,10 @@ class ModuleState:
     applied action set is one int bitmask of seed indices (`_key`).
     """
 
-    __slots__ = (
-        "graph", "mesh", "applied", "fingerprint",
-        "_comp", "_mt", "_key", "_fm", "_partials", "_wl",
-    )
+    __slots__ = ("applied", "fingerprint", "_comp", "_key", "_fm", "_partials", "_wl")
 
-    def __init__(self, graph, mesh, comp, mt, key, applied, fm, partials, wl):
-        self.graph = graph
-        self.mesh = mesh
+    def __init__(self, comp, key, applied, fm, partials, wl):
         self._comp = comp
-        self._mt = mt
         self._key = key
         self.applied = applied
         self._fm = fm
@@ -415,16 +405,24 @@ class ModuleState:
         self.fingerprint = Fingerprint(self._digest())
 
     @property
+    def graph(self) -> ir.Graph:
+        return self._comp.graph
+
+    @property
+    def mesh(self) -> ir.Mesh:
+        return self._comp.mesh
+
+    @property
     def worklists(self) -> dict[str, frozenset[int]]:
         """Per mesh axis, the ids of the groups still actionable on it."""
         groups = self._comp.groups
         return {
             name: frozenset(gid for pos, (gid, _) in enumerate(groups) if mask >> pos & 1)
-            for name, mask in zip(self._mt.axis_names, self._wl)
+            for name, mask in zip(self._comp.axis_names, self._wl)
         }
 
     def _digest(self) -> str:
-        comp, mt, fm = self._comp, self._mt, self._fm
+        comp, fm = self._comp, self._fm
         parts = []
         for gid, members in comp.groups:
             first = members[0]
@@ -432,27 +430,27 @@ class ModuleState:
             for d in range(len(comp.dims[first])):
                 mask = fm[base + d]
                 if mask:
-                    parts.append(f"{gid}.{d}:{'+'.join(sorted(mt.names(mask)))}")
+                    parts.append(f"{gid}.{d}:{'+'.join(sorted(comp.names(mask)))}")
         return ";".join(parts) if parts else "()"
 
     @property
     def shardings(self) -> dict[str, ir.Sharding]:
         """Public per-value shardings; axes listed in mesh declaration order."""
-        comp, mt, fm = self._comp, self._mt, self._fm
+        comp, fm = self._comp, self._fm
         out = {}
         for v, vid in enumerate(comp.ids):
             base = comp.offsets[v]
             per_dim = tuple(
-                ir.DimSharding(tuple(mt.names(fm[base + d]))) for d in range(len(comp.dims[v]))
+                ir.DimSharding(tuple(comp.names(fm[base + d]))) for d in range(len(comp.dims[v]))
             )
-            out[vid] = ir.Sharding(per_dim, frozenset(mt.names(self._partials[v])))
+            out[vid] = ir.Sharding(per_dim, frozenset(comp.names(self._partials[v])))
         return out
 
     def sharding_of(self, value_id: str) -> ir.Sharding:
         return self.shardings[value_id]
 
 
-def _make_state(graph, mesh, comp, mt, key: int, applied: tuple) -> ModuleState:
+def _make_state(comp: _Compiled, key: int, applied: tuple) -> ModuleState:
     """Seed the actions of `key`, a legal action set, and close.
 
     Every seed divides its dim: a legal seed's axes there are a subset of
@@ -465,28 +463,28 @@ def _make_state(graph, mesh, comp, mt, key: int, applied: tuple) -> ModuleState:
     while rest:  # ascending seed index: (group, dim, axis) order
         low = rest & -rest
         rest ^= low
-        slot, k = divmod(low.bit_length() - 1, mt.nbits)
+        slot, k = divmod(low.bit_length() - 1, comp.nbits)
         gid, dim = comp.seed_slots[slot]
         for m in comp.group_members[gid]:
             fm[comp.offsets[m] + dim] |= 1 << k
-    used = _close(comp, mt, fm, partials)
-    wl = [0] * mt.nbits
+    used = _close(comp, fm, partials)
+    wl = [0] * comp.nbits
     for pos, (_, members) in enumerate(comp.groups):
         u = 0
         for m in members:
             u |= used[m]
-        for k in range(mt.nbits):
+        for k in range(comp.nbits):
             if not u >> k & 1:
                 wl[k] |= 1 << pos
     return ModuleState(
-        graph, mesh, comp, mt, key, applied,
-        array.array(mt.typecode, fm), array.array(mt.typecode, partials), tuple(wl),
+        comp, key, applied,
+        array.array(comp.typecode, fm), array.array(comp.typecode, partials), tuple(wl),
     )
 
 
 def initial_state(graph: ir.Graph, mesh: ir.Mesh) -> ModuleState:
     """Fully replicated starting state; validates the graph first."""
-    return _make_state(graph, mesh, _Compiled(graph), _MeshTables(mesh), 0, ())
+    return _make_state(_Compiled(graph, mesh), 0, ())
 
 
 def legal_actions(state: ModuleState, active_axis: str | None) -> list[Action]:
@@ -498,18 +496,17 @@ def legal_actions(state: ModuleState, active_axis: str | None) -> list[Action]:
     """
     if active_axis is None:
         out = []
-        for name in state._mt.axis_names:
+        for name in state._comp.axis_names:
             out.extend(legal_actions(state, name))
         return out
-    mt = state._mt
-    if active_axis not in mt.bit_of:
-        raise ShapeError(f"unknown mesh axis {active_axis!r}; mesh has {mt.axis_names}")
-    bit = mt.bit_of[active_axis]
     comp = state._comp
+    if active_axis not in comp.bit_of:
+        raise ShapeError(f"unknown mesh axis {active_axis!r}; mesh has {comp.axis_names}")
+    bit = comp.bit_of[active_axis]
     groups = comp.groups
     fm = state._fm
     actions = []
-    mask = state._wl[mt.axis_index[active_axis]]
+    mask = state._wl[comp.axis_index[active_axis]]
     while mask:  # ascending position: ascending group id
         low = mask & -mask
         mask ^= low
@@ -517,7 +514,7 @@ def legal_actions(state: ModuleState, active_axis: str | None) -> list[Action]:
         base = comp.offsets[members[0]]
         dims = comp.dims[members[0]]
         for d in range(len(dims)):
-            if dims[d] % mt.prod[fm[base + d] | bit] == 0:
+            if dims[d] % comp.prod[fm[base + d] | bit] == 0:
                 actions.append(Action(gid, d, active_axis))
     return actions
 
@@ -529,11 +526,10 @@ def _seed_index(state: ModuleState, action: Action) -> int:
     range, the group is still on the axis's worklist, and the dim stays
     divisible with the axis added to the axes it carries.
     """
-    mt = state._mt
     comp = state._comp
-    if action.axis not in mt.bit_of:
+    if action.axis not in comp.bit_of:
         raise IllegalActionError(
-            f"unknown mesh axis {action.axis!r}; mesh has {mt.axis_names}"
+            f"unknown mesh axis {action.axis!r}; mesh has {comp.axis_names}"
         )
     if action.group not in comp.group_members:
         raise IllegalActionError(f"unknown group {action.group}")
@@ -542,7 +538,7 @@ def _seed_index(state: ModuleState, action: Action) -> int:
         raise IllegalActionError(
             f"dim {action.dim} out of range for group {action.group} of rank {rank}"
         )
-    k = mt.axis_index[action.axis]
+    k = comp.axis_index[action.axis]
     group_pos = comp.group_pos[action.group]
     if not state._wl[k] >> group_pos & 1:
         raise IllegalActionError(
@@ -551,19 +547,18 @@ def _seed_index(state: ModuleState, action: Action) -> int:
     first = comp.group_members[action.group][0]
     pos = comp.offsets[first] + action.dim
     size = comp.dims[first][action.dim]
-    if size % mt.prod[state._fm[pos] | 1 << k] != 0:
+    if size % comp.prod[state._fm[pos] | 1 << k] != 0:
         raise IllegalActionError(
             f"dim {action.dim} of group {action.group} (size {size}) not divisible "
-            f"by axis {action.axis!r} on top of {mt.names(state._fm[pos])}"
+            f"by axis {action.axis!r} on top of {comp.names(state._fm[pos])}"
         )
-    return (comp.seed_base[group_pos] + action.dim) * mt.nbits + k
+    return (comp.seed_base[group_pos] + action.dim) * comp.nbits + k
 
 
 def apply_action(state: ModuleState, action: Action) -> ModuleState:
     """Apply one action and re-propagate to fixpoint; raises if illegal."""
     return _make_state(
-        state.graph, state.mesh, state._comp, state._mt,
-        state._key | 1 << _seed_index(state, action), state.applied + (action,),
+        state._comp, state._key | 1 << _seed_index(state, action), state.applied + (action,)
     )
 
 
@@ -579,18 +574,18 @@ def replay_plan(graph: ir.Graph, mesh: ir.Mesh, actions: list[Action]) -> Module
 
 
 class StateCache:
-    """Memoizes states by applied action *set* for one (graph, mesh) pair.
+    """Memoizes the states reached from `start` by applied action *set*.
 
     Search and enumeration revisit the same states through many action
     orders; since a state is a pure function of its action set, the closure
-    is computed once per distinct set.  `apply` checks the action with the
-    same rule as `apply_action`, on a hit too, so it raises exactly when
-    `apply_action` does, with the same message.
+    is computed once per distinct set.  Every state the cache makes shares
+    `start`'s tables.  `apply` checks the action with the same rule as
+    `apply_action`, on a hit too, so it raises exactly when `apply_action`
+    does, with the same message.
     """
 
-    def __init__(self, graph: ir.Graph, mesh: ir.Mesh):
-        self.root = initial_state(graph, mesh)
-        self._states: dict[int, ModuleState] = {self.root._key: self.root}
+    def __init__(self, start: ModuleState):
+        self._states: dict[int, ModuleState] = {start._key: start}
 
     def apply(self, state: ModuleState, action: Action) -> ModuleState:
         key = state._key | 1 << _seed_index(state, action)

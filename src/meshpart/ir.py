@@ -40,13 +40,21 @@ class MeshAxis:
             raise ShapeError(f"mesh axis {self.name!r} has size {self.size}; need >= 2")
 
 
+MAX_MESH_AXES = 16  # the engine tabulates all 2**n axis subsets of a mesh
+
+
 @dataclasses.dataclass(frozen=True)
 class Mesh:
-    """A multi-dimensional device mesh with uniquely named axes."""
+    """A multi-dimensional device mesh with uniquely named axes, at most
+    `MAX_MESH_AXES` of them."""
 
     axes: tuple[MeshAxis, ...]
 
     def __post_init__(self):
+        if len(self.axes) > MAX_MESH_AXES:
+            raise ShapeError(
+                f"mesh has {len(self.axes)} axes; at most {MAX_MESH_AXES} are supported"
+            )
         names = [a.name for a in self.axes]
         if len(set(names)) != len(names):
             raise ShapeError(f"duplicate mesh axis names in {names}")

@@ -25,6 +25,48 @@ from . import engine, ir
 from .errors import ConfigError, GraphValidationError
 
 
+# --- optimizer boilerplate shared by the builders ---------------------------
+
+
+def _declare_weights(
+    b: ir.GraphBuilder, layers: int, shapes: dict[str, tuple[int, ...]], eb: int
+) -> tuple[list[dict[str, str]], list[dict[str, str]]]:
+    """Every layer's Parameters, then every layer's OptimizerState twins.
+
+    `shapes` maps a weight group such as `wq` or `w1` to its dims.  Layer l's
+    weight is named after its group, with `_` before l when the group name
+    ends in a digit (`wq0`, `w1_0`); its momentum swaps the leading `w` for
+    `m` in both name and group (`mq0` in `mq`, `m1_0` in `m1`).  Returns the
+    weight ids and the momentum ids per layer, keyed by weight group.
+    """
+    names = [
+        {g: f"{g}_{l}" if g[-1].isdigit() else f"{g}{l}" for g in shapes}
+        for l in range(layers)
+    ]
+    declared = []
+    for prefix, role in (("w", ir.Role.PARAMETER), ("m", ir.Role.OPTIMIZER_STATE)):
+        declared.append([
+            {
+                g: b.arg(prefix + name[1:], shapes[g], role=role, group=prefix + g[1:],
+                         element_bytes=eb)
+                for g, name in layer.items()
+            }
+            for layer in names
+        ])
+    return declared[0], declared[1]
+
+
+def _updates(b: ir.GraphBuilder, entries) -> list[str]:
+    """The momentum update and SGD step of each `(suffix, weight, momentum,
+    grad)` entry, as ops `mnew_<suffix>` and `wnew_<suffix>`; returns the new
+    weight and momentum ids in that order, entry by entry."""
+    out = []
+    for suffix, w, m, g in entries:
+        m_new = b.elementwise("momentum", m, g, name=f"mnew_{suffix}")
+        out += [b.elementwise("sgd_step", w, m_new, name=f"wnew_{suffix}"), m_new]
+    return out
+
+
 # --- transformer -------------------------------------------------------------
 
 
@@ -65,30 +107,11 @@ def build_transformer(cfg: TransformerConfig = TransformerConfig()) -> ir.Graph:
     b = ir.GraphBuilder("transformer")
 
     x0 = b.arg("x0", (B, S, D), role=ir.Role.DATA, group="data", element_bytes=eb)
-    weights = []
-    for l in range(cfg.layers):
-        weights.append(
-            {
-                "wq": b.arg(f"wq{l}", (D, H, K), role=ir.Role.PARAMETER, group="wq", element_bytes=eb),
-                "wk": b.arg(f"wk{l}", (D, H, K), role=ir.Role.PARAMETER, group="wk", element_bytes=eb),
-                "wv": b.arg(f"wv{l}", (D, H, K), role=ir.Role.PARAMETER, group="wv", element_bytes=eb),
-                "wo": b.arg(f"wo{l}", (H, K, D), role=ir.Role.PARAMETER, group="wo", element_bytes=eb),
-                "w1": b.arg(f"w1_{l}", (D, F), role=ir.Role.PARAMETER, group="w1", element_bytes=eb),
-                "w2": b.arg(f"w2_{l}", (F, D), role=ir.Role.PARAMETER, group="w2", element_bytes=eb),
-            }
-        )
-    momenta = []
-    for l in range(cfg.layers):
-        momenta.append(
-            {
-                "wq": b.arg(f"mq{l}", (D, H, K), role=ir.Role.OPTIMIZER_STATE, group="mq", element_bytes=eb),
-                "wk": b.arg(f"mk{l}", (D, H, K), role=ir.Role.OPTIMIZER_STATE, group="mk", element_bytes=eb),
-                "wv": b.arg(f"mv{l}", (D, H, K), role=ir.Role.OPTIMIZER_STATE, group="mv", element_bytes=eb),
-                "wo": b.arg(f"mo{l}", (H, K, D), role=ir.Role.OPTIMIZER_STATE, group="mo", element_bytes=eb),
-                "w1": b.arg(f"m1_{l}", (D, F), role=ir.Role.OPTIMIZER_STATE, group="m1", element_bytes=eb),
-                "w2": b.arg(f"m2_{l}", (F, D), role=ir.Role.OPTIMIZER_STATE, group="m2", element_bytes=eb),
-            }
-        )
+    shapes = {
+        "wq": (D, H, K), "wk": (D, H, K), "wv": (D, H, K), "wo": (H, K, D),
+        "w1": (D, F), "w2": (F, D),
+    }
+    weights, momenta = _declare_weights(b, cfg.layers, shapes, eb)
 
     acts = []  # per-layer forward intermediates, needed again in backward
     x = x0
@@ -165,17 +188,10 @@ def build_transformer(cfg: TransformerConfig = TransformerConfig()) -> ir.Graph:
             s2 = b.add(s1, d_xv, name=f"d_xs2_{l}")
             d = b.add(s2, d_xr, name=f"d_x{l}")
 
-    updated = [final]
-    for l in range(cfg.layers):
-        for wname in ("wq", "wk", "wv", "wo", "w1", "w2"):
-            m_new = b.elementwise(
-                "momentum", momenta[l][wname], grads[l][wname], name=f"mnew_{wname}{l}"
-            )
-            w_new = b.elementwise(
-                "sgd_step", weights[l][wname], m_new, name=f"wnew_{wname}{l}"
-            )
-            updated.extend([w_new, m_new])
-    b.output(*updated)
+    b.output(final, *_updates(b, (
+        (f"{g}{l}", weights[l][g], momenta[l][g], grads[l][g])
+        for l in range(cfg.layers) for g in shapes
+    )))
     return b.build()
 
 
@@ -237,26 +253,8 @@ def build_gns_like(cfg: GnsLikeConfig = GnsLikeConfig()) -> ir.Graph:
     n0 = b.arg("n0", (N, L), role=ir.Role.DATA, group="nodes", element_bytes=eb)
     e0 = b.arg("e0", (E, L), role=ir.Role.DATA, group="edges", element_bytes=eb)
     steps = cfg.message_passing_steps
-    weights = []
-    for s in range(steps):
-        weights.append(
-            {
-                "we1": b.arg(f"we1_{s}", (L, Hh), role=ir.Role.PARAMETER, group="we1", element_bytes=eb),
-                "we2": b.arg(f"we2_{s}", (Hh, L), role=ir.Role.PARAMETER, group="we2", element_bytes=eb),
-                "wn1": b.arg(f"wn1_{s}", (L, Hh), role=ir.Role.PARAMETER, group="wn1", element_bytes=eb),
-                "wn2": b.arg(f"wn2_{s}", (Hh, L), role=ir.Role.PARAMETER, group="wn2", element_bytes=eb),
-            }
-        )
-    momenta = []
-    for s in range(steps):
-        momenta.append(
-            {
-                "we1": b.arg(f"me1_{s}", (L, Hh), role=ir.Role.OPTIMIZER_STATE, group="me1", element_bytes=eb),
-                "we2": b.arg(f"me2_{s}", (Hh, L), role=ir.Role.OPTIMIZER_STATE, group="me2", element_bytes=eb),
-                "wn1": b.arg(f"mn1_{s}", (L, Hh), role=ir.Role.OPTIMIZER_STATE, group="mn1", element_bytes=eb),
-                "wn2": b.arg(f"mn2_{s}", (Hh, L), role=ir.Role.OPTIMIZER_STATE, group="mn2", element_bytes=eb),
-            }
-        )
+    shapes = {"we1": (L, Hh), "we2": (Hh, L), "wn1": (L, Hh), "wn2": (Hh, L)}
+    weights, momenta = _declare_weights(b, steps, shapes, eb)
 
     inc_s = b.constant((E, N), element_bytes=eb, name="inc_send")
     inc_r = b.constant((E, N), element_bytes=eb, name="inc_recv")
@@ -309,17 +307,10 @@ def build_gns_like(cfg: GnsLikeConfig = GnsLikeConfig()) -> ir.Graph:
             t = b.add(d_ns, d_nr, name=f"d_nm{s}")
             d_n = b.add(t, d_nh, name=f"d_n{s}")
 
-    updated = [n_cur]
-    for s in range(steps):
-        for wname in ("we1", "we2", "wn1", "wn2"):
-            m_new = b.elementwise(
-                "momentum", momenta[s][wname], grads[s][wname], name=f"mnew_{wname}{s}"
-            )
-            w_new = b.elementwise(
-                "sgd_step", weights[s][wname], m_new, name=f"wnew_{wname}{s}"
-            )
-            updated.extend([w_new, m_new])
-    b.output(*updated)
+    b.output(n_cur, *_updates(b, (
+        (f"{g}{s}", weights[s][g], momenta[s][g], grads[s][g])
+        for s in range(steps) for g in shapes
+    )))
     return b.build()
 
 
@@ -438,12 +429,7 @@ def build_unet_like(cfg: UNetLikeConfig = UNetLikeConfig()) -> ir.Graph:
         if i > 0:
             d_cur = b.dot(d_pre, enc_w[i], lhs_contract=(1,), rhs_contract=(1,), name=f"d_e{i}")
 
-    updated = [y]
-    for wid in weight_args:
-        m_new = b.elementwise("momentum", mom_of[wid], grad_of[wid], name=f"mnew_{wid}")
-        w_new = b.elementwise("sgd_step", wid, m_new, name=f"wnew_{wid}")
-        updated.extend([w_new, m_new])
-    b.output(*updated)
+    b.output(y, *_updates(b, ((wid, wid, mom_of[wid], grad_of[wid]) for wid in weight_args)))
     return b.build()
 
 
@@ -508,10 +494,11 @@ def build_named_model(name: str, cfg_overrides: dict | None = None) -> ir.Graph:
     return builder(cfg)
 
 
-def check_mesh_compatibility(graph: ir.Graph, mesh: ir.Mesh) -> None:
-    """Every mesh axis must be able to shard something, or the mesh is unusable."""
-    state = engine.initial_state(graph, mesh)
-    unusable = [axis for axis in mesh.axis_names if not engine.legal_actions(state, axis)]
+def check_mesh_compatibility(start: engine.ModuleState) -> None:
+    """Every mesh axis must be able to shard something in the replicated
+    state `start`, or the mesh is unusable."""
+    graph, mesh = start.graph, start.mesh
+    unusable = [axis for axis in mesh.axis_names if not engine.legal_actions(start, axis)]
     if not unusable:
         return
     example = ""

@@ -56,7 +56,7 @@ def enumerate_states(
     _check_size(graph, use_axes)
     cfg = cost_cfg if cost_cfg is not None else costmodel.default_config(mesh)
 
-    cache = engine.StateCache(graph, mesh)
+    cache = engine.StateCache(start)
     seen: dict[str, engine.ModuleState] = {start.fingerprint.digest: start}
     frontier = [start]
     depth = 0
@@ -106,7 +106,7 @@ def count_action_sequences(
     mesh = start.mesh
     use_axes = tuple(axes) if axes is not None else mesh.axis_names
     _check_size(start.graph, use_axes)
-    cache = engine.StateCache(start.graph, mesh)
+    cache = engine.StateCache(start)
     total = 0
 
     def walk(state: engine.ModuleState, remaining: int) -> None:

@@ -52,10 +52,8 @@ def goal_runs(desk):
     graph, cfg, _ = desk
     sched = ctl.builtin_schedule("RT1_RT2_MEM1", DESK_MESH, BUDGET)
     t0 = time.perf_counter()
-    outs = [
-        ctl.run_schedule(graph, DESK_MESH, sched, cost_cfg=cfg, seed=s)
-        for s in range(10)
-    ]
+    start = engine.initial_state(graph, DESK_MESH)
+    outs = [ctl.run_schedule(start, sched, cost_cfg=cfg, seed=s) for s in range(10)]
     return outs, time.perf_counter() - t0
 
 
@@ -63,10 +61,8 @@ def goal_runs(desk):
 def none_runs(desk):
     graph, cfg, _ = desk
     sched = ctl.builtin_schedule("NONE", DESK_MESH, BUDGET)
-    return [
-        ctl.run_schedule(graph, DESK_MESH, sched, cost_cfg=cfg, seed=s)
-        for s in range(10)
-    ]
+    start = engine.initial_state(graph, DESK_MESH)
+    return [ctl.run_schedule(start, sched, cost_cfg=cfg, seed=s) for s in range(10)]
 
 
 def test_criterion_01_composite_strategy_discovery(desk, goal_runs):
@@ -256,8 +252,9 @@ def test_criterion_09_cli_determinism_and_replay(tmp_path):
 def searched_min_penalized(graph, mesh, seeds=5):
     cfg = cm.default_config(mesh)
     sched = ctl.builtin_schedule("RT_MP_ALL", mesh, BUDGET)
+    start = engine.initial_state(graph, mesh)
     best = min(
-        ctl.run_schedule(graph, mesh, sched, cost_cfg=cfg, seed=s).final_cost.penalized_cost
+        ctl.run_schedule(start, sched, cost_cfg=cfg, seed=s).final_cost.penalized_cost
         for s in range(seeds)
     )
     return best, cfg

@@ -330,10 +330,26 @@ def test_well_typed_model_configs_are_accepted(tmp_path):
     assert graph.args[0].type.dims == (4, 16)
 
 
-@pytest.mark.parametrize("spec", ["a=1", "a=-3", "a=2,a=2", "a=x"])
+def axes_spec(n: int) -> str:
+    return ",".join(f"a{i}=2" for i in range(n))
+
+
+# a mesh past 16 axes is rejected before any table of its 2**n axis subsets
+@pytest.mark.parametrize("spec", [
+    "a=1", "a=-3", "a=2,a=2", "a=x",
+    pytest.param(axes_spec(17), id="17-axes"),
+    pytest.param(axes_spec(65), id="65-axes"),
+])
 def test_every_bad_mesh_flag_exits_three(graph_file, capsys, spec):
     assert run_cli("search", "--graph", graph_file, "--mesh", spec, "--budget", "4") == 3
     only_error_line(capsys)
+
+
+def test_sixteen_mesh_axes_are_accepted(tmp_path):
+    plan = tmp_path / "plan.json"
+    plan.write_text("[]")
+    assert run_cli("estimate", "--model", "transformer", "--mesh", axes_spec(16),
+                   "--plan", str(plan), "--out", str(tmp_path / "est.json")) == 0
 
 
 def test_a_bad_mesh_inside_a_graph_file_exits_two(tmp_path, capsys):
@@ -343,6 +359,58 @@ def test_a_bad_mesh_inside_a_graph_file_exits_two(tmp_path, capsys):
     graph_path.write_text(json.dumps(obj))
     assert run_cli("search", "--graph", str(graph_path), "--budget", "4") == 2
     assert "size 1" in only_error_line(capsys)
+
+
+def test_a_mesh_of_too_many_axes_inside_a_graph_file_exits_two(tmp_path, capsys):
+    obj = ir.graph_to_json(small_graph(), AB)
+    obj["mesh"] = [{"name": f"a{i}", "size": 2} for i in range(17)]
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(json.dumps(obj))
+    assert run_cli("search", "--graph", str(graph_path), "--budget", "4") == 2
+    assert "mesh has 17 axes; at most 16 are supported" in only_error_line(capsys)
+
+
+@pytest.mark.parametrize("model_cfg, cost_cfg", [
+    ({"batch": 10**400}, None),  # an integer cost past the float range
+    ({"layers": 4}, {"flops_per_second": 1e-300}),  # a float cost that overflows
+])
+def test_a_cost_that_is_not_a_finite_float_exits_three(tmp_path, capsys, model_cfg, cost_cfg):
+    plan = tmp_path / "plan.json"
+    plan.write_text("[]")
+    argv = ["--model", "transformer", "--mesh", "batch=2,model=2",
+            "--model-cfg", json.dumps(model_cfg)]
+    if cost_cfg is not None:
+        cfg_path = tmp_path / "cost.json"
+        cfg_path.write_text(json.dumps(cost_cfg))
+        argv += ["--cost-cfg", str(cfg_path)]
+    for command in (["estimate", "--plan", str(plan)], ["search", "--budget", "4"]):
+        assert run_cli(*command, *argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""  # no report, so none that holds Infinity or NaN
+        assert err.count("\n") == 1 and "is not a finite number" in err, err
+
+
+def count_compiles(monkeypatch) -> list[int]:
+    """A one-item list that counts `engine._Compiled` constructions."""
+    count = [0]
+    init = engine._Compiled.__init__
+
+    def counted(self, *args):
+        count[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(engine._Compiled, "__init__", counted)
+    return count
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--budget", "30", "--seeds", "3"],
+    ["oracle"],
+])
+def test_a_command_compiles_its_tables_once(graph_file, tmp_path, monkeypatch, argv):
+    compiles = count_compiles(monkeypatch)
+    assert run_cli(*argv, "--graph", graph_file, "--out", str(tmp_path / "out")) == 0
+    assert compiles[0] == 1
 
 
 @pytest.mark.parametrize("command", ["search", "estimate", "oracle", "dump-graph"])

@@ -135,7 +135,7 @@ def test_parse_schedule_error_messages_name_the_problem():
 def test_schedule_only_commits_strict_improvements():
     graph = matmul_bias_graph()
     s = sched([ctl.Goal("a", RT, budget=200), ctl.Goal("a", RT, budget=200)], 400)
-    out = ctl.run_schedule(graph, A2, s, seed=0)
+    out = ctl.run_schedule(engine.initial_state(graph, A2), s, seed=0)
     assert out.goal_outcomes[0].committed is True
     # the first goal already found the axis optimum; no strict improvement left
     assert out.goal_outcomes[1].committed is False
@@ -148,7 +148,7 @@ def test_schedule_only_commits_strict_improvements():
 def test_zero_budget_schedule_is_a_no_op():
     graph = matmul_bias_graph()
     s = sched([ctl.Goal("a", RT), ctl.Goal("a", MEM)], 0)
-    out = ctl.run_schedule(graph, A2, s, seed=0)
+    out = ctl.run_schedule(engine.initial_state(graph, A2), s, seed=0)
     assert out.plan == ()
     assert all(not o.committed for o in out.goal_outcomes)
     assert out.final_state.fingerprint.digest == "()"
@@ -171,8 +171,9 @@ def test_a_zero_budget_goal_between_searching_goals_never_commits(monkeypatch):
     monkeypatch.setattr(cm, "estimate", drifting_estimate)
     graph = matmul_bias_graph()
     s = sched([ctl.Goal("a", RT, budget=40), ctl.Goal("b", RT), ctl.Goal("b", MEM, budget=40)], 80)
+    start = engine.initial_state(graph, AB)
     for seed in range(3):
-        first, idle, _ = ctl.run_schedule(graph, AB, s, seed=seed).goal_outcomes
+        first, idle, _ = ctl.run_schedule(start, s, seed=seed).goal_outcomes
         assert first.committed
         assert idle.budget == 0 and idle.result.trajectories_to_best == 0
         assert not idle.committed
@@ -185,11 +186,11 @@ def test_goals_only_improve_their_own_metric():
         engine.initial_state(graph, AB), cm.default_config(AB)
     )
     rt_only = sched([ctl.Goal("a", RT, budget=150), ctl.Goal("b", RT, budget=150)], 300)
-    out = ctl.run_schedule(graph, AB, rt_only, seed=1)
+    out = ctl.run_schedule(engine.initial_state(graph, AB), rt_only, seed=1)
     assert out.final_cost.runtime_seconds <= baseline.runtime_seconds
 
     mem_only = sched([ctl.Goal("a", MEM, budget=150), ctl.Goal("b", MEM, budget=150)], 300)
-    out = ctl.run_schedule(graph, AB, mem_only, seed=1)
+    out = ctl.run_schedule(engine.initial_state(graph, AB), mem_only, seed=1)
     assert out.final_cost.peak_memory_bytes <= baseline.peak_memory_bytes
     # a memory goal is free to spend runtime (collectives) to shrink the peak;
     # the combined schedule therefore guarantees no cross-metric bound
@@ -198,7 +199,7 @@ def test_goals_only_improve_their_own_metric():
 def test_plan_replays_to_the_final_state():
     graph = matmul_bias_graph()
     s = ctl.builtin_schedule("RT_MEM_ALL", AB, 300)
-    out = ctl.run_schedule(graph, AB, s, seed=2)
+    out = ctl.run_schedule(engine.initial_state(graph, AB), s, seed=2)
     replayed = engine.replay_plan(graph, AB, out.plan)
     assert replayed.fingerprint == out.final_state.fingerprint
 
@@ -206,8 +207,8 @@ def test_plan_replays_to_the_final_state():
 def test_same_seed_reproduces_the_whole_schedule():
     graph = matmul_bias_graph()
     s = ctl.builtin_schedule("RT_MEM_ALL", AB, 200)
-    a = ctl.run_schedule(graph, AB, s, seed=9)
-    b = ctl.run_schedule(graph, AB, s, seed=9)
+    a = ctl.run_schedule(engine.initial_state(graph, AB), s, seed=9)
+    b = ctl.run_schedule(engine.initial_state(graph, AB), s, seed=9)
     assert a.final_state.fingerprint == b.final_state.fingerprint
     assert a.plan == b.plan
     assert [o.committed for o in a.goal_outcomes] == [o.committed for o in b.goal_outcomes]
@@ -216,7 +217,7 @@ def test_same_seed_reproduces_the_whole_schedule():
 def test_rollover_passes_leftover_trajectories_forward():
     graph = matmul_bias_graph()
     s = sched([ctl.Goal("a", RT, budget=60), ctl.Goal("b", RT, budget=60)], 120)
-    out = ctl.run_schedule(graph, AB, s, seed=4, rollover=True)
+    out = ctl.run_schedule(engine.initial_state(graph, AB), s, seed=4, rollover=True)
     first = out.goal_outcomes[0]
     second = out.goal_outcomes[1]
     if first.committed:
@@ -231,7 +232,8 @@ def test_trace_indices_run_consecutively_across_goals():
     graph = matmul_bias_graph()
     s = sched([ctl.Goal("a", RT, budget=25), ctl.Goal("b", RT, budget=25)], 50)
     seen = []
-    ctl.run_schedule(graph, AB, s, seed=3, trace=lambda *a: seen.append(a[0]))
+    start = engine.initial_state(graph, AB)
+    ctl.run_schedule(start, s, seed=3, trace=lambda *a: seen.append(a[0]))
     assert seen == list(range(1, len(seen) + 1))
     assert len(seen) == 50
 
@@ -239,7 +241,7 @@ def test_trace_indices_run_consecutively_across_goals():
 def test_unrestricted_goal_uses_every_axis():
     graph = matmul_bias_graph()
     s = ctl.builtin_schedule("NONE", AB, 300)
-    out = ctl.run_schedule(graph, AB, s, seed=0)
+    out = ctl.run_schedule(engine.initial_state(graph, AB), s, seed=0)
     axes_used = {a.axis for a in out.plan}
     assert axes_used <= {"a", "b"}
     assert out.goal_outcomes[0].result.trajectories_used == 300

@@ -158,8 +158,7 @@ def test_blocked_max_reduce_gathers_its_operand_per_site():
     assert c.payload_bytes == 8 * 4 * 4
     assert c.site == "v0"
     # the gather precedes the op that needs the full operand
-    kinds = [type(e).__name__ for e in prog.events]
-    assert kinds == ["CollectiveEvent", "OpEvent"]
+    assert prog.events == (c, "v0")
 
 
 def test_two_consumers_gather_twice_unless_reuse_enabled():
@@ -193,8 +192,8 @@ def test_partial_output_allreduces_once_at_the_producer():
     (c,) = prog.collectives
     assert c.kind == cm.ALL_REDUCE
     assert c.payload_bytes == 4 * 4 * 4
-    kinds = [type(e).__name__ for e in prog.events]
-    assert kinds == ["OpEvent", "CollectiveEvent"]  # resolved right after the dot
+    op_id = st.graph.ops[0].id
+    assert prog.events == (op_id, c)  # resolved right after the dot
 
 
 def rs_graph(*, with_full_consumer: bool) -> ir.Graph:
@@ -268,6 +267,29 @@ def test_penalty_scales_with_relative_overflow():
         st, clean_cfg(A2, memory_limit_bytes=128.0, memory_penalty_slope=3.0)
     )
     assert steep.penalized_cost == pytest.approx(4.0 * steep.runtime_seconds)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(flops_per_second=1.0e-320),  # runtime overflows to inf
+    dict(memory_limit_bytes=1.0e-300, memory_penalty_slope=1.0e300),  # only the penalty does
+])
+def test_a_cost_that_is_not_a_finite_float_is_a_config_error(overrides):
+    st = state_of(relu_graph(), A2)
+    cfg = clean_cfg(A2, **overrides)
+    for price in (cm.estimate, cm.lower):
+        with pytest.raises(ConfigError, match="is not a finite number"):
+            price(st, cfg)
+
+
+def test_an_integer_cost_past_the_float_range_is_a_config_error():
+    def g(b):
+        b.arg("x", (10**200, 10**200), role=ir.Role.DATA, group="d")
+        b.output(b.elementwise("relu", "x"))
+
+    st = state_of(build(g), A2)
+    for price in (cm.estimate, cm.lower):
+        with pytest.raises(ConfigError, match="is not a finite number"):
+            price(st, clean_cfg(A2))
 
 
 # --- configuration -----------------------------------------------------------

@@ -183,8 +183,8 @@ def test_named_model_errors():
 
 def test_mesh_compatibility_check_names_the_offending_axis():
     graph = models.build_transformer()
-    models.check_mesh_compatibility(graph, MESH)  # fine: everything divides
+    models.check_mesh_compatibility(engine.initial_state(graph, MESH))  # everything divides
     odd = ir.Mesh((ir.MeshAxis("batch", 3),))
     with pytest.raises(GraphValidationError) as exc:
-        models.check_mesh_compatibility(graph, odd)
+        models.check_mesh_compatibility(engine.initial_state(graph, odd))
     assert "axis 'batch' (size 3)" in str(exc.value)

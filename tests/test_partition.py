@@ -183,16 +183,16 @@ def test_closure_conflict_resolves_to_one_axis_deterministically():
     # No legal action set seeds this conflict: either action closes its axis
     # onto the other argument, whose dim0 cannot also take the second axis.
     # So seed the masks directly.
-    comp, mt = engine._Compiled(build(g)), engine._MeshTables(mesh)
+    comp = engine._Compiled(build(g), mesh)
     p, q, v0 = (comp.offsets[comp.index[vid]] for vid in ("p", "q", "v0"))
     fm = [0] * comp.total_dims
-    fm[p] = mt.bit_of["b"]
-    fm[q] = mt.bit_of["a"]
+    fm[p] = comp.bit_of["b"]
+    fm[q] = comp.bit_of["a"]
     partials = [0] * comp.nvals
-    engine._close(comp, mt, fm, partials)
+    engine._close(comp, fm, partials)
     # dim0 (size 4) cannot hold both a size-2 and a size-4 axis: the tie
     # of p, first in instance order, wins, and each seed stays put
-    assert (fm[p], fm[q], fm[v0]) == (mt.bit_of["b"], mt.bit_of["a"], mt.bit_of["b"])
+    assert (fm[p], fm[q], fm[v0]) == (comp.bit_of["b"], comp.bit_of["a"], comp.bit_of["b"])
     assert partials == [0] * comp.nvals
 
 
@@ -344,10 +344,11 @@ def test_replay_plan_reports_failing_action_index():
 
 def test_state_cache_returns_identical_objects():
     graph = matmul_bias_graph()
-    cache = engine.StateCache(graph, A2)
+    root = engine.initial_state(graph, A2)
+    cache = engine.StateCache(root)
     a = engine.Action(0, 0, "a")
-    s1 = cache.apply(cache.root, a)
-    s2 = cache.apply(cache.root, a)
+    s1 = cache.apply(root, a)
+    s2 = cache.apply(root, a)
     assert s1 is s2
     assert len(cache) >= 2
 
@@ -371,7 +372,7 @@ def random_walk(graph: ir.Graph, mesh: ir.Mesh, picks: list[int]) -> list[engine
     return seq
 
 
-def reference_close(comp, mt, fm: list[int], partials: list[int]) -> list[int]:
+def reference_close(comp, fm: list[int], partials: list[int]) -> list[int]:
     """The closure swept instance by instance, with no shortcut.
 
     Every instance runs both directions of its tie and then its partial
@@ -383,13 +384,13 @@ def reference_close(comp, mt, fm: list[int], partials: list[int]) -> list[int]:
         for p in range(comp.offsets[v], comp.offsets[v] + len(comp.dims[v])):
             u |= fm[p]
         used[v] = u
-    prod = mt.prod
+    prod = comp.prod
     changed = True
     while changed:
         changed = False
         for partial, i, pi, size_i, j, pj, size_j, res in comp.instances:
             for src, dst, v, size in ((pi, pj, j, size_j), (pj, pi, i, size_i)):
-                for k in range(mt.nbits):
+                for k in range(comp.nbits):
                     b = 1 << k
                     if fm[src] & b and not used[v] & b and size % prod[fm[dst] | b] == 0:
                         fm[dst] |= b
@@ -406,19 +407,19 @@ def reference_close(comp, mt, fm: list[int], partials: list[int]) -> list[int]:
 
 def reference_state(state: engine.ModuleState) -> tuple[list[int], list[int], dict]:
     """From-scratch closure of the state's action set on plain lists."""
-    comp, mt = state._comp, state._mt
+    comp = state._comp
     fm = [0] * comp.total_dims
     partials = [0] * comp.nvals
     for a in state.applied:
         for m in comp.group_members[a.group]:
-            fm[comp.offsets[m] + a.dim] |= mt.bit_of[a.axis]
-    used = reference_close(comp, mt, fm, partials)
+            fm[comp.offsets[m] + a.dim] |= comp.bit_of[a.axis]
+    used = reference_close(comp, fm, partials)
     worklists = {
         name: frozenset(
             gid for gid, members in comp.groups
-            if all(used[m] & mt.bit_of[name] == 0 for m in members)
+            if all(used[m] & comp.bit_of[name] == 0 for m in members)
         )
-        for name in mt.axis_names
+        for name in comp.axis_names
     }
     return fm, partials, worklists
 
@@ -429,7 +430,7 @@ def check_against_reference(state: engine.ModuleState) -> None:
     assert state._partials.tolist() == partials
     assert state.worklists == worklists
     groups = state._comp.groups
-    for name, mask in zip(state._mt.axis_names, state._wl):
+    for name, mask in zip(state._comp.axis_names, state._wl):
         assert mask == sum(1 << pos for pos, (gid, _) in enumerate(groups)
                            if gid in worklists[name])
 
@@ -458,10 +459,11 @@ def test_permuted_action_sets_store_identical_state(graph_seed, wide, picks, dat
     assert again.worklists == first.worklists
     assert again.fingerprint == first.fingerprint
     # one action set, one cache key, whatever the order
-    cache = engine.StateCache(graph, mesh)
+    root = engine.initial_state(graph, mesh)
+    cache = engine.StateCache(root)
     ends = []
     for order in (seq, perm):
-        state = cache.root
+        state = root
         for a in order:
             state = cache.apply(state, a)
         ends.append(state)
@@ -497,8 +499,9 @@ def test_the_state_cache_admits_exactly_the_actions_apply_action_does(graph_seed
     rng = random.Random(graph_seed)
     graph = random_graph(rng)
     mesh = random_mesh(rng)
-    cache = engine.StateCache(graph, mesh)
-    comp = cache.root._comp
+    state = engine.initial_state(graph, mesh)
+    cache = engine.StateCache(state)
+    comp = state._comp
     # every group and one unknown, every dim and one past the widest rank,
     # every axis and one unknown
     gids = [gid for gid, _ in comp.groups] + [len(comp.groups)]
@@ -506,7 +509,6 @@ def test_the_state_cache_admits_exactly_the_actions_apply_action_does(graph_seed
     axes = mesh.axis_names + ("zz",)
     # one cache across the walk: every child of every state on it is
     # stored, so later states meet action sets the cache already holds
-    state = cache.root
     seq = []
     for pick in [*picks, None]:
         accepted = set()
@@ -553,10 +555,11 @@ def test_masks_past_the_eighth_axis_are_stored_whole():
 def footprint(state: engine.ModuleState) -> int:
     """Bytes a state holds of its own: sys.getsizeof summed over its fields.
 
-    Skips the graph, mesh and compiled tables, which every state of a search
-    shares, and Action objects, which the search tree holds anyway.
+    Skips the compiled tables, which every state of a search shares and
+    which hold the graph and mesh, and Action objects, which the search tree
+    holds anyway.
     """
-    shared = {"graph", "mesh", "_comp", "_mt"}
+    shared = {"_comp"}
     seen: set[int] = set()
 
     def size(obj) -> int:
@@ -606,7 +609,7 @@ def walk_states(graph_seed: int, wide: bool, picks: list[int]):
 def test_closing_a_closed_state_again_changes_nothing(graph_seed, wide, picks):
     for state in walk_states(graph_seed, wide, picks):
         fm, partials = state._fm.tolist(), state._partials.tolist()
-        engine._close(state._comp, state._mt, fm, partials)
+        engine._close(state._comp, fm, partials)
         assert fm == state._fm.tolist()
         assert partials == state._partials.tolist()
 
@@ -642,16 +645,16 @@ def test_the_closure_matches_the_plain_sweep(graph_seed, wide, tied, mask_seed):
     rng = random.Random(graph_seed)
     graph = self_tied_graph(rng) if tied else random_graph(rng)
     mesh = WIDE if wide else random_mesh(rng)
-    comp, mt = engine._Compiled(graph), engine._MeshTables(mesh)
+    comp = engine._Compiled(graph, mesh)
     # arbitrary starting masks, so ties meet equal, disjoint and overlapping sides
     rng = random.Random(mask_seed)
-    fm = [rng.randrange(1 << mt.nbits) if rng.random() < 0.3 else 0
+    fm = [rng.randrange(1 << comp.nbits) if rng.random() < 0.3 else 0
           for _ in range(comp.total_dims)]
-    partials = [rng.randrange(1 << mt.nbits) if rng.random() < 0.2 else 0
+    partials = [rng.randrange(1 << comp.nbits) if rng.random() < 0.2 else 0
                 for _ in range(comp.nvals)]
     ref_fm, ref_partials = fm[:], partials[:]
-    ref_used = reference_close(comp, mt, ref_fm, ref_partials)
-    assert engine._close(comp, mt, fm, partials) == ref_used
+    ref_used = reference_close(comp, ref_fm, ref_partials)
+    assert engine._close(comp, fm, partials) == ref_used
     assert fm == ref_fm
     assert partials == ref_partials
 

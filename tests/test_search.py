@@ -1,8 +1,10 @@
 """Tree search behavior: rewards, UCT selection, budgets, and optimality."""
 
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies
 
 from meshpart import costmodel as cm
 from meshpart import engine, ir, mcts, oracle
@@ -234,3 +236,28 @@ def test_search_matches_exhaustive_optimum_on_random_graphs():
         )
         solved += 1
     assert solved == 12
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph_seed=strategies.integers(0, 2**32 - 1), seed=strategies.integers(0, 2**32 - 1))
+def test_search_and_enumeration_share_the_start_tables(graph_seed, seed):
+    rng = random.Random(graph_seed)
+    graph = random_graph(rng)
+    mesh = random_mesh(rng)
+    start = engine.initial_state(graph, mesh)
+    cost_cfg = cm.default_config(mesh)
+    priced = []
+    real_estimate = cm.estimate
+
+    def recording_estimate(state, cfg):
+        priced.append(state)
+        return real_estimate(state, cfg)
+
+    # neither compiles tables of its own: every state it makes is start's
+    with mock.patch.object(cm, "estimate", recording_estimate), \
+            mock.patch.object(engine, "_Compiled", side_effect=AssertionError("compiled")):
+        cfg = mcts.SearchConfig(trajectory_budget=30, seed=seed)
+        result = mcts.run_search(start, None, cfg, cost_cfg)
+        oracle.enumerate_states(start, cost_cfg=cost_cfg)
+    assert len(priced) > 1
+    assert all(state._comp is start._comp for state in [result.best_state, *priced])
