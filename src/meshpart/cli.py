@@ -20,14 +20,7 @@ import json
 import sys
 
 from . import controller, costmodel, engine, ir, models, oracle
-from .errors import (
-    ConfigError,
-    GraphValidationError,
-    IllegalActionError,
-    MeshPartError,
-    PlanReplayError,
-    ShapeError,
-)
+from .errors import ConfigError, MeshPartError, ShapeError
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -76,29 +69,31 @@ def _load_model_cfg(text: str | None) -> dict:
     return obj
 
 
-def _load_graph_and_mesh(args, mesh_required: bool = True) -> tuple[ir.Graph, ir.Mesh | None]:
-    if getattr(args, "graph", None):
-        if getattr(args, "model", None):
+def _load_graph_and_mesh(args) -> tuple[ir.Graph, ir.Mesh | None]:
+    """The input graph and `--mesh`, else the graph file's mesh, else None."""
+    if args.graph:
+        if args.model:
             raise ConfigError("give either --graph or --model, not both")
-        graph, embedded = ir.load_graph_file(args.graph)
-    elif getattr(args, "model", None):
-        graph = models.build_named_model(args.model, _load_model_cfg(args.model_cfg))
-        embedded = None
+        graph, mesh = ir.load_graph_file(args.graph)
+    elif args.model:
+        graph, mesh = models.build_named_model(args.model, _load_model_cfg(args.model_cfg)), None
     else:
         raise ConfigError("one of --graph or --model is required")
-    if getattr(args, "mesh", None):
+    if args.mesh:
         mesh = parse_mesh_spec(args.mesh)
-    elif embedded is not None or not mesh_required:
-        mesh = embedded
-    else:
-        raise ConfigError("no mesh: pass --mesh or embed one in the graph file")
     return graph, mesh
 
 
-def _load_cost_cfg(args, mesh: ir.Mesh) -> costmodel.CostModelConfig:
-    if getattr(args, "cost_cfg", None):
-        return costmodel.load_config_file(args.cost_cfg, mesh)
-    return costmodel.default_config(mesh)
+def _load_problem(args) -> tuple[ir.Graph, ir.Mesh, costmodel.CostModelConfig]:
+    """The graph, mesh and cost config of a command that prices states; the
+    mesh must be able to shard the graph."""
+    graph, mesh = _load_graph_and_mesh(args)
+    if mesh is None:
+        raise ConfigError("no mesh: pass --mesh or embed one in the graph file")
+    models.check_mesh_compatibility(graph, mesh)
+    if args.cost_cfg:
+        return graph, mesh, costmodel.load_config_file(args.cost_cfg, mesh)
+    return graph, mesh, costmodel.default_config(mesh)
 
 
 def _estimate_dict(est: costmodel.CostEstimate) -> dict:
@@ -154,14 +149,12 @@ def _dump_json(obj: dict, out_path: str | None) -> None:
 def cmd_search(args) -> int:
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
-    graph, mesh = _load_graph_and_mesh(args)
-    start = engine.initial_state(graph, mesh)
-    models.check_mesh_compatibility(start)
-    cost_cfg = _load_cost_cfg(args, mesh)
+    graph, mesh, cost_cfg = _load_problem(args)
     schedule = controller.parse_schedule(args.schedule, mesh, args.budget)
     for path in (args.trace, args.out):
         if path:
             _emit("", path)  # an unwritable path fails now, not after the search
+    start = engine.initial_state(graph, mesh)
 
     trace_rows: list[tuple] = []
     outcomes: list[tuple[int, controller.ScheduleOutcome]] = []
@@ -226,9 +219,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    graph, mesh = _load_graph_and_mesh(args)
-    models.check_mesh_compatibility(engine.initial_state(graph, mesh))
-    cost_cfg = _load_cost_cfg(args, mesh)
+    graph, mesh, cost_cfg = _load_problem(args)
     actions = plan_from_obj(ir.read_json_file(args.plan, "plan file"))
     state = engine.replay_plan(graph, mesh, actions)
     est = costmodel.estimate(state, cost_cfg)
@@ -246,20 +237,10 @@ def cmd_estimate(args) -> int:
 def cmd_oracle(args) -> int:
     if args.max_depth is not None and args.max_depth < 0:
         raise ConfigError(f"--max-depth must be at least 0, got {args.max_depth}")
-    graph, mesh = _load_graph_and_mesh(args)
+    graph, mesh, cost_cfg = _load_problem(args)
+    axes = None if args.axes is None else tuple(
+        a.strip() for a in args.axes.split(",") if a.strip())
     start = engine.initial_state(graph, mesh)
-    models.check_mesh_compatibility(start)
-    cost_cfg = _load_cost_cfg(args, mesh)
-    axes = None
-    if args.axes is not None:
-        axes = tuple(a.strip() for a in args.axes.split(",") if a.strip())
-        if not axes:
-            raise ConfigError(f"--axes {args.axes!r} names no mesh axis")
-        for a in axes:
-            if not mesh.has_axis(a):
-                raise ConfigError(f"--axes names unknown mesh axis {a!r}")
-        if len(set(axes)) < len(axes):
-            raise ConfigError(f"--axes {args.axes!r} names an axis twice")
     table = oracle.enumerate_states(start, axes, args.max_depth, cost_cfg)
     lines = [
         "fingerprint,runtime_seconds,peak_memory_bytes,penalized_cost,"
@@ -276,17 +257,18 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_dump_graph(args) -> int:
-    graph, mesh = _load_graph_and_mesh(args, mesh_required=False)
+    graph, mesh = _load_graph_and_mesh(args)
     _dump_json(ir.graph_to_json(graph, mesh), args.out)
     return EXIT_OK
 
 
-def _add_input_flags(p: argparse.ArgumentParser) -> None:
+def _add_input_flags(p: argparse.ArgumentParser, prices: bool) -> None:
     p.add_argument("--graph", help="graph interchange JSON file")
     p.add_argument("--model", help="built-in model name (transformer|gns|unet)")
     p.add_argument("--model-cfg", help="JSON object of model config overrides")
     p.add_argument("--mesh", help="mesh spec name=size[,name=size...]")
-    p.add_argument("--cost-cfg", help="cost model config JSON file")
+    if prices:
+        p.add_argument("--cost-cfg", help="cost model config JSON file")
     p.add_argument("--out", help="write output here instead of stdout")
 
 
@@ -295,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("search", help="run a goal schedule, emit plan + report")
-    _add_input_flags(p)
+    _add_input_flags(p, prices=True)
     p.add_argument("--schedule", default="RT_MEM_ALL",
                    help="built-in name or axis:objective[:budget],... spec")
     p.add_argument("--budget", type=int, default=1000, help="total trajectory budget")
@@ -308,20 +290,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("estimate", help="replay a plan file and print its cost")
-    _add_input_flags(p)
+    _add_input_flags(p, prices=True)
     p.add_argument("--plan", required=True,
                    help="JSON plan list, or a search report containing one")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("oracle", help="enumerate every reachable state as CSV")
-    _add_input_flags(p)
+    _add_input_flags(p, prices=True)
     p.add_argument("--axes", help="comma-separated subset of mesh axes")
     p.add_argument("--max-depth", type=int, default=None,
                    help="bound on action-sequence length (default: exhaust)")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("dump-graph", help="emit a model as interchange JSON")
-    _add_input_flags(p)
+    _add_input_flags(p, prices=False)
     p.set_defaults(func=cmd_dump_graph)
 
     return parser
@@ -332,13 +314,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (GraphValidationError, PlanReplayError, ShapeError, IllegalActionError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except MeshPartError as e:  # any other domain failure counts as validation
+    except MeshPartError as e:  # graph, plan and shape failures
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
 

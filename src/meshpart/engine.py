@@ -18,6 +18,8 @@ state made from that root shares it, and a state reads its graph and mesh
 through it.  There is no process-wide cache, so each `initial_state` call
 compiles its own tables, and they are freed with the last state that holds
 them; a command builds its root once and hands it to every consumer.
+Graphs and meshes are valid by construction, and whether a mesh can shard
+a graph is an IR check (`models.check_mesh_compatibility`), so none is here.
 
 A state is fully determined by the *set* of actions applied so far: applying
 an action re-derives the closure from all seeds jointly, in one deterministic
@@ -136,7 +138,6 @@ class _Compiled:
     )
 
     def __init__(self, graph: ir.Graph, mesh: ir.Mesh):
-        ir.check_valid(graph)
         self.graph = graph
         self.mesh = mesh
         self.axis_names = mesh.axis_names
@@ -483,7 +484,7 @@ def _make_state(comp: _Compiled, key: int, applied: tuple) -> ModuleState:
 
 
 def initial_state(graph: ir.Graph, mesh: ir.Mesh) -> ModuleState:
-    """Fully replicated starting state; validates the graph first."""
+    """Fully replicated starting state; compiles the tables its successors share."""
     return _make_state(_Compiled(graph, mesh), 0, ())
 
 

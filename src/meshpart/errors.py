@@ -16,10 +16,10 @@ class ShapeError(MeshPartError):
 
 
 class GraphValidationError(MeshPartError):
-    """A graph failed structural validation.
+    """A graph failed validation.
 
-    Carries the list of Violation records when produced by validate_graph;
-    may carry an empty list when raised for a single summary message.
+    Building an `ir.Graph` raises it with every `ir.Violation` in
+    `violations`; the JSON loader and the mesh check raise it with none.
     """
 
     def __init__(self, message: str, violations: list | None = None):

@@ -34,8 +34,10 @@ class MeshAxis:
     size: int
 
     def __post_init__(self):
-        if not self.name:
-            raise ShapeError("mesh axis name must be non-empty")
+        if not isinstance(self.name, str) or not self.name:
+            raise ShapeError(f"mesh axis name must be a non-empty string, got {self.name!r}")
+        if type(self.size) is not int:  # bool is an int subclass
+            raise ShapeError(f"mesh axis {self.name!r}: size must be an integer, got {self.size!r}")
         if self.size < 2:
             raise ShapeError(f"mesh axis {self.name!r} has size {self.size}; need >= 2")
 
@@ -230,13 +232,17 @@ class EquiShardGroup:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class Graph:
-    """An SSA tensor program: args, ops in definition order, named outputs."""
+    """An SSA tensor program: args, ops in definition order, named outputs.
+    Valid by construction: building one runs `check_valid` on it."""
 
     name: str
     args: tuple[Argument, ...]
     ops: tuple[Operation, ...]
     outputs: tuple[str, ...]
     groups: tuple[EquiShardGroup, ...]
+
+    def __post_init__(self):
+        check_valid(self)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -370,6 +376,8 @@ def validate_graph(graph: Graph) -> list[Violation]:
         if group.id in seen_gids:
             violations.append(Violation(None, f"duplicate group id {group.id}"))
         seen_gids.add(group.id)
+        if not group.members:
+            violations.append(Violation(None, f"group {group.id} has no members"))
         member_dims: set[tuple[int, ...]] = set()
         for member in group.members:
             if member not in arg_ids:
@@ -541,15 +549,13 @@ class GraphBuilder:
             EquiShardGroup(i, tuple(self._group_members[label]))
             for i, label in enumerate(self._group_order)
         )
-        graph = Graph(
+        return Graph(
             name=self.name,
             args=tuple(self._args),
             ops=tuple(self._ops),
             outputs=tuple(self._outputs),
             groups=groups,
         )
-        check_valid(graph)
-        return graph
 
 
 # --- JSON serialization ------------------------------------------------------
@@ -586,12 +592,11 @@ def _kind_to_json(kind: OpKind) -> dict:
     return out
 
 
-def _int(value, what: str) -> int:
-    """A JSON integer as is; a bool, float or string is an error."""
-    if type(value) is not int:
-        raise GraphValidationError(
-            f"malformed graph JSON: {what} must be an integer, got {value!r}"
-        )
+def _typed(value, kind: type, what: str):
+    """A JSON integer or string as is; any other type (a bool too) is an error."""
+    if type(value) is not kind:
+        noun = "an integer" if kind is int else "a string"
+        raise GraphValidationError(f"malformed graph JSON: {what} must be {noun}, got {value!r}")
     return value
 
 
@@ -602,7 +607,7 @@ def _ints(obj: Mapping, key: str, where: str, default=None) -> tuple[int, ...]:
         raise GraphValidationError(
             f"malformed graph JSON: {where}{key!r} must be a list of integers, got {items!r}"
         )
-    return tuple(_int(x, f"{where}{key}[{i}]") for i, x in enumerate(items))
+    return tuple(_typed(x, int, f"{where}{key}[{i}]") for i, x in enumerate(items))
 
 
 def _kind_from_json(obj: Mapping) -> OpKind:
@@ -624,7 +629,7 @@ def _kind_from_json(obj: Mapping) -> OpKind:
         return Reshape(_ints(obj, "target_dims", where))
     if kind == "Constant":
         return Constant(TensorType(
-            _ints(obj, "dims", where), _int(obj["element_bytes"], f"{where}'element_bytes'")
+            _ints(obj, "dims", where), _typed(obj["element_bytes"], int, f"{where}'element_bytes'")
         ))
     raise GraphValidationError(f"unknown op kind {kind!r}")
 
@@ -670,40 +675,40 @@ def _entries(obj: Mapping, key: str, entry_type: type, noun: str, where: str = "
 
 
 def graph_from_json(obj: Mapping) -> tuple[Graph, Mesh | None]:
-    """Parse the interchange schema; infers op result types and validates."""
+    """Parse the interchange schema and infer op result types; the Graph and
+    Mesh built from it check themselves."""
     try:
-        name = obj["name"]
+        name = _typed(obj["name"], str, "'name'")
         mesh = None
         if "mesh" in obj:
             mesh = Mesh(tuple(
-                MeshAxis(a["name"], _int(a["size"], f"mesh axis {a['name']!r}: 'size'"))
-                for a in _entries(obj, "mesh", dict, "an object")
+                MeshAxis(a["name"], a["size"]) for a in _entries(obj, "mesh", dict, "an object")
             ))
         args = []
         types: dict[str, TensorType] = {}
         group_members: dict[int, list[str]] = {}
-        for a in _entries(obj, "args", dict, "an object"):
-            where = f"arg {a.get('id')!r}: "
+        for i, a in enumerate(_entries(obj, "args", dict, "an object")):
+            arg_id = _typed(a["id"], str, f"args[{i}]: 'id'")
+            where = f"arg {arg_id!r}: "
             t = TensorType(
-                _ints(a, "dims", where), _int(a["element_bytes"], f"{where}'element_bytes'")
+                _ints(a, "dims", where), _typed(a["element_bytes"], int, f"{where}'element_bytes'")
             )
-            args.append(Argument(a["id"], t, Role(a["role"])))
-            types[a["id"]] = t
-            group_members.setdefault(_int(a["group"], f"{where}'group'"), []).append(a["id"])
+            args.append(Argument(arg_id, t, Role(a["role"])))
+            types[arg_id] = t
+            group_members.setdefault(_typed(a["group"], int, f"{where}'group'"), []).append(arg_id)
         ops = []
-        for o in _entries(obj, "ops", dict, "an object"):
+        for i, o in enumerate(_entries(obj, "ops", dict, "an object")):
+            op_id = _typed(o["id"], str, f"ops[{i}]: 'id'")
             kind = _kind_from_json(o)
-            operands = tuple(
-                _entries(o, "operands", str, "a value id", f"op {o.get('id')!r}: ")
-            )
+            operands = tuple(_entries(o, "operands", str, "a value id", f"op {op_id!r}: "))
             missing = [r for r in operands if r not in types]
             if missing:
                 raise GraphValidationError(
-                    f"op {o['id']!r} references undefined value(s) {missing}"
+                    f"op {op_id!r} references undefined value(s) {missing}"
                 )
             result = infer_result_type(kind, [types[r] for r in operands])
-            ops.append(Operation(o["id"], kind, operands, result))
-            types[o["id"]] = result
+            ops.append(Operation(op_id, kind, operands, result))
+            types[op_id] = result
         groups = tuple(
             EquiShardGroup(gid, tuple(members))
             for gid, members in sorted(group_members.items())
@@ -717,7 +722,6 @@ def graph_from_json(obj: Mapping) -> tuple[Graph, Mesh | None]:
         )
     except (KeyError, TypeError, ValueError, ShapeError) as e:
         raise GraphValidationError(f"malformed graph JSON: {e}") from e
-    check_valid(graph)
     return graph, mesh
 
 

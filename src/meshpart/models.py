@@ -494,22 +494,25 @@ def build_named_model(name: str, cfg_overrides: dict | None = None) -> ir.Graph:
     return builder(cfg)
 
 
-def check_mesh_compatibility(start: engine.ModuleState) -> None:
-    """Every mesh axis must be able to shard something in the replicated
-    state `start`, or the mesh is unusable."""
-    graph, mesh = start.graph, start.mesh
-    unusable = [axis for axis in mesh.axis_names if not engine.legal_actions(start, axis)]
+def check_mesh_compatibility(graph: ir.Graph, mesh: ir.Mesh) -> None:
+    """Every mesh axis must divide some dim of some argument group, or the
+    mesh is unusable: that is when the axis has no legal action in the
+    replicated state.  Reads the IR only, so it needs no compiled tables."""
+    types = {a.id: a.type for a in graph.args}
+    group_dims = [types[g.members[0]].dims for g in graph.groups]
+    unusable = [
+        axis for axis in mesh.axes
+        if not any(d % axis.size == 0 for dims in group_dims for d in dims)
+    ]
     if not unusable:
         return
     example = ""
     if graph.groups:
-        group = graph.groups[0]
-        dims = next(a.type.dims for a in graph.args if a.id == group.members[0])
-        example = f" (e.g. group {group.id} dims {dims})"
+        example = f" (e.g. group {graph.groups[0].id} dims {group_dims[0]})"
     raise GraphValidationError(
         f"mesh is incompatible with graph {graph.name!r}: "
         + "; ".join(
-            f"axis {axis!r} (size {mesh.axis_size(axis)}) divides no dimension of any "
+            f"axis {axis.name!r} (size {axis.size}) divides no dimension of any "
             f"argument group{example}"
             for axis in unusable
         )

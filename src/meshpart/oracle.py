@@ -9,18 +9,31 @@ larger instances are rejected outright rather than timed out.
 
 from __future__ import annotations
 
-from . import costmodel, engine, ir
+from . import costmodel, engine
 from .costmodel import CostEstimate, CostModelConfig, PENALIZED_RUNTIME
-from .errors import OracleSizeError
+from .errors import ConfigError, OracleSizeError
 
 MAX_GROUPS = 6
 MAX_AXES = 2
 
 
-def _check_size(graph: ir.Graph, axes: tuple[str, ...]) -> None:
-    if len(graph.groups) > MAX_GROUPS:
+def _walk_axes(start: engine.ModuleState, axes) -> tuple[str, ...]:
+    """The axes a walk may act on: every mesh axis, or `axes`, which must name
+    known axes, each once.  Raises unless the instance fits the size guard."""
+    if axes is None:
+        axes = start.mesh.axis_names
+    else:
+        axes = tuple(axes)
+        if not axes:
+            raise ConfigError(f"axes {axes!r} names no mesh axis")
+        for a in axes:
+            if not start.mesh.has_axis(a):
+                raise ConfigError(f"axes {axes!r} names unknown mesh axis {a!r}")
+        if len(set(axes)) < len(axes):
+            raise ConfigError(f"axes {axes!r} names an axis twice")
+    if len(start.graph.groups) > MAX_GROUPS:
         raise OracleSizeError(
-            f"graph has {len(graph.groups)} equi-shard groups; the exhaustive "
+            f"graph has {len(start.graph.groups)} equi-shard groups; the exhaustive "
             f"enumerator only handles up to {MAX_GROUPS}"
         )
     if len(axes) > MAX_AXES:
@@ -28,6 +41,7 @@ def _check_size(graph: ir.Graph, axes: tuple[str, ...]) -> None:
             f"{len(axes)} mesh axes requested; the exhaustive enumerator only "
             f"handles up to {MAX_AXES}"
         )
+    return axes
 
 
 def _legal(state: engine.ModuleState, axes: tuple[str, ...]) -> list[engine.Action]:
@@ -45,16 +59,14 @@ def enumerate_states(
 ) -> tuple[tuple[engine.Fingerprint, CostEstimate], ...]:
     """Every distinct reachable state (including the start), sorted by digest.
 
-    ``axes`` restricts which mesh axes actions may use (default: all).
+    ``axes`` restricts which mesh axes actions may use (default: all); an
+    empty, unknown or repeated axis is a ConfigError.
     ``max_depth`` bounds the action-sequence length (default: unbounded; the
     walk still terminates because each action retires its group from that
     axis's worklist).
     """
-    mesh = start.mesh
-    graph = start.graph
-    use_axes = tuple(axes) if axes is not None else mesh.axis_names
-    _check_size(graph, use_axes)
-    cfg = cost_cfg if cost_cfg is not None else costmodel.default_config(mesh)
+    use_axes = _walk_axes(start, axes)
+    cfg = cost_cfg if cost_cfg is not None else costmodel.default_config(start.mesh)
 
     cache = engine.StateCache(start)
     seen: dict[str, engine.ModuleState] = {start.fingerprint.digest: start}
@@ -103,9 +115,7 @@ def count_action_sequences(
     same action set count twice; comparing this against the number of
     distinct fingerprints shows how much state compression merges.
     """
-    mesh = start.mesh
-    use_axes = tuple(axes) if axes is not None else mesh.axis_names
-    _check_size(start.graph, use_axes)
+    use_axes = _walk_axes(start, axes)
     cache = engine.StateCache(start)
     total = 0
 

@@ -192,6 +192,7 @@ def test_config_mistakes_exit_three(graph_file, tmp_path, capsys):
     assert run_cli("search") == 3  # neither --graph nor --model
     assert run_cli("search", "--graph", graph_file, "--model", "unet") == 3
     assert run_cli("dump-graph", "--graph", graph_file, "--model", "unet") == 3
+    assert run_cli("dump-graph", "--graph", graph_file, "--cost-cfg", "cost.json") == 3
     assert run_cli("search", "--model", "unet") == 3  # no mesh anywhere
     assert run_cli("search", "--model", "unet", "--mesh", "a=") == 3
     assert run_cli("search", "--model", "transformer", "--mesh", "batch=2",
@@ -229,6 +230,18 @@ def test_mistyped_graph_json_entries_exit_two(tmp_path, capsys, mutate, message)
     plan.write_text("[]")
     assert run_cli("estimate", "--graph", str(graph_path), "--plan", str(plan)) == 2
     assert message in only_error_line(capsys)
+
+
+def test_a_graph_file_with_a_mistyped_mesh_axis_name_exits_two(tmp_path, capsys):
+    graph_path = tmp_path / "g.json"
+    assert run_cli("dump-graph", "--model", "gns", "--mesh", "batch=2,model=2",
+                   "--out", str(graph_path)) == 0
+    obj = json.loads(graph_path.read_text())
+    obj["mesh"][0]["name"] = 5
+    graph_path.write_text(json.dumps(obj))
+    assert run_cli("search", "--graph", str(graph_path), "--schedule", "RT_MP_ALL",
+                   "--budget", "20") == 2
+    assert "mesh axis name must be a non-empty string, got 5" in only_error_line(capsys)
 
 
 @pytest.mark.parametrize("cfg, message", [
@@ -390,27 +403,35 @@ def test_a_cost_that_is_not_a_finite_float_exits_three(tmp_path, capsys, model_c
         assert err.count("\n") == 1 and "is not a finite number" in err, err
 
 
-def count_compiles(monkeypatch) -> list[int]:
-    """A one-item list that counts `engine._Compiled` constructions."""
+def count_calls(monkeypatch, owner, name: str) -> list[int]:
+    """A one-item list that counts the calls of `owner.<name>`."""
     count = [0]
-    init = engine._Compiled.__init__
+    fn = getattr(owner, name)
 
-    def counted(self, *args):
+    def counted(*args):
         count[0] += 1
-        init(self, *args)
+        return fn(*args)
 
-    monkeypatch.setattr(engine._Compiled, "__init__", counted)
+    monkeypatch.setattr(owner, name, counted)
     return count
 
 
 @pytest.mark.parametrize("argv", [
     ["search", "--budget", "30", "--seeds", "3"],
     ["oracle"],
+    ["estimate"],
+    ["estimate", "--model", "transformer", "--mesh", "batch=2,model=2"],
 ])
 def test_a_command_compiles_its_tables_once(graph_file, tmp_path, monkeypatch, argv):
-    compiles = count_compiles(monkeypatch)
-    assert run_cli(*argv, "--graph", graph_file, "--out", str(tmp_path / "out")) == 0
-    assert compiles[0] == 1
+    compiles = count_calls(monkeypatch, engine._Compiled, "__init__")
+    validations = count_calls(monkeypatch, ir, "check_valid")
+    plan = tmp_path / "plan.json"
+    plan.write_text("[]")
+    extra = ["--plan", str(plan)] if argv[0] == "estimate" else []
+    if "--model" not in argv:
+        extra += ["--graph", graph_file]
+    assert run_cli(*argv, *extra, "--out", str(tmp_path / "out")) == 0
+    assert (compiles[0], validations[0]) == (1, 1)
 
 
 @pytest.mark.parametrize("command", ["search", "estimate", "oracle", "dump-graph"])
@@ -450,6 +471,7 @@ def test_unwritable_out_exits_three_for_every_command(graph_file, tmp_path, caps
     (["oracle", "--axes", ""], "names no mesh axis"),
     (["oracle", "--axes", "a,a"], "names an axis twice"),
     (["oracle", "--axes", "a, b ,a"], "names an axis twice"),
+    (["oracle", "--axes", "a,c"], "unknown mesh axis 'c'"),
 ])
 def test_out_of_range_counts_exit_three(graph_file, capsys, argv, message):
     assert run_cli(*argv, "--graph", graph_file) == 3

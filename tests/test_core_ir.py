@@ -26,6 +26,12 @@ def test_mesh_rejects_size_one_axis():
         ir.MeshAxis("a", 1)
 
 
+def test_mesh_axes_need_a_string_name_and_an_integer_size():
+    for name, size in ((5, 2), ("", 2), ("a", 2.0), ("a", True), ("a", "2")):
+        with pytest.raises(ShapeError):
+            ir.MeshAxis(name, size)
+
+
 def test_mesh_axis_lookup():
     mesh = mesh2x2()
     assert mesh.axis_names == ("batch", "model")
@@ -160,54 +166,49 @@ def test_wellformed_graph_has_no_violations():
 
 def test_undefined_operand_is_reported():
     g = small_chain()
-    bad = ir.Graph(
-        name=g.name,
-        args=g.args,
-        ops=g.ops + (ir.Operation("zz", ir.Elementwise("relu"), ("ghost",), ir.TensorType((1,))),),
-        outputs=g.outputs,
-        groups=g.groups,
-    )
-    violations = ir.validate_graph(bad)
-    assert any("ghost" in v.message for v in violations)
-    with pytest.raises(GraphValidationError):
-        ir.check_valid(bad)
+    ghost = ir.Operation("zz", ir.Elementwise("relu"), ("ghost",), ir.TensorType((1,)))
+    with pytest.raises(GraphValidationError) as exc:
+        ir.Graph(name=g.name, args=g.args, ops=g.ops + (ghost,), outputs=g.outputs,
+                 groups=g.groups)
+    assert [(v.value_id, v.message) for v in exc.value.violations] == [
+        ("zz", "operand 'ghost' of 'zz' is not defined earlier"),
+    ]
 
 
 def test_group_member_shape_mismatch_is_reported():
     t1, t2 = ir.TensorType((4, 4)), ir.TensorType((8, 4))
-    g = ir.Graph(
-        name="g",
-        args=(ir.Argument("a", t1, ir.Role.PARAMETER), ir.Argument("c", t2, ir.Role.PARAMETER)),
-        ops=(),
-        outputs=("a",),
-        groups=(ir.EquiShardGroup(0, ("a", "c")),),
-    )
-    violations = ir.validate_graph(g)
-    assert any("differing dims" in v.message for v in violations)
+    with pytest.raises(GraphValidationError) as exc:
+        ir.Graph(
+            name="g",
+            args=(ir.Argument("a", t1, ir.Role.PARAMETER),
+                  ir.Argument("c", t2, ir.Role.PARAMETER)),
+            ops=(),
+            outputs=("a",),
+            groups=(ir.EquiShardGroup(0, ("a", "c")),),
+        )
+    assert [(v.value_id, v.message) for v in exc.value.violations] == [
+        (None, "group 0 members have differing dims: [(4, 4), (8, 4)]"),
+    ]
 
 
 def test_ungrouped_argument_is_reported():
     t = ir.TensorType((4,))
-    g = ir.Graph(
-        name="g",
-        args=(ir.Argument("a", t, ir.Role.DATA),),
-        ops=(),
-        outputs=("a",),
-        groups=(),
-    )
-    assert any("no group" in v.message for v in ir.validate_graph(g))
+    with pytest.raises(GraphValidationError) as exc:
+        ir.Graph(name="g", args=(ir.Argument("a", t, ir.Role.DATA),), ops=(), outputs=("a",),
+                 groups=())
+    assert [(v.value_id, v.message) for v in exc.value.violations] == [
+        ("a", "argument 'a' is in no group"),
+    ]
 
 
 def test_undefined_output_is_reported():
     t = ir.TensorType((4,))
-    g = ir.Graph(
-        name="g",
-        args=(ir.Argument("a", t, ir.Role.DATA),),
-        ops=(),
-        outputs=("b",),
-        groups=(ir.EquiShardGroup(0, ("a",)),),
-    )
-    assert any("output" in v.message for v in ir.validate_graph(g))
+    with pytest.raises(GraphValidationError) as exc:
+        ir.Graph(name="g", args=(ir.Argument("a", t, ir.Role.DATA),), ops=(), outputs=("b",),
+                 groups=(ir.EquiShardGroup(0, ("a",)),))
+    assert [(v.value_id, v.message) for v in exc.value.violations] == [
+        ("b", "output 'b' is not defined"),
+    ]
 
 
 # --- builder -----------------------------------------------------------------
@@ -275,18 +276,35 @@ def test_malformed_graph_json_is_rejected():
         ir.graph_from_json({"name": "g", "args": [{"id": "x"}]})
 
 
-@pytest.mark.parametrize("field, index, bad", [
-    ("args", 0, "x"),
-    ("ops", 0, 5),
-    ("ops", 1, None),
-    ("outputs", 0, []),
-    ("outputs", 0, 3),
+@pytest.mark.parametrize("path, bad, message", [
+    pytest.param(("args", 0), "x", r"args\[0\]", id="args-0-x"),
+    pytest.param(("ops", 0), 5, r"ops\[0\]", id="ops-0-5"),
+    pytest.param(("ops", 1), None, r"ops\[1\]", id="ops-1-None"),
+    pytest.param(("outputs", 0), [], r"outputs\[0\]", id="outputs-0-bad3"),
+    pytest.param(("outputs", 0), 3, r"outputs\[0\]", id="outputs-0-3"),
+    pytest.param(("name",), 5, r"'name' must be a string, got 5", id="name-5"),
+    pytest.param(("args", 1, "id"), 5, r"args\[1\]: 'id' must be a string", id="arg-id-5"),
+    pytest.param(("ops", 0, "id"), ["v0"], r"ops\[0\]: 'id' must be a string", id="op-id-list"),
+    pytest.param(("mesh", 0, "name"), 5, r"mesh axis name must be a non-empty string, got 5",
+                 id="mesh-name-5"),
+    pytest.param(("mesh", 1, "size"), True, r"mesh axis 'model': size must be an integer",
+                 id="mesh-size-true"),
 ])
-def test_mistyped_graph_json_entries_are_rejected(field, index, bad):
-    obj = ir.graph_to_json(small_chain())
-    obj[field][index] = bad
-    with pytest.raises(GraphValidationError, match=rf"{field}\[{index}\]"):
+def test_mistyped_graph_json_entries_are_rejected(path, bad, message):
+    obj = ir.graph_to_json(small_chain(), mesh2x2())
+    *parents, key = path
+    entry = obj
+    for step in parents:
+        entry = entry[step]
+    entry[key] = bad
+    with pytest.raises(GraphValidationError, match=message):
         ir.graph_from_json(obj)
+
+
+def test_a_group_without_members_is_reported():
+    with pytest.raises(GraphValidationError) as exc:
+        ir.Graph(name="g", args=(), ops=(), outputs=(), groups=(ir.EquiShardGroup(0, ()),))
+    assert [v.message for v in exc.value.violations] == ["group 0 has no members"]
 
 
 def test_mistyped_operand_names_its_op():

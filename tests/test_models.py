@@ -1,10 +1,14 @@
 """Reference model builders, expert plans, and their frozen cost profiles."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies
 
 from meshpart import costmodel as cm
 from meshpart import engine, ir, models
 from meshpart.errors import ConfigError, GraphValidationError
+from _random_graphs import random_graph
 
 MESH = ir.Mesh((ir.MeshAxis("batch", 2), ir.MeshAxis("model", 2)))
 
@@ -183,8 +187,31 @@ def test_named_model_errors():
 
 def test_mesh_compatibility_check_names_the_offending_axis():
     graph = models.build_transformer()
-    models.check_mesh_compatibility(engine.initial_state(graph, MESH))  # everything divides
+    models.check_mesh_compatibility(graph, MESH)  # everything divides
     odd = ir.Mesh((ir.MeshAxis("batch", 3),))
     with pytest.raises(GraphValidationError) as exc:
-        models.check_mesh_compatibility(engine.initial_state(graph, odd))
+        models.check_mesh_compatibility(graph, odd)
     assert "axis 'batch' (size 3)" in str(exc.value)
+
+
+WIDE = ir.Mesh(tuple(ir.MeshAxis(f"ax{i}", 2) for i in range(9)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_seed=strategies.integers(0, 2**32 - 1), wide=strategies.booleans(),
+       sizes=strategies.lists(strategies.sampled_from((2, 3, 4, 8, 16, 32)),
+                              min_size=1, max_size=9))
+def test_the_mesh_check_fails_exactly_when_an_axis_has_no_legal_action(graph_seed, wide, sizes):
+    graph = random_graph(random.Random(graph_seed))
+    mesh = WIDE if wide else ir.Mesh(
+        tuple(ir.MeshAxis(f"ax{i}", size) for i, size in enumerate(sizes))
+    )
+    start = engine.initial_state(graph, mesh)
+    idle = [axis for axis in mesh.axis_names if not engine.legal_actions(start, axis)]
+    if not idle:
+        models.check_mesh_compatibility(graph, mesh)
+        return
+    with pytest.raises(GraphValidationError) as exc:
+        models.check_mesh_compatibility(graph, mesh)
+    named = [axis for axis in mesh.axis_names if f"axis {axis!r} (size" in str(exc.value)]
+    assert named == idle

@@ -4,7 +4,7 @@ import pytest
 
 from meshpart import costmodel as cm
 from meshpart import engine, ir, oracle
-from meshpart.errors import OracleSizeError
+from meshpart.errors import ConfigError, OracleSizeError
 
 A2 = ir.Mesh((ir.MeshAxis("a", 2),))
 AB = ir.Mesh((ir.MeshAxis("a", 2), ir.MeshAxis("b", 2)))
@@ -116,3 +116,18 @@ def test_sequence_counts_overcount_merged_states():
     assert oracle.count_action_sequences(start, max_depth=2) == 12
     # while distinct states stay far fewer than ordered sequences
     assert len(oracle.enumerate_states(start)) < 13
+
+
+@pytest.mark.parametrize("axes, message", [
+    ((), "names no mesh axis"),
+    (("a", "a"), "names an axis twice"),
+    (("a", "c"), "unknown mesh axis 'c'"),
+])
+def test_walks_reject_empty_repeated_and_unknown_axes(axes, message):
+    start = engine.initial_state(two_groups(), AB)
+    with pytest.raises(ConfigError, match=message):
+        oracle.enumerate_states(start, axes=axes)
+    with pytest.raises(ConfigError, match=message):
+        oracle.count_action_sequences(start, axes=axes, max_depth=2)
+    with pytest.raises(ConfigError, match=message):
+        oracle.exhaustive_best(start, axes=axes)
