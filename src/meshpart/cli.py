@@ -49,8 +49,6 @@ def parse_mesh_spec(text: str) -> ir.Mesh:
         except ValueError:
             raise ConfigError(f"bad mesh axis size in {part!r}") from None
         axes.append((name.strip(), n))
-    if not axes:
-        raise ConfigError(f"mesh spec {text!r} has no axes")
     try:
         return ir.Mesh(tuple(ir.MeshAxis(name, n) for name, n in axes))
     except ShapeError as e:

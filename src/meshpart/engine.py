@@ -28,6 +28,18 @@ shardings and fingerprints.  The converse does not hold: two different action
 sets may close to the same group shardings (one fingerprint) while op results
 in between carry different shardings.
 
+The closure sweeps the propagation instances in one fixed order until a
+sweep changes nothing, but only those of *live* components: the instances
+tie dim positions into connected components, and a sweep runs the
+components that hold an axis at entry (first sweep) or that the sweep
+before changed.  This is exact.  Axes move only along ties, so a component
+with no axis at entry stays empty.  A component that a whole sweep left
+unchanged can change only through its own instances, and what the other
+components do since then only removes candidate axes (it grows the
+per-value used masks), so it never changes again.  The skipped instances
+are no-ops, and the writes, fixpoints and sweep counts are those of
+sweeping every instance.
+
 Propagation rules, per op kind:
 
 * Elementwise: dim d of every operand and the result are tied.  Partial
@@ -121,6 +133,21 @@ class _OpMeta(NamedTuple):
     flops: tuple[int, tuple[tuple[int, int, int], ...]]
 
 
+class _Labels(dict):
+    """Axis mask -> its axis names, sorted and joined by '+'; filled on first use."""
+
+    __slots__ = ("_name_of_bit",)
+
+    def __init__(self, name_of_bit: dict[int, str]):
+        super().__init__()
+        self._name_of_bit = name_of_bit
+
+    def __missing__(self, mask: int) -> str:
+        names = [name for bit, name in self._name_of_bit.items() if mask & bit]
+        label = self[mask] = "+".join(sorted(names))
+        return label
+
+
 class _Compiled:
     """Propagation/lowering tables and the axis encoding for one graph on one mesh.
 
@@ -131,10 +158,11 @@ class _Compiled:
 
     __slots__ = (
         "graph", "mesh", "axis_names", "axis_index", "bit_of", "name_of_bit", "prod", "nbits",
-        "typecode",
+        "typecode", "labels",
         "ids", "index", "dims", "nbytes", "nvals", "live_to_end",
         "producer_op", "out_idx", "groups", "group_pos", "group_rank", "group_members",
         "seed_base", "seed_slots", "offsets", "value_of", "total_dims", "instances", "op_meta",
+        "part_of", "_sweeps", "digest_slots",
     )
 
     def __init__(self, graph: ir.Graph, mesh: ir.Mesh):
@@ -152,6 +180,7 @@ class _Compiled:
         self.typecode = next(
             code for code in "BHILQ" if array.array(code).itemsize * 8 >= self.nbits
         )
+        self.labels = _Labels(self.name_of_bit)
 
         self.ids = [a.id for a in graph.args] + [op.id for op in graph.ops]
         self.index = {vid: i for i, vid in enumerate(self.ids)}
@@ -189,6 +218,11 @@ class _Compiled:
         for gid, members in self.groups:
             self.seed_base.append(len(self.seed_slots))
             self.seed_slots.extend((gid, d) for d in range(len(self.dims[members[0]])))
+        # digest entries: the dims of each group's first member, in seed-slot order
+        self.digest_slots = tuple(
+            (self.offsets[self.group_members[gid][0]] + d, f"{gid}.{d}:")
+            for gid, d in self.seed_slots
+        )
 
         instances: list[tuple] = []
 
@@ -307,6 +341,36 @@ class _Compiled:
             self.op_meta.append(_OpMeta(res, operand_idx, plans, flops))
         self.instances = tuple(instances)
 
+        # Components of the tie graph over dim positions: union the two
+        # positions of every instance.  part_of[pos] is one bit per component
+        # (numbered by first appearance in instance order), 0 for a position
+        # no instance touches.
+        root = list(range(total))
+
+        def find(p: int) -> int:
+            while root[p] != p:
+                root[p] = p = root[root[p]]
+            return p
+
+        for inst in instances:
+            root[find(inst[5])] = find(inst[2])
+        bit_of_root: dict[int, int] = {}
+        self.part_of = [0] * total
+        for inst in instances:
+            for p in (inst[2], inst[5]):
+                self.part_of[p] = bit_of_root.setdefault(find(p), 1 << len(bit_of_root))
+        self._sweeps: dict[int, tuple] = {}
+
+    def sweep_of(self, live: int) -> tuple:
+        """The instances of the components in mask `live`, in instance order."""
+        run = self._sweeps.get(live)
+        if run is None:
+            part_of = self.part_of
+            run = self._sweeps[live] = tuple(
+                inst for inst in self.instances if part_of[inst[2]] & live
+            )
+        return run
+
     def names(self, mask: int) -> list[str]:
         out = []
         while mask:
@@ -334,17 +398,36 @@ def _close(comp: _Compiled, fm: list[int], partials: list[int]) -> list[int]:
     `used[v]` always holds every axis on a dim of `v`, so a tie whose two
     masks are equal moves no axis in either direction and goes straight to
     its partial mark; a self-tie always does.
+
+    A sweep runs only the instances of *live* tie-graph components
+    (`_Compiled.part_of`), in instance order: the first sweep those with a
+    nonzero mask at entry, each later sweep those that the sweep before it
+    changed.  The skipped instances are no-ops, so the writes, the fixpoint
+    and the number of sweeps are those of sweeping every instance:
+
+    * A position gains axes only through a tie from a nonzero position of
+      its own component, so a component with no nonzero mask at entry stays
+      all zero: each of its ties meets equal masks (`a == c`) and a zero
+      partial mark (`a & c == 0`).
+    * If a whole sweep changed nothing in a component, its masks can change
+      only through its own instances, and each of those later meets the
+      same masks and a `used` that has only grown.  Growth removes
+      candidate axes and partial marks, and an axis that failed to divide
+      a dim fails again while the dim's mask stays put.  So the component
+      never changes again.
     """
     used = list(partials)
-    for v, m in zip(comp.value_of, fm):
+    value_of = comp.value_of
+    part_of = comp.part_of
+    live = 0
+    for p, m in enumerate(fm):
         if m:
-            used[v] |= m
+            used[value_of[p]] |= m
+            live |= part_of[p]
     prod = comp.prod
-    instances = comp.instances
-    changed = True
-    while changed:
-        changed = False
-        for partial, i, pi, size_i, j, pj, size_j, res in instances:
+    while live:
+        changed = 0
+        for partial, i, pi, size_i, j, pj, size_j, res in comp.sweep_of(live):
             a = fm[pi]
             c = fm[pj]
             if a != c:  # equal masks move no axis either way
@@ -357,7 +440,7 @@ def _close(comp: _Compiled, fm: list[int], partials: list[int]) -> list[int]:
                         if size_j % prod[cur | b] == 0:
                             cur |= b
                             used[j] |= b
-                            changed = True
+                            changed |= part_of[pi]
                     fm[pj] = c = cur
                 m = c & ~used[i]
                 if m:
@@ -368,14 +451,15 @@ def _close(comp: _Compiled, fm: list[int], partials: list[int]) -> list[int]:
                         if size_i % prod[cur | b] == 0:
                             cur |= b
                             used[i] |= b
-                            changed = True
+                            changed |= part_of[pi]
                     fm[pi] = a = cur
             if partial:
                 add = a & c & ~used[res]
                 if add:
                     partials[res] |= add
                     used[res] |= add
-                    changed = True
+                    changed |= part_of[pi]
+        live = changed
     return used
 
 
@@ -423,16 +507,10 @@ class ModuleState:
         }
 
     def _digest(self) -> str:
-        comp, fm = self._comp, self._fm
-        parts = []
-        for gid, members in comp.groups:
-            first = members[0]
-            base = comp.offsets[first]
-            for d in range(len(comp.dims[first])):
-                mask = fm[base + d]
-                if mask:
-                    parts.append(f"{gid}.{d}:{'+'.join(sorted(comp.names(mask)))}")
-        return ";".join(parts) if parts else "()"
+        fm, labels = self._fm, self._comp.labels
+        return ";".join(
+            [head + labels[fm[pos]] for pos, head in self._comp.digest_slots if fm[pos]]
+        ) or "()"
 
     @property
     def shardings(self) -> dict[str, ir.Sharding]:

@@ -47,12 +47,14 @@ MAX_MESH_AXES = 16  # the engine tabulates all 2**n axis subsets of a mesh
 
 @dataclasses.dataclass(frozen=True)
 class Mesh:
-    """A multi-dimensional device mesh with uniquely named axes, at most
-    `MAX_MESH_AXES` of them."""
+    """A multi-dimensional device mesh with uniquely named axes: at least
+    one, at most `MAX_MESH_AXES`."""
 
     axes: tuple[MeshAxis, ...]
 
     def __post_init__(self):
+        if not self.axes:
+            raise ShapeError("mesh has no axes")
         if len(self.axes) > MAX_MESH_AXES:
             raise ShapeError(
                 f"mesh has {len(self.axes)} axes; at most {MAX_MESH_AXES} are supported"

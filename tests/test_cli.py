@@ -349,7 +349,7 @@ def axes_spec(n: int) -> str:
 
 # a mesh past 16 axes is rejected before any table of its 2**n axis subsets
 @pytest.mark.parametrize("spec", [
-    "a=1", "a=-3", "a=2,a=2", "a=x",
+    ",", "a=1", "a=-3", "a=2,a=2", "a=x",
     pytest.param(axes_spec(17), id="17-axes"),
     pytest.param(axes_spec(65), id="65-axes"),
 ])
@@ -381,6 +381,19 @@ def test_a_mesh_of_too_many_axes_inside_a_graph_file_exits_two(tmp_path, capsys)
     graph_path.write_text(json.dumps(obj))
     assert run_cli("search", "--graph", str(graph_path), "--budget", "4") == 2
     assert "mesh has 17 axes; at most 16 are supported" in only_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["search", "estimate", "oracle"])
+def test_a_graph_file_with_an_empty_mesh_exits_two(tmp_path, capsys, command):
+    obj = ir.graph_to_json(small_graph(), AB)
+    obj["mesh"] = []
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(json.dumps(obj))
+    plan = tmp_path / "plan.json"
+    plan.write_text("[]")
+    extra = ["--plan", str(plan)] if command == "estimate" else []
+    assert run_cli(command, "--graph", str(graph_path), *extra) == 2
+    assert "mesh has no axes" in only_error_line(capsys)
 
 
 @pytest.mark.parametrize("model_cfg, cost_cfg", [

@@ -7,7 +7,7 @@ import sys
 import weakref
 
 import pytest
-from hypothesis import assume, given, settings, strategies
+from hypothesis import assume, event, given, settings, strategies
 
 from meshpart import costmodel as cm, engine, ir, models
 from meshpart.errors import ConfigError, IllegalActionError, PlanReplayError
@@ -424,9 +424,24 @@ def reference_state(state: engine.ModuleState) -> tuple[list[int], list[int], di
     return fm, partials, worklists
 
 
+def reference_digest(state: engine.ModuleState) -> str:
+    """The digest spelled out group by group, dim by dim."""
+    comp, fm = state._comp, state._fm
+    parts = []
+    for gid, members in comp.groups:
+        first = members[0]
+        base = comp.offsets[first]
+        for d in range(len(comp.dims[first])):
+            mask = fm[base + d]
+            if mask:
+                parts.append(f"{gid}.{d}:{'+'.join(sorted(comp.names(mask)))}")
+    return ";".join(parts) if parts else "()"
+
+
 def check_against_reference(state: engine.ModuleState) -> None:
     fm, partials, worklists = reference_state(state)
     assert state._fm.tolist() == fm
+    assert state.fingerprint.digest == reference_digest(state)
     assert state._partials.tolist() == partials
     assert state.worklists == worklists
     groups = state._comp.groups
@@ -638,25 +653,182 @@ def test_estimates_agree_with_the_lowered_program(graph_seed, wide, picks):
             assert est.peak_memory_bytes >= resident
 
 
-@settings(max_examples=150, deadline=None)
-@given(graph_seed=SEEDS, wide=strategies.booleans(), tied=strategies.booleans(),
-       mask_seed=SEEDS)
-def test_the_closure_matches_the_plain_sweep(graph_seed, wide, tied, mask_seed):
+def random_compiled(graph_seed: int, wide: bool, tied: bool) -> engine._Compiled:
     rng = random.Random(graph_seed)
     graph = self_tied_graph(rng) if tied else random_graph(rng)
-    mesh = WIDE if wide else random_mesh(rng)
-    comp = engine._Compiled(graph, mesh)
-    # arbitrary starting masks, so ties meet equal, disjoint and overlapping sides
+    return engine._Compiled(graph, WIDE if wide else random_mesh(rng))
+
+
+def arbitrary_masks(graph_seed: int, wide: bool, tied: bool, mask_seed: int):
+    """Tables of a random graph with arbitrary masks, so ties meet equal,
+    disjoint and overlapping sides and several components start live."""
+    comp = random_compiled(graph_seed, wide, tied)
     rng = random.Random(mask_seed)
     fm = [rng.randrange(1 << comp.nbits) if rng.random() < 0.3 else 0
           for _ in range(comp.total_dims)]
     partials = [rng.randrange(1 << comp.nbits) if rng.random() < 0.2 else 0
                 for _ in range(comp.nvals)]
+    return comp, fm, partials
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_seed=SEEDS, wide=strategies.booleans(), tied=strategies.booleans(),
+       mask_seed=SEEDS)
+def test_the_closure_matches_the_plain_sweep(graph_seed, wide, tied, mask_seed):
+    comp, fm, partials = arbitrary_masks(graph_seed, wide, tied, mask_seed)
     ref_fm, ref_partials = fm[:], partials[:]
     ref_used = reference_close(comp, ref_fm, ref_partials)
     assert engine._close(comp, fm, partials) == ref_used
     assert fm == ref_fm
     assert partials == ref_partials
+
+
+def tie_components(comp) -> list[set[int]]:
+    """Connected components of the dim positions that instances tie together."""
+    adjacent: dict[int, set[int]] = {}
+    for inst in comp.instances:
+        pi, pj = inst[2], inst[5]
+        adjacent.setdefault(pi, set()).add(pj)
+        adjacent.setdefault(pj, set()).add(pi)
+    parts, seen = [], set()
+    for start in adjacent:
+        if start in seen:
+            continue
+        part, todo = set(), [start]
+        while todo:
+            p = todo.pop()
+            if p not in part:
+                part.add(p)
+                todo.extend(adjacent[p] - part)
+        seen |= part
+        parts.append(part)
+    return parts
+
+
+def live_components(comp, fm: list[int]) -> list[set[int]]:
+    return [part for part in tie_components(comp) if any(fm[p] for p in part)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph_seed=SEEDS, wide=strategies.booleans(), tied=strategies.booleans())
+def test_the_compiled_components_are_the_tie_graph_components(graph_seed, wide, tied):
+    comp = random_compiled(graph_seed, wide, tied)
+    parts = tie_components(comp)
+    for inst in comp.instances:
+        assert comp.part_of[inst[2]] == comp.part_of[inst[5]]
+    bits = [{comp.part_of[p] for p in part} for part in parts]
+    assert all(len(b) == 1 for b in bits)
+    bits = [b.pop() for b in bits]
+    assert all(b > 0 and b & (b - 1) == 0 for b in bits)  # one bit each
+    assert len(set(bits)) == len(parts)
+    touched = set().union(*parts)
+    assert all(comp.part_of[p] == 0 for p in range(comp.total_dims) if p not in touched)
+    # a sweep over some components runs their instances in instance order
+    live = 0
+    for b in bits[::2]:
+        live |= b
+    assert comp.sweep_of(live) == tuple(
+        inst for inst in comp.instances if any(inst[2] in part for part in parts[::2])
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_seed=SEEDS, wide=strategies.booleans(), tied=strategies.booleans(),
+       mask_seed=SEEDS)
+def test_a_component_without_masks_at_entry_stays_unsharded(graph_seed, wide, tied, mask_seed):
+    comp, fm, partials = arbitrary_masks(graph_seed, wide, tied, mask_seed)
+    live = live_components(comp, fm)
+    event(f"live components: {min(len(live), 3)}{'+' if len(live) >= 3 else ''}")
+    dead = [part for part in tie_components(comp) if part not in live]
+    engine._close(comp, fm, partials)
+    assert all(fm[p] == 0 for part in dead for p in part)
+
+
+def test_the_property_examples_include_several_live_components():
+    counts = [
+        len(live_components(*arbitrary_masks(seed, wide, tied, seed)[:2]))
+        for seed in range(10) for wide in (False, True) for tied in (False, True)
+    ]
+    assert sum(n >= 2 for n in counts) >= 5, counts
+
+
+def close_both_ways(comp, fm: list[int], partials: list[int]) -> tuple[list[int], list[int]]:
+    """`_close` the masks, check the result against `reference_close`, return it."""
+    ref_fm, ref_partials = fm[:], partials[:]
+    assert engine._close(comp, fm, partials) == reference_close(comp, ref_fm, ref_partials)
+    assert (fm, partials) == (ref_fm, ref_partials)
+    return fm, partials
+
+
+def test_components_coupled_by_a_used_mask_close_in_instance_order():
+    # y = p + q (y is v0): p.0, q.0, y.0 form one tie component and p.1,
+    # q.1, y.1 another, coupled only through the used masks of p, q and y
+    def g(b):
+        b.arg("p", (4, 4), role=ir.Role.DATA, group="gp")
+        b.arg("q", (4, 4), role=ir.Role.DATA, group="gq")
+        b.output(b.add("p", "q"))
+
+    comp = engine._Compiled(build(g), AB)
+    pos = {f"{vid}.{d}": comp.offsets[comp.index[vid]] + d
+           for vid in ("p", "q", "v0") for d in range(2)}
+    a, b = comp.bit_of["a"], comp.bit_of["b"]
+    assert comp.part_of[pos["p.0"]] != comp.part_of[pos["p.1"]]
+    # a on p.0 reaches y.0 first, so y.1 cannot take a from q.1
+    fm = [0] * comp.total_dims
+    fm[pos["p.0"]] = fm[pos["q.1"]] = a
+    fm, _ = close_both_ways(comp, fm, [0] * comp.nvals)
+    assert {k: fm[p] for k, p in pos.items()} == {
+        "p.0": a, "p.1": 0, "q.0": 0, "q.1": a, "v0.0": a, "v0.1": 0,
+    }
+    # The tie p.1-y.1 runs before q.0-y.0, so a lands on y.1, not y.0, though
+    # q.0's component comes first.  b on q.0 reaches y.0 in the first sweep
+    # and p.0 only in the second.
+    fm = [0] * comp.total_dims
+    fm[pos["p.1"]] = a
+    fm[pos["q.0"]] = a | b
+    fm, _ = close_both_ways(comp, fm, [0] * comp.nvals)
+    assert {k: fm[p] for k, p in pos.items()} == {
+        "p.0": b, "p.1": a, "q.0": a | b, "q.1": 0, "v0.0": b, "v0.1": a,
+    }
+
+
+def test_a_partial_mark_blocks_an_axis_in_another_component():
+    def g(b):
+        b.arg("p", (4, 4), role=ir.Role.DATA, group="gp")
+        b.arg("w", (4, 4), role=ir.Role.PARAMETER, group="gw")
+        b.arg("q", (4, 4), role=ir.Role.DATA, group="gq")
+        z = b.dot("p", "w", lhs_contract=(1,), rhs_contract=(0,))
+        b.output(b.add(z, "q"))
+
+    # z = p @ w is v0 and y = z + q is v1.  The contracting pair p.1-w.0 is
+    # a component of its own; z's dims belong to the other two.
+    comp = engine._Compiled(build(g), AB)
+    a = comp.bit_of["a"]
+    pos = {f"{vid}.{d}": comp.offsets[comp.index[vid]] + d
+           for vid in ("p", "w", "q", "v0", "v1") for d in range(2)}
+    assert comp.part_of[pos["p.1"]] not in (comp.part_of[pos["v0.0"]], comp.part_of[pos["v0.1"]])
+    fm = [0] * comp.total_dims
+    fm[pos["p.1"]] = fm[pos["w.0"]] = fm[pos["q.0"]] = a
+    fm, partials = close_both_ways(comp, fm, [0] * comp.nvals)
+    # the partial mark on z comes first in the first sweep, so the a that
+    # y.0 takes from q.0 later in that sweep never crosses to z.0
+    assert partials[comp.index["v0"]] == a
+    assert {k: fm[p] for k, p in pos.items() if fm[p]} == {
+        "p.1": a, "w.0": a, "q.0": a, "v1.0": a,
+    }
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=strategies.sampled_from(sorted(models.MODEL_BUILDERS)),
+       picks=strategies.lists(PICKS, max_size=8))
+def test_walk_states_of_the_models_match_the_list_closure(name, picks):
+    mesh = ir.Mesh((ir.MeshAxis("batch", 2), ir.MeshAxis("model", 2)))
+    graph = models.build_named_model(name)
+    state = engine.initial_state(graph, mesh)
+    check_against_reference(state)
+    for a in random_walk(graph, mesh, picks):
+        state = engine.apply_action(state, a)
+        check_against_reference(state)
 
 
 def local_flops(state: engine.ModuleState) -> int:
