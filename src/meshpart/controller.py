@@ -212,8 +212,9 @@ _OBJECTIVE_TOKENS = {
 def parse_schedule(text: str, mesh: ir.Mesh, total_budget: int) -> Schedule:
     """A built-in name, or comma-separated `axis:objective[:budget]` triples.
 
-    The axis may be `*` or `all` for an unrestricted goal; objectives accept
-    the short tokens rt / mem / mp.
+    The axis may be `*` for an unrestricted goal (a mesh axis name is an
+    identifier, so never `*`); objectives accept the short tokens rt / mem /
+    mp.
     """
     if text.strip().upper() in BUILTIN_SCHEDULES:
         return builtin_schedule(text, mesh, total_budget)
@@ -228,7 +229,7 @@ def parse_schedule(text: str, mesh: ir.Mesh, total_budget: int) -> Schedule:
                 f"bad goal {part!r}; expected axis:objective or axis:objective:budget"
             )
         axis_token = pieces[0].strip()
-        axis = None if axis_token.lower() in ("*", "all") else axis_token
+        axis = None if axis_token == "*" else axis_token
         if axis is not None and not mesh.has_axis(axis):
             raise ConfigError(
                 f"goal {part!r} names unknown axis {axis!r}; mesh has {mesh.axis_names}"

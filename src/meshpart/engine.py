@@ -40,7 +40,8 @@ per-value used masks), so it never changes again.  The skipped instances
 are no-ops, and the writes, fixpoints and sweep counts are those of
 sweeping every instance.
 
-Propagation rules, per op kind:
+Each op is compiled once, as ties; its lowering plan and flop terms follow
+from them (`_OpMeta`).  Propagation rules, per op kind:
 
 * Elementwise: dim d of every operand and the result are tied.  Partial
   axes never cross an elementwise op; they are resolved by lowering.
@@ -115,16 +116,16 @@ def _reshape_dim_pairs(src: tuple[int, ...], dst: tuple[int, ...]) -> list[tuple
 
 
 class _OpMeta(NamedTuple):
-    """Per-op lowering tables, in absolute dim positions.
+    """Per-op lowering tables in absolute dim positions, derived from the ties.
 
     `plans[s]` holds one `(p, q, r)` per dim of operand slot s: the dim sits
     at position p, and the op requires the axes `fm[q] & fm[r]` on it.  A
-    dim that must match a result dim reads that result dim twice; one whose
-    own sharding is acceptable as-is reads p twice; a contracting dim reads
-    both dims of its pair (axes on both sides); one that must be unsharded
-    reads the zero slot at position `total_dims`, one past the last dim,
-    twice.  The op's local flops are `flops[0]` times the product of
-    `size // prod[fm[q] & fm[r]]` over the `(size, q, r)` of `flops[1]`.
+    dim tied to a result dim reads that result dim twice; a contracting dim
+    reads both dims of its pair (a sum-reduced dim is contracted with
+    itself); any other dim reads the zero slot at position `total_dims`, one
+    past the last dim, twice.  The op's local flops are `flops[0]` times the
+    product of `size // prod[fm[q] & fm[r]]` over the `(size, q, r)` of
+    `flops[1]`: the result dims, then each contracted or reduced dim.
     """
 
     result_idx: int
@@ -240,105 +241,83 @@ class _Compiled:
                 for d in range(len(self.dims[first])):
                     unify(first, d, other, d)
 
-        def like(p: int, q: int) -> tuple[int, int, int]:
-            """Plan entry: the dim at position p must carry the axes at q."""
-            return (p, q, q)
+        # An op's ties give its lowering plan and flop terms.  An operand dim
+        # tied to a result dim must carry that dim's axes; a contracting pair
+        # or a sum-reduced dim needs the axes on both sides; any other dim
+        # must be unsharded.  Plans are keyed by operand slot, since one value
+        # may fill two slots (`dot(x, x)`).
 
-        def unsharded(v: int) -> list[tuple[int, int, int]]:
-            base = self.offsets[v]
-            return [like(base + d, zero) for d in range(len(self.dims[v]))]
+        def tie(s: int, d: int, k: int) -> None:
+            """Tie dim d of operand slot s to result dim k."""
+            v = operand_idx[s]
+            unify(v, d, res, k)
+            plans[s][d] = (self.offsets[v] + d, res_base + k, res_base + k)
+
+        def contract(s: int, a: int, t: int, b: int) -> None:
+            """Contract dim a of slot s with dim b of slot t: the result is
+            partial over the axes both carry, and compute spans the pair."""
+            v, w = operand_idx[s], operand_idx[t]
+            pa, pb = self.offsets[v] + a, self.offsets[w] + b
+            unify(v, a, w, b, res)
+            plans[s][a] = (pa, pa, pb)
+            plans[t][b] = (pb, pa, pb)
+            terms.append((self.dims[v][a], pa, pb))
 
         self.op_meta = []
         for op in graph.ops:
             res = self.index[op.id]
             res_base = self.offsets[res]
-            # local compute covers every element of the local result
-            res_terms = tuple(
-                (size, res_base + k, res_base + k) for k, size in enumerate(self.dims[res])
-            )
             operand_idx = tuple(self.index[r] for r in op.operands)
+            plans = [
+                [(self.offsets[v] + d, zero, zero) for d in range(len(self.dims[v]))]
+                for v in operand_idx
+            ]
+            # local compute covers every element of the local result
+            terms = [(size, res_base + k, res_base + k) for k, size in enumerate(self.dims[res])]
+            mult = 1
             kind = op.kind
             if isinstance(kind, ir.DotGeneral):
+                mult = 2
                 li, ri = operand_idx
-                l_base, r_base = self.offsets[li], self.offsets[ri]
-                lhs_free, rhs_free = ir.dot_free_dims(
-                    kind, len(self.dims[li]), len(self.dims[ri])
-                )
-                l_req, r_req = unsharded(li), unsharded(ri)
                 for k, (a, b) in enumerate(zip(kind.lhs_batch, kind.rhs_batch)):
-                    unify(li, a, res, k)
-                    unify(ri, b, res, k)
+                    tie(0, a, k)
+                    tie(1, b, k)
                     unify(li, a, ri, b)
-                    l_req[a] = like(l_base + a, res_base + k)
-                    r_req[b] = like(r_base + b, res_base + k)
                 k = len(kind.lhs_batch)
-                for d in lhs_free:
-                    unify(li, d, res, k)
-                    l_req[d] = like(l_base + d, res_base + k)
-                    k += 1
-                for d in rhs_free:
-                    unify(ri, d, res, k)
-                    r_req[d] = like(r_base + d, res_base + k)
-                    k += 1
-                contract = []
+                free = ir.dot_free_dims(kind, len(self.dims[li]), len(self.dims[ri]))
+                for s, dims in enumerate(free):
+                    for d in dims:
+                        tie(s, d, k)
+                        k += 1
                 for a, b in zip(kind.lhs_contract, kind.rhs_contract):
-                    unify(li, a, ri, b, res)
-                    # the axes both sides carry
-                    l_req[a] = (l_base + a, l_base + a, r_base + b)
-                    r_req[b] = (r_base + b, l_base + a, r_base + b)
-                    contract.append((self.dims[li][a], l_base + a, r_base + b))
-                plans = (tuple(l_req), tuple(r_req))
-                flops = (2, res_terms + tuple(contract))
+                    contract(0, a, 1, b)
             elif isinstance(kind, ir.Elementwise):
-                rank = len(self.dims[res])  # every operand has the result's shape
-                for v in operand_idx:
-                    for d in range(rank):
-                        unify(v, d, res, d)
-                plans = tuple(
-                    tuple(like(self.offsets[v] + d, res_base + d) for d in range(rank))
-                    for v in operand_idx
-                )
-                flops = (1, res_terms)
+                for s in range(len(operand_idx)):
+                    for d in range(len(self.dims[res])):  # every operand has the result's shape
+                        tie(s, d, d)
             elif isinstance(kind, ir.Reduce):
-                (src,) = operand_idx
-                plan = []
-                reduced = []
                 out_pos = 0
-                for d, size in enumerate(self.dims[src]):
-                    p = self.offsets[src] + d
+                for d, size in enumerate(self.dims[operand_idx[0]]):
                     if d not in kind.dims:
-                        unify(src, d, res, out_pos)
-                        plan.append(like(p, res_base + out_pos))
+                        tie(0, d, out_pos)
                         out_pos += 1
                     elif kind.reduce_kind == "sum":  # any sharding will do
-                        unify(src, d, src, d, res)
-                        plan.append(like(p, p))
-                        reduced.append((size, p, p))
+                        contract(0, d, 0, d)
                     else:  # max needs the dim whole
-                        plan.append(like(p, zero))
-                        reduced.append((size, zero, zero))
-                plans = (tuple(plan),)
-                flops = (1, res_terms + tuple(reduced))
+                        terms.append((size, zero, zero))
             elif isinstance(kind, ir.Transpose):
-                (src,) = operand_idx
-                plan = unsharded(src)
                 for out_d, in_d in enumerate(kind.permutation):
-                    unify(src, in_d, res, out_d)
-                    plan[in_d] = like(self.offsets[src] + in_d, res_base + out_d)
-                plans = (tuple(plan),)
-                flops = (1, res_terms)
+                    tie(0, in_d, out_d)
             elif isinstance(kind, ir.Reshape):
-                (src,) = operand_idx
-                plan = unsharded(src)
-                for sd, td in _reshape_dim_pairs(self.dims[src], kind.target_dims):
-                    unify(src, sd, res, td)
-                    plan[sd] = like(self.offsets[src] + sd, res_base + td)
-                plans = (tuple(plan),)
-                flops = (0, ())  # moves no data
+                mult = 0  # moves no data
+                for sd, td in _reshape_dim_pairs(self.dims[operand_idx[0]], kind.target_dims):
+                    tie(0, sd, td)
             else:  # constant
-                plans = ()
-                flops = (0, ())
-            self.op_meta.append(_OpMeta(res, operand_idx, plans, flops))
+                mult = 0
+            self.op_meta.append(_OpMeta(
+                res, operand_idx, tuple(map(tuple, plans)),
+                (mult, tuple(terms)) if mult else (0, ()),
+            ))
         self.instances = tuple(instances)
 
         # Components of the tie graph over dim positions: union the two

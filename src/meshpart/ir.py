@@ -34,8 +34,10 @@ class MeshAxis:
     size: int
 
     def __post_init__(self):
-        if not isinstance(self.name, str) or not self.name:
-            raise ShapeError(f"mesh axis name must be a non-empty string, got {self.name!r}")
+        # letters, digits and '_': fingerprints join axis names with '+' and
+        # ';', reports quote them in CSV and traces write them in TSV
+        if not isinstance(self.name, str) or not self.name.isidentifier():
+            raise ShapeError(f"mesh axis name must be an identifier, got {self.name!r}")
         if type(self.size) is not int:  # bool is an int subclass
             raise ShapeError(f"mesh axis {self.name!r}: size must be an integer, got {self.size!r}")
         if self.size < 2:

@@ -2,13 +2,19 @@
 
 import copy
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
+from _random_graphs import random_graph, random_mesh
 from meshpart import cli, costmodel as cm, engine, ir, models, oracle
 
 AB = ir.Mesh((ir.MeshAxis("a", 2), ir.MeshAxis("b", 2)))
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def small_graph() -> ir.Graph:
@@ -87,6 +93,28 @@ def test_search_is_byte_deterministic(graph_file, tmp_path):
     assert run_cli(*args, "--out", str(a)) == 0
     assert run_cli(*args, "--out", str(b)) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_outputs_do_not_depend_on_the_string_hash_seed(tmp_path):
+    rng = random.Random(5)
+    graph_path = tmp_path / "rand5.json"
+    graph_path.write_text(json.dumps(ir.graph_to_json(random_graph(rng), random_mesh(rng))))
+    outputs = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / hash_seed
+        out.mkdir()
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(SRC))
+        for argv in (
+            ["search", "--model", "transformer", "--mesh", "batch=2,model=2",
+             "--schedule", "RT1_RT2_MEM1", "--budget", "200", "--seeds", "2",
+             "--trace", str(out / "trace.tsv"), "--out", str(out / "report.json")],
+            ["oracle", "--graph", str(graph_path), "--out", str(out / "states.csv")],
+        ):
+            subprocess.run([sys.executable, "-m", "meshpart.cli", *argv], env=env,
+                           check=True, timeout=120)
+        outputs.append([(out / f).read_bytes() for f in ("report.json", "trace.tsv",
+                                                         "states.csv")])
+    assert outputs[0] == outputs[1]
 
 
 def test_multi_seed_search_keeps_the_best_run(graph_file, tmp_path):
@@ -202,6 +230,13 @@ def test_config_mistakes_exit_three(graph_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_schedule_axis_named_all_is_an_unknown_axis_on_a_mesh_without_one(
+        graph_file, capsys):
+    assert run_cli("search", "--graph", graph_file, "--schedule", "all:rt",
+                   "--budget", "4") == 3
+    assert "names unknown axis 'all'" in only_error_line(capsys)
+
+
 def test_broken_plans_exit_two(graph_file, tmp_path, capsys):
     bad = tmp_path / "bad_plan.json"
     bad.write_text(json.dumps([{"group": 0, "dim": 0, "axis": "a"},
@@ -241,7 +276,7 @@ def test_a_graph_file_with_a_mistyped_mesh_axis_name_exits_two(tmp_path, capsys)
     graph_path.write_text(json.dumps(obj))
     assert run_cli("search", "--graph", str(graph_path), "--schedule", "RT_MP_ALL",
                    "--budget", "20") == 2
-    assert "mesh axis name must be a non-empty string, got 5" in only_error_line(capsys)
+    assert "mesh axis name must be an identifier, got 5" in only_error_line(capsys)
 
 
 @pytest.mark.parametrize("cfg, message", [
@@ -356,6 +391,23 @@ def axes_spec(n: int) -> str:
 def test_every_bad_mesh_flag_exits_three(graph_file, capsys, spec):
     assert run_cli("search", "--graph", graph_file, "--mesh", spec, "--budget", "4") == 3
     only_error_line(capsys)
+
+
+# a fingerprint joins axis names with '+' and ';', and the oracle CSV quotes
+# them: with `--mesh a=2,b=2,a+b=2`, dim 0 on a and b would print as on a+b
+@pytest.mark.parametrize("name", ["a+b", "a;b", 'a"b'])
+def test_a_mesh_axis_name_that_is_not_an_identifier_is_rejected(
+        graph_file, tmp_path, capsys, name):
+    message = f"mesh axis name must be an identifier, got {name!r}"
+    assert run_cli("search", "--graph", graph_file, "--mesh", f"a=2,b=2,{name}=2",
+                   "--budget", "4") == 3
+    assert message in only_error_line(capsys)
+    obj = ir.graph_to_json(small_graph(), AB)
+    obj["mesh"][1]["name"] = name
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(json.dumps(obj))
+    assert run_cli("search", "--graph", str(graph_path), "--budget", "4") == 2
+    assert message in only_error_line(capsys)
 
 
 def test_sixteen_mesh_axes_are_accepted(tmp_path):

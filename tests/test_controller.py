@@ -116,6 +116,12 @@ def test_parse_schedule_accepts_triples_and_builtins():
     assert s.name == "NONE"
 
 
+def test_only_star_means_every_axis_so_an_axis_named_all_can_be_targeted():
+    mesh = ir.Mesh((ir.MeshAxis("all", 2), ir.MeshAxis("model", 2)))
+    s = ctl.parse_schedule("all:rt,model:mem", mesh, 200)
+    assert [g.axis for g in s.goals] == ["all", "model"]
+
+
 def test_parse_schedule_error_messages_name_the_problem():
     with pytest.raises(ConfigError, match="expected axis:objective"):
         ctl.parse_schedule("BOGUS", AB, 100)

@@ -32,6 +32,12 @@ def test_mesh_axes_need_a_string_name_and_an_integer_size():
             ir.MeshAxis(name, size)
 
 
+@pytest.mark.parametrize("name", ["a+b", "a;b", 'a"b'])
+def test_mesh_axis_names_are_identifiers(name):
+    with pytest.raises(ShapeError, match="mesh axis name must be an identifier"):
+        ir.MeshAxis(name, 2)
+
+
 def test_mesh_axis_lookup():
     mesh = mesh2x2()
     assert mesh.axis_names == ("batch", "model")
@@ -285,7 +291,7 @@ def test_malformed_graph_json_is_rejected():
     pytest.param(("name",), 5, r"'name' must be a string, got 5", id="name-5"),
     pytest.param(("args", 1, "id"), 5, r"args\[1\]: 'id' must be a string", id="arg-id-5"),
     pytest.param(("ops", 0, "id"), ["v0"], r"ops\[0\]: 'id' must be a string", id="op-id-list"),
-    pytest.param(("mesh", 0, "name"), 5, r"mesh axis name must be a non-empty string, got 5",
+    pytest.param(("mesh", 0, "name"), 5, r"mesh axis name must be an identifier, got 5",
                  id="mesh-name-5"),
     pytest.param(("mesh", 1, "size"), True, r"mesh axis 'model': size must be an integer",
                  id="mesh-size-true"),

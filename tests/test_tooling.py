@@ -2,12 +2,17 @@
 
 import argparse
 import ast
+import json
 import pathlib
+import re
+import shlex
 import sys
 
 from meshpart import cli
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "meshpart"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "meshpart"
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def absolute_imports(path: pathlib.Path) -> list[str]:
@@ -70,3 +75,33 @@ def test_every_subcommand_flag_is_read_by_its_command():
             if action.dest != "help" and action.dest not in reads
         ]
     assert not unread, unread
+
+
+def readme_blocks(lang: str) -> list[str]:
+    return re.findall(rf"^```{lang}\n(.*?)^```", README, re.S | re.M)
+
+
+def test_every_readme_command_line_parses():
+    commands = [
+        line
+        for block in readme_blocks("sh")
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("meshpart ")
+    ]
+    assert len(commands) >= 5
+    for line in commands:
+        cli.build_parser().parse_args(shlex.split(line)[1:])
+
+
+def test_the_readme_report_example_has_the_keys_of_a_real_report(tmp_path):
+    (example,) = readme_blocks("json")
+    example = json.loads(example)
+    out = tmp_path / "report.json"
+    assert cli.main(["search", "--model", "transformer", "--mesh", "batch=2,model=2",
+                     "--schedule", "RT1_RT2_MEM1", "--budget", "6", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+
+    def keys(r: dict) -> tuple:
+        return sorted(r), sorted(r["goals"][0]), sorted(r["estimate"])
+
+    assert keys(example) == keys(report)
