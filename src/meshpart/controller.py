@@ -246,7 +246,9 @@ def parse_schedule(text: str, mesh: ir.Mesh, total_budget: int) -> Schedule:
                 budget = int(pieces[2])
             except ValueError as e:
                 raise ConfigError(f"goal {part!r} has non-integer budget") from e
-            if budget < 0:
-                raise ConfigError(f"goal {part!r} has negative budget")
+            if budget <= 0:  # Goal.budget 0 means an even share, so ":0" would mean one
+                raise ConfigError(
+                    f"goal {part!r} needs a positive budget; omit it for an even share"
+                )
         goals.append(Goal(axis, objective, budget))
     return Schedule(text, tuple(goals), total_budget)

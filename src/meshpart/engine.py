@@ -158,12 +158,12 @@ class _Compiled:
     """
 
     __slots__ = (
-        "graph", "mesh", "axis_names", "axis_index", "bit_of", "name_of_bit", "prod", "nbits",
+        "graph", "mesh", "axis_names", "bit_of", "name_of_bit", "prod", "nbits",
         "typecode", "labels",
         "ids", "index", "dims", "nbytes", "nvals", "live_to_end",
         "producer_op", "out_idx", "groups", "group_pos", "group_rank", "group_members",
-        "seed_base", "seed_slots", "offsets", "value_of", "total_dims", "instances", "op_meta",
-        "part_of", "_sweeps", "digest_slots",
+        "group_dims", "seed_base", "seed_slots", "offsets", "value_of", "total_dims",
+        "instances", "op_meta", "part_of", "_sweeps", "digest_slots",
     )
 
     def __init__(self, graph: ir.Graph, mesh: ir.Mesh):
@@ -171,7 +171,6 @@ class _Compiled:
         self.mesh = mesh
         self.axis_names = mesh.axis_names
         self.nbits = len(mesh.axes)
-        self.axis_index = {a.name: i for i, a in enumerate(mesh.axes)}
         self.bit_of = {a.name: 1 << i for i, a in enumerate(mesh.axes)}
         self.name_of_bit = {1 << i: a.name for i, a in enumerate(mesh.axes)}
         self.prod = [1] * (1 << self.nbits)
@@ -210,6 +209,11 @@ class _Compiled:
         self.group_members = {gid: members for gid, members in self.groups}
         self.group_rank = {gid: len(self.dims[members[0]]) for gid, members in self.groups}
         self.group_pos = {gid: pos for pos, (gid, _) in enumerate(self.groups)}
+        # per group, in `groups` order: the dim positions of all its members
+        self.group_dims = tuple(
+            tuple(self.offsets[m] + d for m in members for d in range(len(self.dims[m])))
+            for _, members in self.groups
+        )
         # Seed slots: one per (group, dim), in (group id, dim) order.  On a
         # mesh of n axes, action (group, dim, axis #k) is seed index
         # (seed_base[group position] + dim) * n + k, so ascending seed
@@ -448,24 +452,23 @@ class ModuleState:
     Immutable.  `worklists` maps each mesh axis to the set of group ids still
     actionable on that axis: a group leaves an axis's worklist as soon as any
     member carries that axis anywhere in its sharding, whether from a direct
-    action or from propagation.
+    action or from propagation.  Arguments are never partial, so this is
+    read off the members' dim masks in `_fm` (`_Compiled.group_dims`).
 
     Search keeps every state it reaches, so a state is stored compactly: the
     per-dim axis masks (`_fm`) and per-value partial masks (`_partials`) are
-    arrays of the mesh's mask typecode, each axis's worklist is one int
-    bitmask over positions in the compiled group list (`_wl`), and the
-    applied action set is one int bitmask of seed indices (`_key`).
+    arrays of the mesh's mask typecode, and the applied action set is one
+    int bitmask of seed indices (`_key`).
     """
 
-    __slots__ = ("applied", "fingerprint", "_comp", "_key", "_fm", "_partials", "_wl")
+    __slots__ = ("applied", "fingerprint", "_comp", "_key", "_fm", "_partials")
 
-    def __init__(self, comp, key, applied, fm, partials, wl):
+    def __init__(self, comp, key, applied, fm, partials):
         self._comp = comp
         self._key = key
         self.applied = applied
         self._fm = fm
         self._partials = partials
-        self._wl = wl
         self.fingerprint = Fingerprint(self._digest())
 
     @property
@@ -479,10 +482,13 @@ class ModuleState:
     @property
     def worklists(self) -> dict[str, frozenset[int]]:
         """Per mesh axis, the ids of the groups still actionable on it."""
-        groups = self._comp.groups
+        comp, fm = self._comp, self._fm
         return {
-            name: frozenset(gid for pos, (gid, _) in enumerate(groups) if mask >> pos & 1)
-            for name, mask in zip(self._comp.axis_names, self._wl)
+            name: frozenset(
+                gid for (gid, _), dims in zip(comp.groups, comp.group_dims)
+                if not any(fm[p] & bit for p in dims)
+            )
+            for name, bit in comp.bit_of.items()
         }
 
     def _digest(self) -> str:
@@ -525,18 +531,9 @@ def _make_state(comp: _Compiled, key: int, applied: tuple) -> ModuleState:
         gid, dim = comp.seed_slots[slot]
         for m in comp.group_members[gid]:
             fm[comp.offsets[m] + dim] |= 1 << k
-    used = _close(comp, fm, partials)
-    wl = [0] * comp.nbits
-    for pos, (_, members) in enumerate(comp.groups):
-        u = 0
-        for m in members:
-            u |= used[m]
-        for k in range(comp.nbits):
-            if not u >> k & 1:
-                wl[k] |= 1 << pos
+    _close(comp, fm, partials)
     return ModuleState(
-        comp, key, applied,
-        array.array(comp.typecode, fm), array.array(comp.typecode, partials), tuple(wl),
+        comp, key, applied, array.array(comp.typecode, fm), array.array(comp.typecode, partials)
     )
 
 
@@ -561,19 +558,18 @@ def legal_actions(state: ModuleState, active_axis: str | None) -> list[Action]:
     if active_axis not in comp.bit_of:
         raise ShapeError(f"unknown mesh axis {active_axis!r}; mesh has {comp.axis_names}")
     bit = comp.bit_of[active_axis]
-    groups = comp.groups
     fm = state._fm
     actions = []
-    mask = state._wl[comp.axis_index[active_axis]]
-    while mask:  # ascending position: ascending group id
-        low = mask & -mask
-        mask ^= low
-        gid, members = groups[low.bit_length() - 1]
-        base = comp.offsets[members[0]]
-        dims = comp.dims[members[0]]
-        for d in range(len(dims)):
-            if dims[d] % comp.prod[fm[base + d] | bit] == 0:
-                actions.append(Action(gid, d, active_axis))
+    for (gid, members), positions in zip(comp.groups, comp.group_dims):  # ascending group id
+        for p in positions:
+            if fm[p] & bit:  # off the axis's worklist
+                break
+        else:
+            base = comp.offsets[members[0]]
+            dims = comp.dims[members[0]]
+            for d in range(len(dims)):
+                if dims[d] % comp.prod[fm[base + d] | bit] == 0:
+                    actions.append(Action(gid, d, active_axis))
     return actions
 
 
@@ -596,21 +592,21 @@ def _seed_index(state: ModuleState, action: Action) -> int:
         raise IllegalActionError(
             f"dim {action.dim} out of range for group {action.group} of rank {rank}"
         )
-    k = comp.axis_index[action.axis]
+    bit = comp.bit_of[action.axis]
     group_pos = comp.group_pos[action.group]
-    if not state._wl[k] >> group_pos & 1:
+    if any(state._fm[p] & bit for p in comp.group_dims[group_pos]):
         raise IllegalActionError(
             f"group {action.group} is no longer actionable on axis {action.axis!r}"
         )
     first = comp.group_members[action.group][0]
     pos = comp.offsets[first] + action.dim
     size = comp.dims[first][action.dim]
-    if size % comp.prod[state._fm[pos] | 1 << k] != 0:
+    if size % comp.prod[state._fm[pos] | bit] != 0:
         raise IllegalActionError(
             f"dim {action.dim} of group {action.group} (size {size}) not divisible "
             f"by axis {action.axis!r} on top of {comp.names(state._fm[pos])}"
         )
-    return (comp.seed_base[group_pos] + action.dim) * comp.nbits + k
+    return (comp.seed_base[group_pos] + action.dim) * comp.nbits + bit.bit_length() - 1
 
 
 def apply_action(state: ModuleState, action: Action) -> ModuleState:

@@ -624,7 +624,7 @@ def _kind_from_json(obj: Mapping) -> OpKind:
                         "lhs_contracting_dims", "rhs_contracting_dims")
         ))
     if kind == "Elementwise":
-        return Elementwise(obj["op_name"])
+        return Elementwise(_typed(obj["op_name"], str, f"{where}'op_name'"))
     if kind == "Reduce":
         return Reduce(obj["reduce_kind"], _ints(obj, "dims", where))
     if kind == "Transpose":

@@ -237,6 +237,13 @@ def test_a_schedule_axis_named_all_is_an_unknown_axis_on_a_mesh_without_one(
     assert "names unknown axis 'all'" in only_error_line(capsys)
 
 
+def test_an_explicit_zero_goal_budget_exits_three(graph_file, capsys):
+    # an omitted budget is an even share; an explicit 0 is refused, not read as one
+    assert run_cli("search", "--graph", graph_file, "--schedule", "a:rt:0,b:rt",
+                   "--budget", "100") == 3
+    assert "needs a positive budget; omit it for an even share" in only_error_line(capsys)
+
+
 def test_broken_plans_exit_two(graph_file, tmp_path, capsys):
     bad = tmp_path / "bad_plan.json"
     bad.write_text(json.dumps([{"group": 0, "dim": 0, "axis": "a"},

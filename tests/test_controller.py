@@ -133,6 +133,9 @@ def test_parse_schedule_error_messages_name_the_problem():
         ctl.parse_schedule("a:rt:soon", AB, 100)
     with pytest.raises(ConfigError, match="empty goal"):
         ctl.parse_schedule("a:rt,,b:mem", AB, 100)
+    for budget in ("0", "-5"):
+        with pytest.raises(ConfigError, match="positive budget; omit it for an even share"):
+            ctl.parse_schedule(f"a:rt:{budget},b:rt", AB, 100)
 
 
 # --- running schedules -------------------------------------------------------

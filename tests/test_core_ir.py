@@ -291,6 +291,9 @@ def test_malformed_graph_json_is_rejected():
     pytest.param(("name",), 5, r"'name' must be a string, got 5", id="name-5"),
     pytest.param(("args", 1, "id"), 5, r"args\[1\]: 'id' must be a string", id="arg-id-5"),
     pytest.param(("ops", 0, "id"), ["v0"], r"ops\[0\]: 'id' must be a string", id="op-id-list"),
+    pytest.param(("ops", 1, "op_name"), [1, {"x": 2}],
+                 r"op 'v1': 'op_name' must be a string, got \[1, \{'x': 2\}\]",
+                 id="op-name-list"),
     pytest.param(("mesh", 0, "name"), 5, r"mesh axis name must be an identifier, got 5",
                  id="mesh-name-5"),
     pytest.param(("mesh", 1, "size"), True, r"mesh axis 'model': size must be an integer",

@@ -444,10 +444,6 @@ def check_against_reference(state: engine.ModuleState) -> None:
     assert state.fingerprint.digest == reference_digest(state)
     assert state._partials.tolist() == partials
     assert state.worklists == worklists
-    groups = state._comp.groups
-    for name, mask in zip(state._comp.axis_names, state._wl):
-        assert mask == sum(1 << pos for pos, (gid, _) in enumerate(groups)
-                           if gid in worklists[name])
 
 
 SEEDS = strategies.integers(0, 2**32 - 1)
@@ -595,13 +591,13 @@ def footprint(state: engine.ModuleState) -> int:
     )
 
 
-def test_a_transformer_state_stores_under_1500_bytes():
+def test_a_transformer_state_stores_under_1100_bytes():
     mesh = ir.Mesh((ir.MeshAxis("batch", 2), ir.MeshAxis("model", 2)))
     graph = models.build_named_model("transformer")
     plan = models.transformer_expert_plans(mesh)["bp_mt"]
     assert len(plan) == 3
     state = engine.replay_plan(graph, mesh, list(plan))
-    assert footprint(state) <= 1500
+    assert footprint(state) <= 1100
 
 
 # --- properties of the closure and lowering kernels ---------------------------

@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import importlib
 import json
 import pathlib
 import re
@@ -105,3 +106,25 @@ def test_the_readme_report_example_has_the_keys_of_a_real_report(tmp_path):
         return sorted(r), sorted(r["goals"][0]), sorted(r["estimate"])
 
     assert keys(example) == keys(report)
+
+
+def test_every_function_the_bench_wraps_exists():
+    # bench/child.py patches `wrap(owner, "attr", ...)` over meshpart names;
+    # a rename would only surface when the benchmark runs
+    tree = ast.parse((ROOT / "bench" / "child.py").read_text(encoding="utf-8"))
+    wrapped = [
+        (ast.unparse(node.args[0]), node.args[1].value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "wrap"
+    ]
+    assert len(wrapped) >= 8
+    missing = []
+    for owner, attr in wrapped:
+        module, *path = owner.split(".")
+        obj = importlib.import_module(f"meshpart.{module}")
+        for name in path:
+            obj = getattr(obj, name, None)
+        if not callable(getattr(obj, attr, None)):
+            missing.append(f"{owner}.{attr}")
+    assert not missing, missing
