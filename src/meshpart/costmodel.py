@@ -34,12 +34,22 @@ Runtime is the sum of per-op local compute time and all collective times.
 Peak memory is the maximum over program points of live per-device bytes,
 with Parameter and OptimizerState arguments resident for the whole program.
 The penalized cost multiplies runtime by a soft over-limit factor.
+
+Each op's requirement scan and flops are memoized.  They read only the op's
+plan positions `(p, q, r)`, its flop-term positions `(q, r)` and the partial
+masks of its operands, so that tuple of masks is the memo key and the
+result (flops, gathers, partial entries, base values) is a pure function of
+it: a hit returns exactly what the scan would compute.  `cse_allgather`
+enters only in the per-state bookkeeping that reads the results, so one
+memo serves every config.  The memo and its intern table live on the root
+state's `engine._Compiled` and are freed with it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from itertools import accumulate
 from typing import Mapping
 
 from . import engine, ir
@@ -186,6 +196,47 @@ def _price(state: engine.ModuleState, cfg: CostModelConfig) -> tuple[list, CostE
     return events, CostEstimate(runtime, peak, counts, penalized)
 
 
+def _scan(comp: engine._Compiled, i: int, row: list[int]) -> tuple:
+    """(flops, gathers, partial entries, base values) of op `i`.
+
+    `row` is `fm + [0] + partials`; the result reads only the entries of
+    `comp.scan_keys[i]`, so it is a pure function of that key.  Per operand
+    slot, a dim's producer axes outside its requirement `fm[q] & fm[r]`
+    are gathered, and each partial bit of the operand is needed sharded
+    when some dim requires it.  Gathers are distinct `(v, gmask)` pairs,
+    partial entries distinct `((v, bit), needs_sharded)` pairs, and base
+    values the operands some slot reads as they are, each in slot order.
+    """
+    _, operand_idx, plans, (mult, terms) = comp.op_meta[i]
+    partial_at = comp.total_dims + 1
+    gathers: list[tuple[int, int]] = []
+    part_entries: list[tuple[tuple[int, int], bool]] = []
+    bases: list[int] = []
+    for v, plan in zip(operand_idx, plans):
+        gmask = 0
+        req_union = 0
+        for p, q, r in plan:
+            req = row[q] & row[r]
+            req_union |= req
+            gmask |= row[p] & ~req
+        if gmask and (v, gmask) not in gathers:
+            gathers.append((v, gmask))
+        # every partial bit the slot needs sharded becomes a ReduceScatter
+        needs_rs = False
+        for bit in _bits(row[partial_at + v]):
+            entry = ((v, bit), bool(req_union & bit))
+            needs_rs |= entry[1]
+            if entry not in part_entries:
+                part_entries.append(entry)
+        if not gmask and not needs_rs and v not in bases:
+            bases.append(v)
+    prod = comp.prod
+    n = mult
+    for size, q, r in terms:
+        n *= size // prod[row[q] & row[r]]
+    return n, tuple(gathers), tuple(part_entries), tuple(bases)
+
+
 def _analyze(
     state: engine.ModuleState, cfg: CostModelConfig
 ) -> tuple[list, float, float, int, dict[str, int]]:
@@ -200,8 +251,7 @@ def _analyze(
     partials = state._partials
     prod = comp.prod
     nvals = comp.nvals
-    op_meta = comp.op_meta
-    n_ops = len(op_meta)
+    n_ops = len(comp.op_meta)
 
     dmask = [0] * nvals  # per value, the axes on any of its dims
     for v, m in zip(comp.value_of, fm):
@@ -211,40 +261,35 @@ def _analyze(
     def local_bytes(v: int) -> int:
         return comp.nbytes[v] // prod[dmask[v]]
 
-    # --- requirement scan --------------------------------------------------
+    # --- requirement scan ----------------------------------------------------
     # For every operand slot, compare the producer's sharding to what this
-    # consumer's own result sharding requires, per the slot's plan.
+    # consumer's own result sharding requires, per the slot's plan.  Each
+    # op's scan comes from its memo (`_scan`); the bookkeeping below is
+    # the only part that depends on the config.
     part_req: dict[tuple[int, int], list[int]] = {}   # (v, bit) -> requiring ops
     part_full: dict[tuple[int, int], list[int]] = {}  # (v, bit) -> full-needing ops
     # (v, gmask, op) -> consumer ops; op is -1 when gathers are shared
     ag: dict[tuple[int, int, int], list[int]] = {}
     base_op = [-1] * nvals  # last op with a slot that reads the value's own buffer
+    row = fm + partials.tolist()
+    shared = cfg.cse_allgather
+    interned = comp.scan_results
+    flops = 0
 
-    for i, (_, operand_idx, plans, _) in enumerate(op_meta):
-        for v, plan in zip(operand_idx, plans):
-            gmask = 0
-            req_union = 0
-            for p, q, r in plan:
-                req = fm[q] & fm[r]
-                req_union |= req
-                gmask |= fm[p] & ~req
-            if gmask:
-                sites = ag.setdefault((v, gmask, -1 if cfg.cse_allgather else i), [])
-                if not sites or sites[-1] != i:
-                    sites.append(i)
-            # every partial bit the slot needs sharded becomes a ReduceScatter
-            needs_rs = False
-            if partials[v]:
-                for bit in _bits(partials[v]):
-                    if req_union & bit:
-                        needs_rs = True
-                        lst = part_req.setdefault((v, bit), [])
-                    else:
-                        lst = part_full.setdefault((v, bit), [])
-                    if not lst or lst[-1] != i:
-                        lst.append(i)
-            if not gmask and not needs_rs:
-                base_op[v] = i
+    for i, key_of, memo in zip(range(n_ops), comp.scan_keys, comp.scans):
+        key = key_of(row)
+        scan = memo.get(key)
+        if scan is None:
+            scan = _scan(comp, i, row)
+            scan = memo[key] = interned.setdefault(scan, scan)
+        n, gathers, part_entries, bases = scan
+        flops += n
+        for v, gmask in gathers:
+            ag.setdefault((v, gmask, -1 if shared else i), []).append(i)
+        for v_bit, needs_sharded in part_entries:
+            (part_req if needs_sharded else part_full).setdefault(v_bit, []).append(i)
+        for v in bases:
+            base_op[v] = i
 
     for o in comp.out_idx:
         for bit in _bits(partials[o]):
@@ -253,23 +298,30 @@ def _analyze(
     # --- collective placement ---------------------------------------------
     # pre[i]: collectives before op i, gathers then ReduceScatters, each
     # ordered by value and axes; post[i]: (v, bit) AllReduces right after it.
+    # n_events counts the events: the ops and the collectives.
     pre: list[list[tuple]] = [[] for _ in range(n_ops)]
     post: list[list[tuple[int, int]]] = [[] for _ in range(n_ops)]
+    n_events = n_ops
 
     for (v, gmask, _), consumers in sorted(ag.items()):
         pre[consumers[0]].append(("ag", v, gmask, consumers))
+        n_events += gmask.bit_count()
     for (v, bit), req_ops in sorted(part_req.items()):
         full_ops = [c for c in part_full.pop((v, bit), []) if c != _OUTPUT]
         pre[min(req_ops + full_ops)].append(("rs", v, bit, req_ops, full_ops))
+        n_events += 2 if full_ops else 1
     for v, bit in sorted(part_full):
         post[comp.producer_op[v]].append((v, bit))
+        n_events += 1
 
-    # --- event construction ------------------------------------------------
+    # --- events and buffers -------------------------------------------------
+    # A buffer live from event `start` through event `end` adds its bytes
+    # to delta[start] and takes them off at delta[end + 1].
     events: list = []
-    ev_of_op = [0] * n_ops
+    ev_of_op = [0] * n_ops + [-1]  # the -1 slot serves base_op's "no reader"
     base_read = [-1] * nvals  # last collective that touches the value's own buffer
-    def_ev = [0] * nvals
-    buffers: list[tuple[int, int, int]] = []  # (start event, end event, bytes)
+    last = max(n_events - 1, 0)
+    delta = [0] * (last + 2)
     deferred: list[tuple[int, list[int], int]] = []  # ends at consumers' op events
     comm_seconds = 0.0
     counts = {ALL_GATHER: 0, ALL_REDUCE: 0, REDUCE_SCATTER: 0}
@@ -299,7 +351,8 @@ def _analyze(
                     payload = comp.nbytes[v] // prod[remaining]
                     e = emit(ALL_GATHER, bit, payload, consumers[0], v)
                     if prev is not None:
-                        buffers.append((prev[0], e, prev[1]))
+                        delta[prev[0]] += prev[1]
+                        delta[e + 1] -= prev[1]
                     prev = (e, payload)
                 deferred.append((prev[0], consumers, prev[1]))
             else:
@@ -312,45 +365,29 @@ def _analyze(
                     ends.append(e2)  # scattered buffer feeds the gather
                     deferred.append((e2, full_ops, payload))
                 deferred.append((e, ends, payload // prod[bit]))
+        ev_of_op[i] = len(events)
         events.append(i)
-        ev_of_op[i] = def_ev[op_meta[i].result_idx] = len(events) - 1
         for v, bit in post[i]:
             emit(ALL_REDUCE, bit, local_bytes(v), i, v)
 
-    last = len(events) - 1 if events else 0
-
     for start, consumers, nbytes in deferred:
         end = max(c if c >= start else ev_of_op[c] for c in consumers)
-        buffers.append((start, end, nbytes))
-
-    for pinned, start, coll, op, nbytes, m in zip(
-        comp.live_to_end, def_ev, base_read, base_op, comp.nbytes, dmask
-    ):  # start is 0 for an argument
-        if pinned:
-            end = last
-        else:
-            end = max(coll, ev_of_op[op] if op >= 0 else -1, start)
-        buffers.append((start, end, nbytes // prod[m]))
-
-    # --- peak memory: sweep live bytes across events -----------------------
-    delta = [0] * (last + 2)
-    for start, end, nbytes in buffers:
         delta[start] += nbytes
         delta[end + 1] -= nbytes
-    peak = 0
-    live = 0
-    for d in delta[: last + 1]:
-        live += d
-        if live > peak:
-            peak = live
 
-    # --- local compute time ------------------------------------------------
-    flops = 0
-    for _, _, _, (mult, terms) in op_meta:
-        n = mult
-        for size, q, r in terms:
-            n *= size // prod[fm[q] & fm[r]]
-        flops += n
+    # a value's own buffer: an argument's from event 0, an op result's from
+    # its op's event (values are the arguments, then the op results)
+    def_ev = [0] * (nvals - n_ops) + ev_of_op[:n_ops]
+    for pinned, start, coll, op, nbytes, m in zip(
+        comp.live_to_end, def_ev, base_read, base_op, comp.nbytes, dmask
+    ):
+        end = last if pinned else max(coll, ev_of_op[op], start)
+        nbytes //= prod[m]
+        delta[start] += nbytes
+        delta[end + 1] -= nbytes
+
+    # --- peak memory: sweep live bytes across events -----------------------
+    peak = max(accumulate(delta[: last + 1], initial=0))
 
     compute_seconds = flops / cfg.flops_per_second
     return events, compute_seconds, comm_seconds, peak, counts

@@ -12,10 +12,10 @@ A state is made only from a legal action set.  `apply_action` (and so
 exactly when `apply_action` does.
 
 One table object, `_Compiled(graph, mesh)`, holds everything derived from
-the graph and the mesh: the propagation and lowering tables and the axis
-encoding.  It belongs to a root state: `initial_state` builds it, every
-state made from that root shares it, and a state reads its graph and mesh
-through it.  There is no process-wide cache, so each `initial_state` call
+the graph and the mesh: the propagation and lowering tables, the axis
+encoding and the pricing memo that `costmodel` fills.  It belongs to a
+root state: `initial_state` builds it, every state made from that root
+shares it, and a state reads its graph and mesh through it.  There is no process-wide cache, so each `initial_state` call
 compiles its own tables, and they are freed with the last state that holds
 them; a command builds its root once and hands it to every consumer.
 Graphs and meshes are valid by construction, and whether a mesh can shard
@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import array
 import dataclasses
+import operator
 from typing import NamedTuple
 
 from . import ir
@@ -164,6 +165,7 @@ class _Compiled:
         "producer_op", "out_idx", "groups", "group_pos", "group_rank", "group_members",
         "group_dims", "seed_base", "seed_slots", "offsets", "value_of", "total_dims",
         "instances", "op_meta", "part_of", "_sweeps", "digest_slots",
+        "scan_keys", "scans", "scan_results",
     )
 
     def __init__(self, graph: ir.Graph, mesh: ir.Mesh):
@@ -323,6 +325,23 @@ class _Compiled:
                 (mult, tuple(terms)) if mult else (0, ()),
             ))
         self.instances = tuple(instances)
+
+        # Pricing memo (`costmodel._analyze`): an op's requirement scan and
+        # flops read only the row `fm + [0] + partials` at its plan and flop
+        # positions and its operands' partial masks.  Per op, `scan_keys`
+        # gets those entries and `scans` maps them to the op's scan result;
+        # `scan_results` interns the results, so equal ones share one
+        # object.  An op that reads nothing (a constant) keys on the zero
+        # slot, which is always 0.
+        self.scan_keys = []
+        for meta in self.op_meta:
+            pos = {p for plan in meta.plans for entry in plan for p in entry}
+            pos.update(p for _, q, r in meta.flops[1] for p in (q, r))
+            pos.discard(zero)
+            pos.update(zero + 1 + v for v in meta.operand_idx)
+            self.scan_keys.append(operator.itemgetter(*sorted(pos) or (zero,)))
+        self.scans = [{} for _ in self.op_meta]
+        self.scan_results: dict[tuple, tuple] = {}
 
         # Components of the tie graph over dim positions: union the two
         # positions of every instance.  part_of[pos] is one bit per component

@@ -603,10 +603,10 @@ def test_a_transformer_state_stores_under_1100_bytes():
 # --- properties of the closure and lowering kernels ---------------------------
 
 
-def walk_states(graph_seed: int, wide: bool, picks: list[int]):
+def walk_states(graph_seed: int, wide: bool, picks: list[int], tied: bool = False):
     """The states of a random walk on a random graph, the start included."""
     rng = random.Random(graph_seed)
-    graph = random_graph(rng)
+    graph = self_tied_graph(rng) if tied else random_graph(rng)
     mesh = WIDE if wide else random_mesh(rng)
     state = engine.initial_state(graph, mesh)
     yield state
@@ -647,6 +647,51 @@ def test_estimates_agree_with_the_lowered_program(graph_seed, wide, picks):
             }
             assert est.runtime_seconds >= sum(cm.collective_time(c, cfg, mesh) for c in collectives)
             assert est.peak_memory_bytes >= resident
+
+
+def analysis(state: engine.ModuleState, cfg: cm.CostModelConfig) -> tuple:
+    """`_analyze`'s output, its float sums as `float.hex`: equal means bit-identical."""
+    events, compute_seconds, comm_seconds, peak, counts = cm._analyze(state, cfg)
+    return events, compute_seconds.hex(), comm_seconds.hex(), peak, counts
+
+
+def check_cold_and_warm_memos_agree(states: list[engine.ModuleState]) -> None:
+    """Each state priced from the memo its walk filled, and on fresh tables.
+
+    The walk's states share one `_Compiled`, so once every state has been
+    priced under both configs, each op's result comes from whichever state
+    first met its key.  A state's masks on new tables find empty memos.
+    """
+    cfgs = [cm.default_config(states[0].mesh, cse_allgather=cse) for cse in (False, True)]
+    for cfg in cfgs:
+        for state in states:
+            cm._analyze(state, cfg)
+    for state in states:
+        for cfg in cfgs:
+            cold = engine.ModuleState(
+                engine._Compiled(state.graph, state.mesh),
+                state._key, state.applied, state._fm, state._partials,
+            )
+            assert analysis(state, cfg) == analysis(cold, cfg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph_seed=SEEDS, wide=strategies.booleans(), tied=strategies.booleans(),
+       picks=strategies.lists(PICKS, max_size=5))
+def test_a_warm_pricing_memo_prices_like_a_cold_one(graph_seed, wide, tied, picks):
+    check_cold_and_warm_memos_agree(list(walk_states(graph_seed, wide, picks, tied)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=strategies.sampled_from(sorted(models.MODEL_BUILDERS)),
+       picks=strategies.lists(PICKS, max_size=8))
+def test_a_warm_pricing_memo_prices_model_walks_like_a_cold_one(name, picks):
+    mesh = ir.Mesh((ir.MeshAxis("batch", 2), ir.MeshAxis("model", 2)))
+    graph = models.build_named_model(name)
+    states = [engine.initial_state(graph, mesh)]
+    for a in random_walk(graph, mesh, picks):
+        states.append(engine.apply_action(states[-1], a))
+    check_cold_and_warm_memos_agree(states)
 
 
 def random_compiled(graph_seed: int, wide: bool, tied: bool) -> engine._Compiled:
@@ -903,11 +948,18 @@ def test_a_missing_link_fails_only_where_its_axis_carries_a_collective(graph_see
 
 
 def test_compiled_tables_are_freed_with_their_graph():
+    # pricing fills the memo and intern table on the root's tables; they
+    # must not hold the graph or a state
     mesh = ir.Mesh((ir.MeshAxis("batch", 2), ir.MeshAxis("model", 2)))
     graphs = [models.build_named_model("transformer") for _ in range(20)]
     for graph in graphs:
-        engine.initial_state(graph, mesh)
+        root = engine.initial_state(graph, mesh)
+        state = engine.apply_action(root, engine.legal_actions(root, None)[0])
+        for cse in (False, True):
+            for s in (root, state):
+                cm.estimate(s, cm.default_config(mesh, cse_allgather=cse))
+        assert root._comp.scans[0]
     refs = [weakref.ref(graph) for graph in graphs]
-    del graphs, graph
+    del graphs, graph, root, state, s
     gc.collect()
     assert all(ref() is None for ref in refs)
