@@ -273,7 +273,7 @@ def _analyze(
     base_op = [-1] * nvals  # last op with a slot that reads the value's own buffer
     row = fm + partials.tolist()
     shared = cfg.cse_allgather
-    interned = comp.scan_results
+    interned = comp.scan_interned
     flops = 0
 
     for i, key_of, memo in zip(range(n_ops), comp.scan_keys, comp.scans):
@@ -281,7 +281,7 @@ def _analyze(
         scan = memo.get(key)
         if scan is None:
             scan = _scan(comp, i, row)
-            scan = memo[key] = interned.setdefault(scan, scan)
+            scan = memo[interned.setdefault(key, key)] = interned.setdefault(scan, scan)
         n, gathers, part_entries, bases = scan
         flops += n
         for v, gmask in gathers:

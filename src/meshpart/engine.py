@@ -165,7 +165,7 @@ class _Compiled:
         "producer_op", "out_idx", "groups", "group_pos", "group_rank", "group_members",
         "group_dims", "seed_base", "seed_slots", "offsets", "value_of", "total_dims",
         "instances", "op_meta", "part_of", "_sweeps", "digest_slots",
-        "scan_keys", "scans", "scan_results",
+        "scan_keys", "scans", "scan_interned",
     )
 
     def __init__(self, graph: ir.Graph, mesh: ir.Mesh):
@@ -329,10 +329,11 @@ class _Compiled:
         # Pricing memo (`costmodel._analyze`): an op's requirement scan and
         # flops read only the row `fm + [0] + partials` at its plan and flop
         # positions and its operands' partial masks.  Per op, `scan_keys`
-        # gets those entries and `scans` maps them to the op's scan result;
-        # `scan_results` interns the results, so equal ones share one
-        # object.  An op that reads nothing (a constant) keys on the zero
-        # slot, which is always 0.
+        # gets those entries and `scans` maps them to the op's scan result.
+        # `scan_interned` holds one object per distinct key and result, so
+        # equal keys of different ops and equal results share it.  An op
+        # that reads nothing (a constant) keys on the zero slot, which is
+        # always 0.
         self.scan_keys = []
         for meta in self.op_meta:
             pos = {p for plan in meta.plans for entry in plan for p in entry}
@@ -341,7 +342,7 @@ class _Compiled:
             pos.update(zero + 1 + v for v in meta.operand_idx)
             self.scan_keys.append(operator.itemgetter(*sorted(pos) or (zero,)))
         self.scans = [{} for _ in self.op_meta]
-        self.scan_results: dict[tuple, tuple] = {}
+        self.scan_interned: dict = {}
 
         # Components of the tie graph over dim positions: union the two
         # positions of every instance.  part_of[pos] is one bit per component
