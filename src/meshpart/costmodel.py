@@ -261,7 +261,7 @@ def _analyze(
     def local_bytes(v: int) -> int:
         return comp.nbytes[v] // prod[dmask[v]]
 
-    # --- requirement scan ----------------------------------------------------
+    # --- requirement scan --------------------------------------------------
     # For every operand slot, compare the producer's sharding to what this
     # consumer's own result sharding requires, per the slot's plan.  Each
     # op's scan comes from its memo (`_scan`); the bookkeeping below is
@@ -314,7 +314,7 @@ def _analyze(
         post[comp.producer_op[v]].append((v, bit))
         n_events += 1
 
-    # --- events and buffers -------------------------------------------------
+    # --- events and buffers ------------------------------------------------
     # A buffer live from event `start` through event `end` adds its bytes
     # to delta[start] and takes them off at delta[end + 1].
     events: list = []
