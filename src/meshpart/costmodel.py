@@ -35,14 +35,15 @@ Peak memory is the maximum over program points of live per-device bytes,
 with Parameter and OptimizerState arguments resident for the whole program.
 The penalized cost multiplies runtime by a soft over-limit factor.
 
-Each op's requirement scan and flops are memoized.  They read only the op's
-plan positions `(p, q, r)`, its flop-term positions `(q, r)` and the partial
-masks of its operands, so that tuple of masks is the memo key and the
-result (flops, gathers, partial entries, base values) is a pure function of
-it: a hit returns exactly what the scan would compute.  `cse_allgather`
-enters only in the per-state bookkeeping that reads the results, so one
-memo serves every config.  The memo and its intern table live on the root
-state's `engine._Compiled` and are freed with it.
+A state is one mask row, laid out by `engine._Compiled`, which also holds
+the pricing memo and its intern table and frees them with the root state.
+Each op's requirement scan and flops are memoized.  They read only the
+row's entries at the op's plan positions `(p, q, r)`, its flop-term
+positions `(q, r)` and its operands' partial masks, so that tuple of masks
+is the memo key and the result (flops, gathers, partial entries, base
+values) is a pure function of it: a hit returns exactly what the scan
+would compute.  `cse_allgather` enters only in the per-state bookkeeping
+that reads the results, so one memo serves every config.
 """
 
 from __future__ import annotations
@@ -199,16 +200,16 @@ def _price(state: engine.ModuleState, cfg: CostModelConfig) -> tuple[list, CostE
 def _scan(comp: engine._Compiled, i: int, row: list[int]) -> tuple:
     """(flops, gathers, partial entries, base values) of op `i`.
 
-    `row` is `fm + [0] + partials`; the result reads only the entries of
-    `comp.scan_keys[i]`, so it is a pure function of that key.  Per operand
-    slot, a dim's producer axes outside its requirement `fm[q] & fm[r]`
-    are gathered, and each partial bit of the operand is needed sharded
-    when some dim requires it.  Gathers are distinct `(v, gmask)` pairs,
-    partial entries distinct `((v, bit), needs_sharded)` pairs, and base
-    values the operands some slot reads as they are, each in slot order.
+    `row` is a state's mask row (`engine._Compiled`); the result reads only
+    the entries of `comp.scan_keys[i]`, so it is a pure function of that
+    key.  Per operand slot, a dim's producer axes outside its requirement
+    `row[q] & row[r]` are gathered, and each partial bit of the operand is
+    needed sharded when some dim requires it.  Gathers are distinct
+    `(v, gmask)` pairs, partial entries distinct `((v, bit), needs_sharded)`
+    pairs, and base values the operands some slot reads as they are, each
+    in slot order.
     """
     _, operand_idx, plans, (mult, terms) = comp.op_meta[i]
-    partial_at = comp.total_dims + 1
     gathers: list[tuple[int, int]] = []
     part_entries: list[tuple[tuple[int, int], bool]] = []
     bases: list[int] = []
@@ -223,7 +224,7 @@ def _scan(comp: engine._Compiled, i: int, row: list[int]) -> tuple:
             gathers.append((v, gmask))
         # every partial bit the slot needs sharded becomes a ReduceScatter
         needs_rs = False
-        for bit in _bits(row[partial_at + v]):
+        for bit in _bits(row[comp.partial_base + v]):
             entry = ((v, bit), bool(req_union & bit))
             needs_rs |= entry[1]
             if entry not in part_entries:
@@ -246,15 +247,13 @@ def _analyze(
     bytes, site op index)`; `lower` turns them into ids and `Collective`s.
     """
     comp = state._comp
-    fm = state._fm.tolist()
-    fm.append(0)  # the zero slot that plans read at comp.total_dims
-    partials = state._partials
+    row = state._row.tolist()
     prod = comp.prod
     nvals = comp.nvals
     n_ops = len(comp.op_meta)
 
     dmask = [0] * nvals  # per value, the axes on any of its dims
-    for v, m in zip(comp.value_of, fm):
+    for v, m in zip(comp.value_of, row):  # dim positions only
         if m:
             dmask[v] |= m
 
@@ -271,7 +270,6 @@ def _analyze(
     # (v, gmask, op) -> consumer ops; op is -1 when gathers are shared
     ag: dict[tuple[int, int, int], list[int]] = {}
     base_op = [-1] * nvals  # last op with a slot that reads the value's own buffer
-    row = fm + partials.tolist()
     shared = cfg.cse_allgather
     interned = comp.scan_interned
     flops = 0
@@ -292,7 +290,7 @@ def _analyze(
             base_op[v] = i
 
     for o in comp.out_idx:
-        for bit in _bits(partials[o]):
+        for bit in _bits(row[comp.partial_base + o]):
             part_full.setdefault((o, bit), []).append(_OUTPUT)
 
     # --- collective placement ---------------------------------------------

@@ -13,11 +13,12 @@ exactly when `apply_action` does.
 
 One table object, `_Compiled(graph, mesh)`, holds everything derived from
 the graph and the mesh: the propagation and lowering tables, the axis
-encoding and the pricing memo that `costmodel` fills.  It belongs to a
-root state: `initial_state` builds it, every state made from that root
-shares it, and a state reads its graph and mesh through it.  There is no process-wide cache, so each `initial_state` call
-compiles its own tables, and they are freed with the last state that holds
-them; a command builds its root once and hands it to every consumer.
+encoding, the layout of a state's mask row and the pricing memo that
+`costmodel` fills.  It belongs to a root state: `initial_state` builds it,
+every state made from that root shares it, and a state reads its graph and
+mesh through it.  There is no process-wide cache, so each `initial_state`
+call compiles its own tables, and they are freed with the last state that
+holds them; a command builds its root once and hands it to every consumer.
 Graphs and meshes are valid by construction, and whether a mesh can shard
 a graph is an IR check (`models.check_mesh_compatibility`), so none is here.
 
@@ -120,13 +121,13 @@ class _OpMeta(NamedTuple):
     """Per-op lowering tables in absolute dim positions, derived from the ties.
 
     `plans[s]` holds one `(p, q, r)` per dim of operand slot s: the dim sits
-    at position p, and the op requires the axes `fm[q] & fm[r]` on it.  A
-    dim tied to a result dim reads that result dim twice; a contracting dim
-    reads both dims of its pair (a sum-reduced dim is contracted with
-    itself); any other dim reads the zero slot at position `total_dims`, one
-    past the last dim, twice.  The op's local flops are `flops[0]` times the
-    product of `size // prod[fm[q] & fm[r]]` over the `(size, q, r)` of
-    `flops[1]`: the result dims, then each contracted or reduced dim.
+    at row position p, and the op requires the axes `row[q] & row[r]` on it.
+    A dim tied to a result dim reads that result dim twice; a contracting
+    dim reads both dims of its pair (a sum-reduced dim is contracted with
+    itself); any other dim reads the row's zero slot (`_Compiled`) twice.
+    The op's local flops are `flops[0]` times the product of
+    `size // prod[row[q] & row[r]]` over the `(size, q, r)` of `flops[1]`:
+    the result dims, then each contracted or reduced dim.
     """
 
     result_idx: int
@@ -154,8 +155,14 @@ class _Compiled:
     """Propagation/lowering tables and the axis encoding for one graph on one mesh.
 
     Axis #k of the mesh is mask bit `1 << k`; `prod[mask]` is the product of
-    the sizes of the axes in `mask`.  `typecode` is the narrowest `array`
-    type that holds an axis mask; states store their masks in arrays of it.
+    the sizes of the axes in `mask`.  A closed state is one row of masks, an
+    `array` of `typecode` (the narrowest type for a mask), laid out here and
+    only here: `row[offsets[v] + d]`, below `total_dims`, holds the axes on
+    dim d of value v; `row[total_dims]` is the zero slot, which plans read
+    for a dim that must be unsharded; `row[partial_base + v]`, where
+    `partial_base = total_dims + 1`, holds the axes value v is partial over.
+    The zero slot stays 0, which plans and a constant's memo key rely on:
+    instances write only dim and partial positions, seeds only dim ones.
     """
 
     __slots__ = (
@@ -164,7 +171,7 @@ class _Compiled:
         "ids", "index", "dims", "nbytes", "nvals", "live_to_end",
         "producer_op", "out_idx", "groups", "group_pos", "group_rank", "group_members",
         "group_dims", "seed_base", "seed_slots", "offsets", "value_of", "total_dims",
-        "instances", "op_meta", "part_of", "_sweeps", "digest_slots",
+        "partial_base", "instances", "op_meta", "part_of", "_sweeps", "digest_slots",
         "scan_keys", "scans", "scan_interned",
     )
 
@@ -204,8 +211,9 @@ class _Compiled:
             self.offsets.append(total)
             total += len(d)
         self.total_dims = total
+        self.partial_base = total + 1
         self.value_of = [v for v, dims in enumerate(self.dims) for _ in dims]  # per dim position
-        zero = total  # plans read a zero slot one past the last dim
+        zero = total
 
         self.groups = sorted((g.id, tuple(self.index[m] for m in g.members)) for g in graph.groups)
         self.group_members = {gid: members for gid, members in self.groups}
@@ -327,19 +335,18 @@ class _Compiled:
         self.instances = tuple(instances)
 
         # Pricing memo (`costmodel._analyze`): an op's requirement scan and
-        # flops read only the row `fm + [0] + partials` at its plan and flop
-        # positions and its operands' partial masks.  Per op, `scan_keys`
-        # gets those entries and `scans` maps them to the op's scan result.
+        # flops read only a state's row at its plan and flop positions and
+        # its operands' partial masks.  Per op, `scan_keys` gets those
+        # entries and `scans` maps them to the op's scan result.
         # `scan_interned` holds one object per distinct key and result, so
         # equal keys of different ops and equal results share it.  An op
-        # that reads nothing (a constant) keys on the zero slot, which is
-        # always 0.
+        # that reads nothing (a constant) keys on the zero slot.
         self.scan_keys = []
         for meta in self.op_meta:
             pos = {p for plan in meta.plans for entry in plan for p in entry}
             pos.update(p for _, q, r in meta.flops[1] for p in (q, r))
             pos.discard(zero)
-            pos.update(zero + 1 + v for v in meta.operand_idx)
+            pos.update(self.partial_base + v for v in meta.operand_idx)
             self.scan_keys.append(operator.itemgetter(*sorted(pos) or (zero,)))
         self.scans = [{} for _ in self.op_meta]
         self.scan_interned: dict = {}
@@ -383,12 +390,12 @@ class _Compiled:
         return out
 
 
-def _close(comp: _Compiled, fm: list[int], partials: list[int]) -> list[int]:
-    """Run all propagation instances to a fixpoint.  Mutates fm/partials.
+def _close(comp: _Compiled, row: list[int]) -> list[int]:
+    """Run all propagation instances to a fixpoint on a mask row, in place.
 
-    Returns the per-value used-axis masks.  The instance list is swept in a
-    fixed order until no sweep changes anything, so the result depends only
-    on the seeded masks, never on arrival order.
+    `row` is laid out as `_Compiled` says.  Returns the per-value used-axis
+    masks.  The instance list is swept in a fixed order until no sweep
+    changes anything, so the result depends only on the seeded masks.
 
     Every instance `(partial, i, pi, size_i, j, pj, size_j, res)` ties dim
     position `pi` of value `i` to dim position `pj` of value `j`: each axis
@@ -419,20 +426,19 @@ def _close(comp: _Compiled, fm: list[int], partials: list[int]) -> list[int]:
       a dim fails again while the dim's mask stays put.  So the component
       never changes again.
     """
-    used = list(partials)
-    value_of = comp.value_of
+    used = row[comp.partial_base:]
     part_of = comp.part_of
     live = 0
-    for p, m in enumerate(fm):
+    for v, part, m in zip(comp.value_of, part_of, row):  # dim positions only
         if m:
-            used[value_of[p]] |= m
-            live |= part_of[p]
+            used[v] |= m
+            live |= part
     prod = comp.prod
     while live:
         changed = 0
         for partial, i, pi, size_i, j, pj, size_j, res in comp.sweep_of(live):
-            a = fm[pi]
-            c = fm[pj]
+            a = row[pi]
+            c = row[pj]
             if a != c:  # equal masks move no axis either way
                 m = a & ~used[j]
                 if m:
@@ -444,7 +450,7 @@ def _close(comp: _Compiled, fm: list[int], partials: list[int]) -> list[int]:
                             cur |= b
                             used[j] |= b
                             changed |= part_of[pi]
-                    fm[pj] = c = cur
+                    row[pj] = c = cur
                 m = c & ~used[i]
                 if m:
                     cur = a
@@ -455,11 +461,11 @@ def _close(comp: _Compiled, fm: list[int], partials: list[int]) -> list[int]:
                             cur |= b
                             used[i] |= b
                             changed |= part_of[pi]
-                    fm[pi] = a = cur
+                    row[pi] = a = cur
             if partial:
                 add = a & c & ~used[res]
                 if add:
-                    partials[res] |= add
+                    row[comp.partial_base + res] |= add
                     used[res] |= add
                     changed |= part_of[pi]
         live = changed
@@ -473,22 +479,20 @@ class ModuleState:
     actionable on that axis: a group leaves an axis's worklist as soon as any
     member carries that axis anywhere in its sharding, whether from a direct
     action or from propagation.  Arguments are never partial, so this is
-    read off the members' dim masks in `_fm` (`_Compiled.group_dims`).
+    read off the members' dim masks (`_Compiled.group_dims`).
 
-    Search keeps every state it reaches, so a state is stored compactly: the
-    per-dim axis masks (`_fm`) and per-value partial masks (`_partials`) are
-    arrays of the mesh's mask typecode, and the applied action set is one
-    int bitmask of seed indices (`_key`).
+    Search keeps every state it reaches, so a state is stored compactly: one
+    array row of closed masks (`_row`, laid out as `_Compiled` says) and one
+    int bitmask of the applied action set's seed indices (`_key`).
     """
 
-    __slots__ = ("applied", "fingerprint", "_comp", "_key", "_fm", "_partials")
+    __slots__ = ("applied", "fingerprint", "_comp", "_key", "_row")
 
-    def __init__(self, comp, key, applied, fm, partials):
+    def __init__(self, comp, key, applied, row):
         self._comp = comp
         self._key = key
         self.applied = applied
-        self._fm = fm
-        self._partials = partials
+        self._row = row
         self.fingerprint = Fingerprint(self._digest())
 
     @property
@@ -502,32 +506,32 @@ class ModuleState:
     @property
     def worklists(self) -> dict[str, frozenset[int]]:
         """Per mesh axis, the ids of the groups still actionable on it."""
-        comp, fm = self._comp, self._fm
+        comp, row = self._comp, self._row
         return {
             name: frozenset(
                 gid for (gid, _), dims in zip(comp.groups, comp.group_dims)
-                if not any(fm[p] & bit for p in dims)
+                if not any(row[p] & bit for p in dims)
             )
             for name, bit in comp.bit_of.items()
         }
 
     def _digest(self) -> str:
-        fm, labels = self._fm, self._comp.labels
+        row, labels = self._row, self._comp.labels
         return ";".join(
-            [head + labels[fm[pos]] for pos, head in self._comp.digest_slots if fm[pos]]
+            [head + labels[row[pos]] for pos, head in self._comp.digest_slots if row[pos]]
         ) or "()"
 
     @property
     def shardings(self) -> dict[str, ir.Sharding]:
         """Public per-value shardings; axes listed in mesh declaration order."""
-        comp, fm = self._comp, self._fm
+        comp, row = self._comp, self._row
         out = {}
         for v, vid in enumerate(comp.ids):
             base = comp.offsets[v]
             per_dim = tuple(
-                ir.DimSharding(tuple(comp.names(fm[base + d]))) for d in range(len(comp.dims[v]))
+                ir.DimSharding(tuple(comp.names(row[base + d]))) for d in range(len(comp.dims[v]))
             )
-            out[vid] = ir.Sharding(per_dim, frozenset(comp.names(self._partials[v])))
+            out[vid] = ir.Sharding(per_dim, frozenset(comp.names(row[comp.partial_base + v])))
         return out
 
     def sharding_of(self, value_id: str) -> ir.Sharding:
@@ -541,8 +545,7 @@ def _make_state(comp: _Compiled, key: int, applied: tuple) -> ModuleState:
     the parent's closed axes plus the new one, and the members of a group
     share their dims.
     """
-    fm = [0] * comp.total_dims
-    partials = [0] * comp.nvals
+    row = [0] * (comp.partial_base + comp.nvals)
     rest = key
     while rest:  # ascending seed index: (group, dim, axis) order
         low = rest & -rest
@@ -550,11 +553,9 @@ def _make_state(comp: _Compiled, key: int, applied: tuple) -> ModuleState:
         slot, k = divmod(low.bit_length() - 1, comp.nbits)
         gid, dim = comp.seed_slots[slot]
         for m in comp.group_members[gid]:
-            fm[comp.offsets[m] + dim] |= 1 << k
-    _close(comp, fm, partials)
-    return ModuleState(
-        comp, key, applied, array.array(comp.typecode, fm), array.array(comp.typecode, partials)
-    )
+            row[comp.offsets[m] + dim] |= 1 << k
+    _close(comp, row)
+    return ModuleState(comp, key, applied, array.array(comp.typecode, row))
 
 
 def initial_state(graph: ir.Graph, mesh: ir.Mesh) -> ModuleState:
@@ -578,17 +579,17 @@ def legal_actions(state: ModuleState, active_axis: str | None) -> list[Action]:
     if active_axis not in comp.bit_of:
         raise ShapeError(f"unknown mesh axis {active_axis!r}; mesh has {comp.axis_names}")
     bit = comp.bit_of[active_axis]
-    fm = state._fm
+    row = state._row
     actions = []
     for (gid, members), positions in zip(comp.groups, comp.group_dims):  # ascending group id
         for p in positions:
-            if fm[p] & bit:  # off the axis's worklist
+            if row[p] & bit:  # off the axis's worklist
                 break
         else:
             base = comp.offsets[members[0]]
             dims = comp.dims[members[0]]
             for d in range(len(dims)):
-                if dims[d] % comp.prod[fm[base + d] | bit] == 0:
+                if dims[d] % comp.prod[row[base + d] | bit] == 0:
                     actions.append(Action(gid, d, active_axis))
     return actions
 
@@ -614,17 +615,17 @@ def _seed_index(state: ModuleState, action: Action) -> int:
         )
     bit = comp.bit_of[action.axis]
     group_pos = comp.group_pos[action.group]
-    if any(state._fm[p] & bit for p in comp.group_dims[group_pos]):
+    if any(state._row[p] & bit for p in comp.group_dims[group_pos]):
         raise IllegalActionError(
             f"group {action.group} is no longer actionable on axis {action.axis!r}"
         )
     first = comp.group_members[action.group][0]
     pos = comp.offsets[first] + action.dim
     size = comp.dims[first][action.dim]
-    if size % comp.prod[state._fm[pos] | bit] != 0:
+    if size % comp.prod[state._row[pos] | bit] != 0:
         raise IllegalActionError(
             f"dim {action.dim} of group {action.group} (size {size}) not divisible "
-            f"by axis {action.axis!r} on top of {comp.names(state._fm[pos])}"
+            f"by axis {action.axis!r} on top of {comp.names(state._row[pos])}"
         )
     return (comp.seed_base[group_pos] + action.dim) * comp.nbits + bit.bit_length() - 1
 

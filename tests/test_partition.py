@@ -189,11 +189,12 @@ def test_closure_conflict_resolves_to_one_axis_deterministically():
     fm[p] = comp.bit_of["b"]
     fm[q] = comp.bit_of["a"]
     partials = [0] * comp.nvals
-    engine._close(comp, fm, partials)
+    row = fm + [0] + partials
+    engine._close(comp, row)
     # dim0 (size 4) cannot hold both a size-2 and a size-4 axis: the tie
     # of p, first in instance order, wins, and each seed stays put
-    assert (fm[p], fm[q], fm[v0]) == (comp.bit_of["b"], comp.bit_of["a"], comp.bit_of["b"])
-    assert partials == [0] * comp.nvals
+    assert (row[p], row[q], row[v0]) == (comp.bit_of["b"], comp.bit_of["a"], comp.bit_of["b"])
+    assert row[comp.partial_base:] == [0] * comp.nvals
 
 
 # --- legality and worklists --------------------------------------------------
@@ -426,13 +427,13 @@ def reference_state(state: engine.ModuleState) -> tuple[list[int], list[int], di
 
 def reference_digest(state: engine.ModuleState) -> str:
     """The digest spelled out group by group, dim by dim."""
-    comp, fm = state._comp, state._fm
+    comp, row = state._comp, state._row
     parts = []
     for gid, members in comp.groups:
         first = members[0]
         base = comp.offsets[first]
         for d in range(len(comp.dims[first])):
-            mask = fm[base + d]
+            mask = row[base + d]
             if mask:
                 parts.append(f"{gid}.{d}:{'+'.join(sorted(comp.names(mask)))}")
     return ";".join(parts) if parts else "()"
@@ -440,9 +441,13 @@ def reference_digest(state: engine.ModuleState) -> str:
 
 def check_against_reference(state: engine.ModuleState) -> None:
     fm, partials, worklists = reference_state(state)
-    assert state._fm.tolist() == fm
+    comp, row = state._comp, state._row.tolist()
+    # the row's shape first: one mask per dim position, the zero slot, and
+    # one partial mask per value (`engine._Compiled`)
+    assert len(row) == comp.partial_base + comp.nvals
+    assert row[comp.total_dims] == 0
+    assert row == fm + [0] + partials
     assert state.fingerprint.digest == reference_digest(state)
-    assert state._partials.tolist() == partials
     assert state.worklists == worklists
 
 
@@ -465,8 +470,7 @@ def test_permuted_action_sets_store_identical_state(graph_seed, wide, picks, dat
     except PlanReplayError:
         assume(False)  # this order is unreachable; nothing to compare
     first = engine.replay_plan(graph, mesh, seq)
-    assert again._fm == first._fm
-    assert again._partials == first._partials
+    assert again._row == first._row
     assert again.worklists == first.worklists
     assert again.fingerprint == first.fingerprint
     # one action set, one cache key, whatever the order
@@ -534,8 +538,7 @@ def test_the_state_cache_admits_exactly_the_actions_apply_action_does(graph_seed
                     else:
                         assert not isinstance(got, str), got
                         assert got._key == want._key
-                        assert got._fm == want._fm
-                        assert got._partials == want._partials
+                        assert got._row == want._row
                         accepted.add(action)
         legal = engine.legal_actions(state, None)
         assert sorted(legal) == sorted(accepted)
@@ -544,8 +547,7 @@ def test_the_state_cache_admits_exactly_the_actions_apply_action_does(graph_seed
         seq.append(legal[pick % len(legal)])
         state = cache.apply(state, seq[-1])
     replayed = engine.replay_plan(graph, mesh, seq)
-    assert replayed._fm == state._fm
-    assert replayed._partials == state._partials
+    assert replayed._row == state._row
     assert replayed.fingerprint.digest == state.fingerprint.digest
     cfg = cm.default_config(mesh)
     assert cm.estimate(replayed, cfg) == cm.estimate(state, cfg)
@@ -554,11 +556,11 @@ def test_the_state_cache_admits_exactly_the_actions_apply_action_does(graph_seed
 def test_masks_past_the_eighth_axis_are_stored_whole():
     graph = random_graph(random.Random(3))
     state = engine.initial_state(graph, WIDE)
-    assert state._fm.itemsize > 1
+    assert state._row.itemsize > 1
     a = engine.legal_actions(state, "ax8")[0]
     state = engine.apply_action(state, a)
     first = state._comp.group_members[a.group][0]
-    assert state._fm[state._comp.offsets[first] + a.dim] & 1 << 8
+    assert state._row[state._comp.offsets[first] + a.dim] & 1 << 8
     assert state.sharding_of(graph.args[first].id).per_dim[a.dim].axes[-1] == "ax8"
     check_against_reference(state)
 
@@ -591,13 +593,13 @@ def footprint(state: engine.ModuleState) -> int:
     )
 
 
-def test_a_transformer_state_stores_under_1100_bytes():
+def test_a_transformer_state_stores_under_1000_bytes():
     mesh = ir.Mesh((ir.MeshAxis("batch", 2), ir.MeshAxis("model", 2)))
     graph = models.build_named_model("transformer")
     plan = models.transformer_expert_plans(mesh)["bp_mt"]
     assert len(plan) == 3
     state = engine.replay_plan(graph, mesh, list(plan))
-    assert footprint(state) <= 1100
+    assert footprint(state) <= 1000
 
 
 # --- properties of the closure and lowering kernels ---------------------------
@@ -619,10 +621,9 @@ def walk_states(graph_seed: int, wide: bool, picks: list[int], tied: bool = Fals
 @given(graph_seed=SEEDS, wide=strategies.booleans(), picks=strategies.lists(PICKS, max_size=5))
 def test_closing_a_closed_state_again_changes_nothing(graph_seed, wide, picks):
     for state in walk_states(graph_seed, wide, picks):
-        fm, partials = state._fm.tolist(), state._partials.tolist()
-        engine._close(state._comp, fm, partials)
-        assert fm == state._fm.tolist()
-        assert partials == state._partials.tolist()
+        row = state._row.tolist()
+        engine._close(state._comp, row)
+        assert row == state._row.tolist()
 
 
 @settings(max_examples=100, deadline=None)
@@ -670,7 +671,7 @@ def check_cold_and_warm_memos_agree(states: list[engine.ModuleState]) -> None:
         for cfg in cfgs:
             cold = engine.ModuleState(
                 engine._Compiled(state.graph, state.mesh),
-                state._key, state.applied, state._fm, state._partials,
+                state._key, state.applied, state._row,
             )
             assert analysis(state, cfg) == analysis(cold, cfg)
 
@@ -719,9 +720,9 @@ def test_the_closure_matches_the_plain_sweep(graph_seed, wide, tied, mask_seed):
     comp, fm, partials = arbitrary_masks(graph_seed, wide, tied, mask_seed)
     ref_fm, ref_partials = fm[:], partials[:]
     ref_used = reference_close(comp, ref_fm, ref_partials)
-    assert engine._close(comp, fm, partials) == ref_used
-    assert fm == ref_fm
-    assert partials == ref_partials
+    row = fm + [0] + partials
+    assert engine._close(comp, row) == ref_used
+    assert row == ref_fm + [0] + ref_partials
 
 
 def tie_components(comp) -> list[set[int]]:
@@ -781,8 +782,9 @@ def test_a_component_without_masks_at_entry_stays_unsharded(graph_seed, wide, ti
     live = live_components(comp, fm)
     event(f"live components: {min(len(live), 3)}{'+' if len(live) >= 3 else ''}")
     dead = [part for part in tie_components(comp) if part not in live]
-    engine._close(comp, fm, partials)
-    assert all(fm[p] == 0 for part in dead for p in part)
+    row = fm + [0] + partials
+    engine._close(comp, row)
+    assert all(row[p] == 0 for part in dead for p in part)
 
 
 def test_the_property_examples_include_several_live_components():
@@ -794,11 +796,13 @@ def test_the_property_examples_include_several_live_components():
 
 
 def close_both_ways(comp, fm: list[int], partials: list[int]) -> tuple[list[int], list[int]]:
-    """`_close` the masks, check the result against `reference_close`, return it."""
+    """`_close` the masks as one row, check it against `reference_close`, return
+    the closed dim and partial masks."""
     ref_fm, ref_partials = fm[:], partials[:]
-    assert engine._close(comp, fm, partials) == reference_close(comp, ref_fm, ref_partials)
-    assert (fm, partials) == (ref_fm, ref_partials)
-    return fm, partials
+    row = fm + [0] + partials
+    assert engine._close(comp, row) == reference_close(comp, ref_fm, ref_partials)
+    assert row == ref_fm + [0] + ref_partials
+    return ref_fm, ref_partials
 
 
 def test_components_coupled_by_a_used_mask_close_in_instance_order():

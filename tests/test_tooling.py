@@ -2,7 +2,9 @@
 
 import argparse
 import ast
+import dataclasses
 import importlib
+import importlib.util
 import json
 import pathlib
 import re
@@ -128,3 +130,19 @@ def test_every_function_the_bench_wraps_exists():
         if not callable(getattr(obj, attr, None)):
             missing.append(f"{owner}.{attr}")
     assert not missing, missing
+
+
+def test_the_bench_gate_passes_a_real_search_report(tmp_path, monkeypatch):
+    # bench/run.py's gate replays the plan and compares its fingerprint,
+    # re-prices and lowers it; a change to what it reads would otherwise
+    # fail only the benchmark
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)  # dataclasses look their module up
+    monkeypatch.setattr(sys, "path", sys.path[:])  # run.py puts its src/ first
+    spec.loader.exec_module(run)
+    wl = dataclasses.replace(run.WORKLOADS["staged"], budget=6)
+    out = tmp_path / "report.json"
+    assert cli.main(run.cli_args(wl, 0) + ["--out", str(out)]) == 0
+    problems, lower_s = run.check_report(out.read_text(), run.Reference(wl, 0))
+    assert problems == [] and lower_s is not None
