@@ -36,14 +36,26 @@ with Parameter and OptimizerState arguments resident for the whole program.
 The penalized cost multiplies runtime by a soft over-limit factor.
 
 A state is one mask row, laid out by `engine._Compiled`, which also holds
-the pricing memo and its intern table and frees them with the root state.
-Each op's requirement scan and flops are memoized.  They read only the
-row's entries at the op's plan positions `(p, q, r)`, its flop-term
-positions `(q, r)` and its operands' partial masks, so that tuple of masks
-is the memo key and the result (flops, gathers, partial entries, base
-values) is a pure function of it: a hit returns exactly what the scan
-would compute.  `cse_allgather` enters only in the per-state bookkeeping
-that reads the results, so one memo serves every config.
+the pricing memo, its intern table and the analysis cache, and frees them
+with the root state.  Each op's requirement scan and flops are memoized.
+They read only the row's entries at the op's plan positions `(p, q, r)`,
+its flop-term positions `(q, r)` and its operands' partial masks, so that
+tuple of masks is the memo key and the result (flops, gathers, partial
+entries, base values) is a pure function of it: a hit returns exactly what
+the scan would compute.  `cse_allgather` enters only in the per-state
+bookkeeping that reads the results, so one memo serves every config.
+
+`estimate` also caches each state's penalty-free analysis (runtime, peak,
+counts), keyed first by the config fields `_analyze` reads
+(`flops_per_second`, `cse_allgather`, `links`) and then by the bytes of
+the state's mask row.  The analysis is a pure function of the row and
+those fields, so a hit is exact.  A digest would not do as the key: it
+covers the argument groups only, and states sharing one may differ in
+cost.  The memory limit and penalty slope stay out of the key: `_penalize`
+applies them after the lookup, so every goal's penalty and every seed of
+a command share one analysis per closed state.  `lower` runs `_analyze`
+itself, since it needs the events, and checks its costs with the same
+`_penalize`.
 """
 
 from __future__ import annotations
@@ -175,26 +187,40 @@ def _bits(mask: int):
 _OUTPUT = -1  # sentinel consumer: the module boundary itself
 
 
-def _price(state: engine.ModuleState, cfg: CostModelConfig) -> tuple[list, CostEstimate]:
-    """(events, estimate): the one place a state's costs are computed.
+def _penalize(
+    cfg: CostModelConfig, runtime: float, peak: int, counts: dict[str, int]
+) -> CostEstimate:
+    """The estimate of a penalty-free analysis under cfg's memory penalty.
 
-    Raises ConfigError when a cost does not convert to a finite float (a
-    model or cost config far out of range), so no estimate, report or
-    reward ever holds an infinite or NaN cost.
+    The one place the penalty is applied.  Raises ConfigError when a cost
+    does not convert to a finite float (a model or cost config far out of
+    range), so no estimate, report or reward ever holds an infinite or NaN
+    cost.
     """
     try:
-        events, compute_seconds, comm_seconds, peak, counts = _analyze(state, cfg)
-        runtime = compute_seconds + comm_seconds
         over = max(0.0, peak / cfg.memory_limit_bytes - 1.0)
         penalized = runtime * (1.0 + cfg.memory_penalty_slope * over)
     except OverflowError:  # an integer cost past the float range
-        runtime = penalized = math.inf
+        penalized = math.inf
     if not (math.isfinite(runtime) and math.isfinite(penalized)):
         raise ConfigError(
             f"the cost of this plan is not a finite number (runtime {runtime} s, "
             f"penalized cost {penalized}); the model or cost config is out of range"
         )
-    return events, CostEstimate(runtime, peak, counts, penalized)
+    return CostEstimate(runtime, peak, counts, penalized)
+
+
+def _analysis(state: engine.ModuleState, cfg: CostModelConfig) -> tuple:
+    """(events, runtime, peak bytes, counts by kind) from `_analyze`.
+
+    The runtime is infinite when an integer cost passes the float range,
+    so `_penalize` rejects it.
+    """
+    try:
+        events, compute_seconds, comm_seconds, peak, counts = _analyze(state, cfg)
+    except OverflowError:
+        return [], math.inf, 0, {}
+    return events, compute_seconds + comm_seconds, peak, counts
 
 
 def _scan(comp: engine._Compiled, i: int, row: list[int]) -> tuple:
@@ -393,18 +419,33 @@ def _analyze(
 
 def lower(state: engine.ModuleState, cfg: CostModelConfig) -> LoweredProgram:
     """Materialize the collective schedule implied by the state's shardings."""
+    events, *costs = _analysis(state, cfg)
+    _penalize(cfg, *costs)  # rejects what `estimate` rejects
     ops = state.graph.ops
     axis_name = state._comp.name_of_bit
     return LoweredProgram(tuple(
         ops[e].id if type(e) is int
         else Collective(e[0], axis_name[e[1]], e[2], ops[e[3]].id)
-        for e in _price(state, cfg)[0]
+        for e in events
     ))
 
 
 def estimate(state: engine.ModuleState, cfg: CostModelConfig) -> CostEstimate:
     """Simulated step time, peak per-device memory, and collective counts."""
-    return _price(state, cfg)[1]
+    comp = state._comp
+    by_row = comp.analyses.setdefault(_analysis_key(cfg), {})
+    row = state._row.tobytes()
+    costs = by_row.get(row)
+    if costs is None:
+        runtime, peak, counts = _analysis(state, cfg)[1:]
+        counts = comp.counts_interned.setdefault(tuple(counts.values()), counts)
+        costs = by_row[row] = runtime, peak, counts
+    return _penalize(cfg, *costs)
+
+
+def _analysis_key(cfg: CostModelConfig) -> tuple:
+    """The config fields `_analyze` reads: all but the memory limit and slope."""
+    return cfg.flops_per_second, cfg.cse_allgather, tuple(cfg.links.items())
 
 
 # --- configuration serialization -------------------------------------------

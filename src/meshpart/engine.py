@@ -13,12 +13,13 @@ exactly when `apply_action` does.
 
 One table object, `_Compiled(graph, mesh)`, holds everything derived from
 the graph and the mesh: the propagation and lowering tables, the axis
-encoding, the layout of a state's mask row and the pricing memo that
-`costmodel` fills.  It belongs to a root state: `initial_state` builds it,
-every state made from that root shares it, and a state reads its graph and
-mesh through it.  There is no process-wide cache, so each `initial_state`
-call compiles its own tables, and they are freed with the last state that
-holds them; a command builds its root once and hands it to every consumer.
+encoding, one `Action` per seed index, the layout of a state's mask row,
+and the pricing memo and analysis cache that `costmodel` fills.  It
+belongs to a root state: `initial_state` builds it, every state made from
+that root shares it, and a state reads its graph and mesh through it.
+There is no process-wide cache, so each `initial_state` call compiles its
+own tables, and they are freed with the last state that holds them; a
+command builds its root once and hands it to every consumer.
 Graphs and meshes are valid by construction, and whether a mesh can shard
 a graph is an IR check (`models.check_mesh_compatibility`), so none is here.
 
@@ -172,7 +173,7 @@ class _Compiled:
         "producer_op", "out_idx", "groups", "group_pos", "group_rank", "group_members",
         "group_dims", "seed_base", "seed_slots", "offsets", "value_of", "total_dims",
         "partial_base", "instances", "op_meta", "part_of", "_sweeps", "digest_slots",
-        "scan_keys", "scans", "scan_interned",
+        "scan_keys", "scans", "scan_interned", "analyses", "counts_interned", "actions",
     )
 
     def __init__(self, graph: ir.Graph, mesh: ir.Mesh):
@@ -233,6 +234,10 @@ class _Compiled:
         for gid, members in self.groups:
             self.seed_base.append(len(self.seed_slots))
             self.seed_slots.extend((gid, d) for d in range(len(self.dims[members[0]])))
+        # one `Action` per seed index, which `legal_actions` hands out
+        self.actions = tuple(
+            Action(gid, d, name) for gid, d in self.seed_slots for name in self.axis_names
+        )
         # digest entries: the dims of each group's first member, in seed-slot order
         self.digest_slots = tuple(
             (self.offsets[self.group_members[gid][0]] + d, f"{gid}.{d}:")
@@ -350,6 +355,11 @@ class _Compiled:
             self.scan_keys.append(operator.itemgetter(*sorted(pos) or (zero,)))
         self.scans = [{} for _ in self.op_meta]
         self.scan_interned: dict = {}
+        # `costmodel.estimate`'s penalty-free analyses: config key -> row
+        # bytes -> (runtime, peak, counts); rows with equal collective counts
+        # share one counts dict, kept in `counts_interned` under its values
+        self.analyses: dict = {}
+        self.counts_interned: dict = {}
 
         # Components of the tie graph over dim positions: union the two
         # positions of every instance.  part_of[pos] is one bit per component
@@ -534,9 +544,6 @@ class ModuleState:
             out[vid] = ir.Sharding(per_dim, frozenset(comp.names(row[comp.partial_base + v])))
         return out
 
-    def sharding_of(self, value_id: str) -> ir.Sharding:
-        return self.shardings[value_id]
-
 
 def _make_state(comp: _Compiled, key: int, applied: tuple) -> ModuleState:
     """Seed the actions of `key`, a legal action set, and close.
@@ -579,18 +586,21 @@ def legal_actions(state: ModuleState, active_axis: str | None) -> list[Action]:
     if active_axis not in comp.bit_of:
         raise ShapeError(f"unknown mesh axis {active_axis!r}; mesh has {comp.axis_names}")
     bit = comp.bit_of[active_axis]
+    nbits = comp.nbits
     row = state._row
     actions = []
-    for (gid, members), positions in zip(comp.groups, comp.group_dims):  # ascending group id
+    # groups in ascending id
+    for (_, members), positions, seed in zip(comp.groups, comp.group_dims, comp.seed_base):
         for p in positions:
             if row[p] & bit:  # off the axis's worklist
                 break
         else:
             base = comp.offsets[members[0]]
             dims = comp.dims[members[0]]
+            first = seed * nbits + bit.bit_length() - 1  # the seed index of dim 0
             for d in range(len(dims)):
                 if dims[d] % comp.prod[row[base + d] | bit] == 0:
-                    actions.append(Action(gid, d, active_axis))
+                    actions.append(comp.actions[first + d * nbits])
     return actions
 
 

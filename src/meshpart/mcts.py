@@ -6,9 +6,11 @@ action order and action set that closes to the same argument-group shardings
 shares one set of statistics.  A fingerprint does not cover op results,
 which different action sets may shard differently: a node holds the state of
 the action set that first expanded into it, and the estimate cache keeps the
-cost of the first state priced under a digest.  During expansion, actions
-that land on an already-known child of the current node are skipped and
-never simulated again.
+cost of the first state priced under a digest.  So the digest cache decides
+*which* state's cost a digest gets; pricing that state is exact per mask row
+(`costmodel.estimate` caches analyses by row across goals and seeds).
+During expansion, actions that land on an already-known child of the
+current node are skipped and never simulated again.
 
 Each trajectory runs selection (UCT over children), one expansion, and a
 uniform random rollout that may stop early: at every rollout step the stop

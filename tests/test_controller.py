@@ -4,7 +4,7 @@ import pytest
 
 from meshpart import controller as ctl
 from meshpart import costmodel as cm
-from meshpart import engine, ir
+from meshpart import engine, ir, models
 from meshpart.errors import ConfigError
 
 A2 = ir.Mesh((ir.MeshAxis("a", 2),))
@@ -254,3 +254,38 @@ def test_unrestricted_goal_uses_every_axis():
     axes_used = {a.axis for a in out.plan}
     assert axes_used <= {"a", "b"}
     assert out.goal_outcomes[0].result.trajectories_used == 300
+
+
+def outcome_summary(out: ctl.ScheduleOutcome) -> tuple:
+    return out.plan, out.final_cost, [
+        (o.budget, o.committed, o.result.best_cost, o.result.trajectories_to_best,
+         o.result.distinct_states_visited, o.result.best_state.applied)
+        for o in out.goal_outcomes
+    ]
+
+
+def test_a_root_shared_across_seeds_changes_no_outcome(monkeypatch):
+    # every seed of a command starts from one root, whose tables keep the
+    # analyses of the states earlier seeds priced
+    real_analyze = cm._analyze
+    calls = []
+
+    def counted(state, cfg):
+        calls.append(None)
+        return real_analyze(state, cfg)
+
+    monkeypatch.setattr(cm, "_analyze", counted)
+    graph = models.build_named_model("gns")
+    s = ctl.builtin_schedule("RT_MP_ALL", AB, 300)
+    fresh = ctl.run_schedule(engine.initial_state(graph, AB), s, seed=1)
+    fresh_calls = len(calls)
+    shared = engine.initial_state(graph, AB)
+    ctl.run_schedule(shared, s, seed=0)
+    calls.clear()
+    warm = ctl.run_schedule(shared, s, seed=1)
+    assert outcome_summary(warm) == outcome_summary(fresh)
+    assert 0 < len(calls) < fresh_calls
+    calls.clear()
+    again = ctl.run_schedule(shared, s, seed=1)
+    assert outcome_summary(again) == outcome_summary(fresh)
+    assert calls == []

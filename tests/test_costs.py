@@ -217,8 +217,9 @@ def test_partial_feeding_a_sharded_consumer_reduce_scatters():
         engine.Action(0, 0, "a"),
         engine.Action(2, 0, "a"),
     )
-    assert st.sharding_of("v0").partial_axes == {"a"}
-    assert st.sharding_of("v1").per_dim[0].axes == ("a",)
+    sh = st.shardings
+    assert sh["v0"].partial_axes == {"a"}
+    assert sh["v1"].per_dim[0].axes == ("a",)
     prog = cm.lower(st, clean_cfg(A2))
     (c,) = prog.collectives
     assert c.kind == cm.REDUCE_SCATTER

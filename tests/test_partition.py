@@ -1,6 +1,7 @@
 """Sharding propagation, action legality, fingerprints, and state identity."""
 
 import dataclasses
+import functools
 import gc
 import random
 import sys
@@ -33,9 +34,10 @@ def test_elementwise_ties_dims_across_operands_and_result():
         b.output(b.add("x", "y"))
 
     st = engine.apply_action(engine.initial_state(build(g), A2), engine.Action(0, 0, "a"))
-    assert st.sharding_of("x").per_dim[0].axes == ("a",)
-    assert st.sharding_of("y").per_dim[0].axes == ("a",)
-    assert st.sharding_of("v0").per_dim[0].axes == ("a",)
+    sh = st.shardings
+    assert sh["x"].per_dim[0].axes == ("a",)
+    assert sh["y"].per_dim[0].axes == ("a",)
+    assert sh["v0"].per_dim[0].axes == ("a",)
 
 
 def test_partial_markers_do_not_cross_elementwise_ops():
@@ -47,8 +49,9 @@ def test_partial_markers_do_not_cross_elementwise_ops():
 
     st = engine.initial_state(build(g), A2)
     st = engine.apply_action(st, engine.Action(0, 0, "a"))
-    assert st.sharding_of("v0").partial_axes == frozenset({"a"})
-    assert st.sharding_of("v1").partial_axes == frozenset()
+    sh = st.shardings
+    assert sh["v0"].partial_axes == frozenset({"a"})
+    assert sh["v1"].partial_axes == frozenset()
 
 
 def test_dot_contraction_ties_operands_and_marks_result_partial():
@@ -59,11 +62,12 @@ def test_dot_contraction_ties_operands_and_marks_result_partial():
 
     start = engine.initial_state(build(g), A2)
     st = engine.apply_action(start, engine.Action(0, 0, "a"))
+    sh = st.shardings
     # the contracting tie spreads the axis to the other operand, so one
     # action already yields a matched contraction and a partial result
-    assert st.sharding_of("w").per_dim[0].axes == ("a",)
-    assert st.sharding_of("v0").partial_axes == frozenset({"a"})
-    assert all(d.axes == () for d in st.sharding_of("v0").per_dim)
+    assert sh["w"].per_dim[0].axes == ("a",)
+    assert sh["v0"].partial_axes == frozenset({"a"})
+    assert all(d.axes == () for d in sh["v0"].per_dim)
     assert 1 not in st.worklists["a"]
 
 
@@ -76,11 +80,12 @@ def test_dot_batch_and_free_dims_tie_operands_to_result():
         )
 
     st = engine.apply_action(engine.initial_state(build(g), AB), engine.Action(0, 0, "a"))
+    sh = st.shardings
     # batch dim ties lhs ↔ rhs ↔ result
-    assert st.sharding_of("w").per_dim[0].axes == ("a",)
-    assert st.sharding_of("v0").per_dim[0].axes == ("a",)
+    assert sh["w"].per_dim[0].axes == ("a",)
+    assert sh["v0"].per_dim[0].axes == ("a",)
     st = engine.apply_action(st, engine.Action(0, 1, "b"))
-    assert st.sharding_of("v0").per_dim[1].axes == ("b",)  # lhs free dim
+    assert st.shardings["v0"].per_dim[1].axes == ("b",)  # lhs free dim
 
 
 def test_reduce_sum_over_sharded_dim_becomes_partial():
@@ -89,8 +94,9 @@ def test_reduce_sum_over_sharded_dim_becomes_partial():
         b.output(b.reduce("x", (0,), kind="sum"))
 
     st = engine.apply_action(engine.initial_state(build(g), A2), engine.Action(0, 0, "a"))
-    assert st.sharding_of("v0").partial_axes == frozenset({"a"})
-    assert st.sharding_of("v0").per_dim[0].axes == ()
+    sh = st.shardings
+    assert sh["v0"].partial_axes == frozenset({"a"})
+    assert sh["v0"].per_dim[0].axes == ()
 
 
 def test_reduce_max_over_sharded_dim_stays_unsharded():
@@ -99,8 +105,9 @@ def test_reduce_max_over_sharded_dim_stays_unsharded():
         b.output(b.reduce("x", (0,), kind="max"))
 
     st = engine.apply_action(engine.initial_state(build(g), A2), engine.Action(0, 0, "a"))
-    assert st.sharding_of("v0").partial_axes == frozenset()
-    assert st.sharding_of("v0").per_dim[0].axes == ()
+    sh = st.shardings
+    assert sh["v0"].partial_axes == frozenset()
+    assert sh["v0"].per_dim[0].axes == ()
 
 
 def test_reduce_kept_dims_tie_through():
@@ -109,7 +116,7 @@ def test_reduce_kept_dims_tie_through():
         b.output(b.reduce("x", (0,), kind="sum"))
 
     st = engine.apply_action(engine.initial_state(build(g), A2), engine.Action(0, 1, "a"))
-    assert st.sharding_of("v0").per_dim[0].axes == ("a",)
+    assert st.shardings["v0"].per_dim[0].axes == ("a",)
 
 
 def test_transpose_maps_dims_through_permutation():
@@ -118,8 +125,9 @@ def test_transpose_maps_dims_through_permutation():
         b.output(b.transpose("x", (1, 0)))
 
     st = engine.apply_action(engine.initial_state(build(g), A2), engine.Action(0, 0, "a"))
-    assert st.sharding_of("v0").per_dim[1].axes == ("a",)
-    assert st.sharding_of("v0").per_dim[0].axes == ()
+    sh = st.shardings
+    assert sh["v0"].per_dim[1].axes == ("a",)
+    assert sh["v0"].per_dim[0].axes == ()
 
 
 def test_reshape_propagates_only_whole_preserved_dims():
@@ -129,10 +137,10 @@ def test_reshape_propagates_only_whole_preserved_dims():
 
     # dim0 survives the reshape (same size, same prefix product): propagates
     st = engine.apply_action(engine.initial_state(build(g), A2), engine.Action(0, 0, "a"))
-    assert st.sharding_of("v0").per_dim[0].axes == ("a",)
+    assert st.shardings["v0"].per_dim[0].axes == ("a",)
     # dim1 is split 4 -> (2, 2): does not propagate
     st = engine.apply_action(engine.initial_state(build(g), A2), engine.Action(0, 1, "a"))
-    assert all(d.axes == () for d in st.sharding_of("v0").per_dim)
+    assert all(d.axes == () for d in st.shardings["v0"].per_dim)
 
 
 def test_group_members_always_share_shardings():
@@ -143,8 +151,9 @@ def test_group_members_always_share_shardings():
         b.output(b.add("x", "w0"))  # w1 is only reached through its group
 
     st = engine.apply_action(engine.initial_state(build(g), A2), engine.Action(0, 0, "a"))
-    assert st.sharding_of("w0") == st.sharding_of("w1")
-    assert st.sharding_of("w1").per_dim[0].axes == ("a",)
+    sh = st.shardings
+    assert sh["w0"] == sh["w1"]
+    assert sh["w1"].per_dim[0].axes == ("a",)
 
 
 def test_conflicting_axes_on_one_dim_append_when_divisible():
@@ -156,7 +165,7 @@ def test_conflicting_axes_on_one_dim_append_when_divisible():
     st = engine.initial_state(build(g), AB)
     st = engine.apply_action(st, engine.Action(0, 0, "a"))
     st = engine.apply_action(st, engine.Action(1, 0, "b"))
-    assert set(st.sharding_of("v0").per_dim[0].axes) == {"a", "b"}
+    assert set(st.shardings["v0"].per_dim[0].axes) == {"a", "b"}
 
 
 def test_seeding_atop_a_propagated_axis_requires_divisibility():
@@ -167,7 +176,7 @@ def test_seeding_atop_a_propagated_axis_requires_divisibility():
 
     st = engine.apply_action(engine.initial_state(build(g), AB), engine.Action(0, 0, "a"))
     # closure already put 'a' on y dim0; size 2 cannot also take 'b'
-    assert st.sharding_of("y").per_dim[0].axes == ("a",)
+    assert st.shardings["y"].per_dim[0].axes == ("a",)
     with pytest.raises(IllegalActionError):
         engine.apply_action(st, engine.Action(1, 0, "b"))
 
@@ -225,6 +234,15 @@ def test_legal_actions_all_axes_follow_mesh_order():
         engine.Action(0, 0, "b"),
         engine.Action(0, 1, "b"),
     ]
+
+
+def test_equal_legal_actions_of_two_states_are_one_object():
+    start = engine.initial_state(matmul_bias_graph(), AB)
+    st = engine.apply_action(start, engine.Action(0, 0, "a"))
+    before = {a: a for a in engine.legal_actions(start, None)}
+    after = engine.legal_actions(st, None)
+    assert after
+    assert all(before[a] is a for a in after)
 
 
 def test_group_leaves_worklist_once_sharded_even_by_propagation():
@@ -561,7 +579,7 @@ def test_masks_past_the_eighth_axis_are_stored_whole():
     state = engine.apply_action(state, a)
     first = state._comp.group_members[a.group][0]
     assert state._row[state._comp.offsets[first] + a.dim] & 1 << 8
-    assert state.sharding_of(graph.args[first].id).per_dim[a.dim].axes[-1] == "ax8"
+    assert state.shardings[graph.args[first].id].per_dim[a.dim].axes[-1] == "ax8"
     check_against_reference(state)
 
 
@@ -631,11 +649,12 @@ def test_closing_a_closed_state_again_changes_nothing(graph_seed, wide, picks):
 def test_estimates_agree_with_the_lowered_program(graph_seed, wide, picks):
     for state in walk_states(graph_seed, wide, picks):
         mesh = state.mesh
+        shardings = state.shardings
         resident = 0
         for arg in state.graph.args:
             if arg.role in (ir.Role.PARAMETER, ir.Role.OPTIMIZER_STATE):
                 shards = 1
-                for dim in state.sharding_of(arg.id).per_dim:
+                for dim in shardings[arg.id].per_dim:
                     for axis in dim.axes:
                         shards *= mesh.axis_size(axis)
                 resident += arg.type.byte_size // shards
@@ -693,6 +712,96 @@ def test_a_warm_pricing_memo_prices_model_walks_like_a_cold_one(name, picks):
     for a in random_walk(graph, mesh, picks):
         states.append(engine.apply_action(states[-1], a))
     check_cold_and_warm_memos_agree(states)
+
+
+def pricing_configs(mesh: ir.Mesh) -> list[cm.CostModelConfig]:
+    """Eight configs that differ in each field `estimate` reads.
+
+    Each (`cse_allgather`, links) pair comes under two memory penalties, so
+    every config shares its analysis key with one other, and its key differs
+    from others' in `cse_allgather` alone or in one link alone.
+    """
+    links = cm.default_config(mesh).links
+    slow = {**links, mesh.axis_names[0]: cm.AxisLink(cm.DEFAULT_BANDWIDTH / 3, cm.DEFAULT_LATENCY)}
+    return [
+        cm.default_config(
+            mesh, memory_penalty_slope=slope, memory_limit_bytes=limit,
+            cse_allgather=cse, links=slow if k % 2 else links,
+        )
+        for k, (slope, limit) in enumerate(((0.0, 2.0**20), (1.0, 2.0**20), (2.0, 64.0), (4.0, 64.0)))
+        for cse in (False, True)
+    ]
+
+
+def check_warm_and_cold_analyses_agree(states: list[engine.ModuleState]) -> None:
+    """Each state's estimates on the shared root's analysis cache, and on fresh tables.
+
+    The states share one root, and each is priced under every config in
+    turn, so most of them hit analyses that another config or another state
+    left in the cache.  A state's row on new tables finds the cache empty.
+    """
+    cfgs = pricing_configs(states[0].mesh)
+    warm = [[cm.estimate(state, cfg) for cfg in cfgs] for state in states]
+    for state, estimates in zip(states, warm):
+        for cfg, est in zip(cfgs, estimates):
+            cold = cm.estimate(engine.ModuleState(
+                engine._Compiled(state.graph, state.mesh), state._key, state.applied, state._row,
+            ), cfg)
+            assert est.runtime_seconds.hex() == cold.runtime_seconds.hex()
+            assert est.penalized_cost.hex() == cold.penalized_cost.hex()
+            assert est == cold
+
+
+def walks_from_one_root(graph: ir.Graph, mesh: ir.Mesh, walks: list[list[int]]):
+    """The states of several random walks from one root, the root first."""
+    root = engine.initial_state(graph, mesh)
+    states = [root]
+    for picks in walks:
+        state = root
+        for pick in picks:
+            legal = engine.legal_actions(state, None)
+            if not legal:
+                break
+            state = engine.apply_action(state, legal[pick % len(legal)])
+            states.append(state)
+    return states
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph_seed=SEEDS, wide=strategies.booleans(), tied=strategies.booleans(),
+       walks=strategies.lists(strategies.lists(PICKS, max_size=5), min_size=1, max_size=3))
+def test_a_warm_analysis_cache_prices_like_a_cold_one(graph_seed, wide, tied, walks):
+    rng = random.Random(graph_seed)
+    graph = self_tied_graph(rng) if tied else random_graph(rng)
+    mesh = WIDE if wide else random_mesh(rng)
+    check_warm_and_cold_analyses_agree(walks_from_one_root(graph, mesh, walks))
+
+
+@settings(max_examples=20, deadline=None)
+@given(name=strategies.sampled_from(sorted(models.MODEL_BUILDERS)),
+       walks=strategies.lists(strategies.lists(PICKS, max_size=8), min_size=1, max_size=3))
+def test_a_warm_analysis_cache_prices_model_walks_like_a_cold_one(name, walks):
+    mesh = ir.Mesh((ir.MeshAxis("batch", 2), ir.MeshAxis("model", 2)))
+    graph = models.build_named_model(name)
+    check_warm_and_cold_analyses_agree(walks_from_one_root(graph, mesh, walks))
+
+
+@pytest.mark.parametrize("name, plans", [
+    ("gns", ([(9, 0), (3, 1)], [(9, 0), (0, 1)])),
+    ("transformer", ([(3, 2), (11, 0)], [(3, 2), (5, 0)])),
+])
+def test_states_sharing_a_digest_are_priced_by_their_rows(name, plans):
+    # a digest covers the argument groups only, so it does not key an analysis
+    mesh = ir.Mesh((ir.MeshAxis("batch", 2), ir.MeshAxis("model", 2)))
+    root = engine.initial_state(models.build_named_model(name), mesh)
+    a, b = (
+        functools.reduce(engine.apply_action, [engine.Action(g, d, "batch") for g, d in plan], root)
+        for plan in plans
+    )
+    assert a.fingerprint == b.fingerprint and a._row != b._row
+    cfg = cm.default_config(mesh)
+    assert cm.estimate(a, cfg) != cm.estimate(b, cfg)
+    check_warm_and_cold_analyses_agree([root, a, b])
 
 
 def random_compiled(graph_seed: int, wide: bool, tied: bool) -> engine._Compiled:
@@ -879,6 +988,7 @@ def test_walk_states_of_the_models_match_the_list_closure(name, picks):
 def local_flops(state: engine.ModuleState) -> int:
     """Per-device flops of the state's ops, counted from its public shardings."""
     mesh = state.mesh
+    shardings = state.shardings
 
     def shards(axes) -> int:
         n = 1
@@ -887,7 +997,7 @@ def local_flops(state: engine.ModuleState) -> int:
         return n
 
     def dim_axes(vid: str, d: int) -> tuple[str, ...]:
-        return state.sharding_of(vid).per_dim[d].axes
+        return shardings[vid].per_dim[d].axes
 
     graph = state.graph
     dims = {a.id: a.type.dims for a in graph.args} | {op.id: op.result_type.dims for op in graph.ops}
@@ -952,8 +1062,8 @@ def test_a_missing_link_fails_only_where_its_axis_carries_a_collective(graph_see
 
 
 def test_compiled_tables_are_freed_with_their_graph():
-    # pricing fills the memo and intern table on the root's tables; they
-    # must not hold the graph or a state
+    # pricing fills the memo, its intern table and the analysis cache on the
+    # root's tables; they must not hold the graph or a state
     mesh = ir.Mesh((ir.MeshAxis("batch", 2), ir.MeshAxis("model", 2)))
     graphs = [models.build_named_model("transformer") for _ in range(20)]
     for graph in graphs:
@@ -963,6 +1073,7 @@ def test_compiled_tables_are_freed_with_their_graph():
             for s in (root, state):
                 cm.estimate(s, cm.default_config(mesh, cse_allgather=cse))
         assert root._comp.scans[0]
+        assert [len(by_row) for by_row in root._comp.analyses.values()] == [2, 2]
     refs = [weakref.ref(graph) for graph in graphs]
     del graphs, graph, root, state, s
     gc.collect()
