@@ -47,8 +47,10 @@ bookkeeping that reads the results, so one memo serves every config.
 
 `estimate` also caches each state's penalty-free analysis (runtime, peak,
 counts), keyed first by the config fields `_analyze` reads
-(`flops_per_second`, `cse_allgather`, `links`) and then by the bytes of
-the state's mask row.  The analysis is a pure function of the row and
+(`flops_per_second`, `cse_allgather`, `links`) and then by the row itself,
+so the cache holds no copy.  A row is `bytes` on meshes of up to 8 axes
+(`engine._Compiled`), and `bytes()` of it is the same object; a wider
+row's key is its bytes.  The analysis is a pure function of the row and
 those fields, so a hit is exact.  A digest would not do as the key: it
 covers the argument groups only, and states sharing one may differ in
 cost.  The memory limit and penalty slope stay out of the key: `_penalize`
@@ -63,7 +65,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from itertools import accumulate
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from . import engine, ir
 from .errors import ConfigError
@@ -223,7 +225,7 @@ def _analysis(state: engine.ModuleState, cfg: CostModelConfig) -> tuple:
     return events, compute_seconds + comm_seconds, peak, counts
 
 
-def _scan(comp: engine._Compiled, i: int, row: list[int]) -> tuple:
+def _scan(comp: engine._Compiled, i: int, row: Sequence[int]) -> tuple:
     """(flops, gathers, partial entries, base values) of op `i`.
 
     `row` is a state's mask row (`engine._Compiled`); the result reads only
@@ -273,7 +275,7 @@ def _analyze(
     bytes, site op index)`; `lower` turns them into ids and `Collective`s.
     """
     comp = state._comp
-    row = state._row.tolist()
+    row = state._row
     prod = comp.prod
     nvals = comp.nvals
     n_ops = len(comp.op_meta)
@@ -434,7 +436,7 @@ def estimate(state: engine.ModuleState, cfg: CostModelConfig) -> CostEstimate:
     """Simulated step time, peak per-device memory, and collective counts."""
     comp = state._comp
     by_row = comp.analyses.setdefault(_analysis_key(cfg), {})
-    row = state._row.tobytes()
+    row = bytes(state._row)  # a `bytes` row itself: the cache keeps no copy
     costs = by_row.get(row)
     if costs is None:
         runtime, peak, counts = _analysis(state, cfg)[1:]

@@ -13,7 +13,9 @@ exactly when `apply_action` does.
 
 One table object, `_Compiled(graph, mesh)`, holds everything derived from
 the graph and the mesh: the propagation and lowering tables, the axis
-encoding, one `Action` per seed index, the layout of a state's mask row,
+encoding, one `Action` per seed index, the layout and storage of a state's
+mask row (immutable `bytes` when a mask fits one byte, that is on meshes
+of up to 8 axes, an `array` beyond that), the seed writes of every action,
 and the pricing memo and analysis cache that `costmodel` fills.  It
 belongs to a root state: `initial_state` builds it, every state made from
 that root shares it, and a state reads its graph and mesh through it.
@@ -34,7 +36,9 @@ The closure sweeps the propagation instances in one fixed order until a
 sweep changes nothing, but only those of *live* components: the instances
 tie dim positions into connected components, and a sweep runs the
 components that hold an axis at entry (first sweep) or that the sweep
-before changed.  This is exact.  Axes move only along ties, so a component
+before changed.  The seeds are the only axes at entry, so whoever writes
+them also records the entry's used masks and live components, from the
+same seed table.  This is exact.  Axes move only along ties, so a component
 with no axis at entry stays empty.  A component that a whole sweep left
 unchanged can change only through its own instances, and what the other
 components do since then only removes candidate axes (it grows the
@@ -67,6 +71,7 @@ from __future__ import annotations
 
 import array
 import dataclasses
+import functools
 import operator
 from typing import NamedTuple
 
@@ -156,24 +161,31 @@ class _Compiled:
     """Propagation/lowering tables and the axis encoding for one graph on one mesh.
 
     Axis #k of the mesh is mask bit `1 << k`; `prod[mask]` is the product of
-    the sizes of the axes in `mask`.  A closed state is one row of masks, an
-    `array` of `typecode` (the narrowest type for a mask), laid out here and
-    only here: `row[offsets[v] + d]`, below `total_dims`, holds the axes on
-    dim d of value v; `row[total_dims]` is the zero slot, which plans read
-    for a dim that must be unsharded; `row[partial_base + v]`, where
-    `partial_base = total_dims + 1`, holds the axes value v is partial over.
-    The zero slot stays 0, which plans and a constant's memo key rely on:
-    instances write only dim and partial positions, seeds only dim ones.
+    the sizes of the axes in `mask`.  A closed state is one row of masks,
+    laid out here and only here: `row[offsets[v] + d]`, below `total_dims`,
+    holds the axes on dim d of value v; `row[total_dims]` is the zero slot,
+    which plans read for a dim that must be unsharded;
+    `row[partial_base + v]`, where `partial_base = total_dims + 1`, holds
+    the axes value v is partial over.  The zero slot stays 0, which plans
+    and a constant's memo key rely on: instances write only dim and partial
+    positions, seeds only dim ones.
+
+    `pack` stores a closed row, and is chosen here and only here: an
+    immutable `bytes` when every mask fits one byte (up to 8 axes), else an
+    `array` of the narrowest type for a mask.  A `bytes` row is its own
+    key in the analysis cache (`costmodel.estimate`), so that cache holds
+    no copy of it.
     """
 
     __slots__ = (
         "graph", "mesh", "axis_names", "bit_of", "name_of_bit", "prod", "nbits",
-        "typecode", "labels",
+        "pack", "labels",
         "ids", "index", "dims", "nbytes", "nvals", "live_to_end",
         "producer_op", "out_idx", "groups", "group_pos", "group_rank", "group_members",
-        "group_dims", "seed_base", "seed_slots", "offsets", "value_of", "total_dims",
-        "partial_base", "instances", "op_meta", "part_of", "_sweeps", "digest_slots",
-        "scan_keys", "scans", "scan_interned", "analyses", "counts_interned", "actions",
+        "group_dims", "seed_base", "seed_writes", "offsets", "value_of",
+        "total_dims", "partial_base", "instances", "op_meta", "part_of", "_sweeps",
+        "digest_slots", "scan_keys", "scans", "scan_interned", "analyses", "counts_interned",
+        "actions", "seed_of",
     )
 
     def __init__(self, graph: ir.Graph, mesh: ir.Mesh):
@@ -187,9 +199,12 @@ class _Compiled:
         for mask in range(1, 1 << self.nbits):
             low = mask & -mask
             self.prod[mask] = self.prod[mask ^ low] * mesh.axes[low.bit_length() - 1].size
-        self.typecode = next(
-            code for code in "BHILQ" if array.array(code).itemsize * 8 >= self.nbits
-        )
+        if self.nbits <= 8:
+            self.pack = lambda row: bytes(bytearray(row))
+        else:
+            self.pack = functools.partial(array.array, next(
+                code for code in "HILQ" if array.array(code).itemsize * 8 >= self.nbits
+            ))
         self.labels = _Labels(self.name_of_bit)
 
         self.ids = [a.id for a in graph.args] + [op.id for op in graph.ops]
@@ -230,18 +245,19 @@ class _Compiled:
         # (seed_base[group position] + dim) * n + k, so ascending seed
         # indices run in (group, dim, axis) order.
         self.seed_base = []
-        self.seed_slots = []
+        seed_slots = []
         for gid, members in self.groups:
-            self.seed_base.append(len(self.seed_slots))
-            self.seed_slots.extend((gid, d) for d in range(len(self.dims[members[0]])))
+            self.seed_base.append(len(seed_slots))
+            seed_slots.extend((gid, d) for d in range(len(self.dims[members[0]])))
         # one `Action` per seed index, which `legal_actions` hands out
         self.actions = tuple(
-            Action(gid, d, name) for gid, d in self.seed_slots for name in self.axis_names
+            Action(gid, d, name) for gid, d in seed_slots for name in self.axis_names
         )
+        self.seed_of = {action: index for index, action in enumerate(self.actions)}
         # digest entries: the dims of each group's first member, in seed-slot order
         self.digest_slots = tuple(
             (self.offsets[self.group_members[gid][0]] + d, f"{gid}.{d}:")
-            for gid, d in self.seed_slots
+            for gid, d in seed_slots
         )
 
         instances: list[tuple] = []
@@ -380,6 +396,15 @@ class _Compiled:
             for p in (inst[2], inst[5]):
                 self.part_of[p] = bit_of_root.setdefault(find(p), 1 << len(bit_of_root))
         self._sweeps: dict[int, tuple] = {}
+        # per seed slot, the writes that seeding it makes: one
+        # `(position, value, component bit)` per group member
+        self.seed_writes = tuple(
+            tuple(
+                (self.offsets[m] + d, m, self.part_of[self.offsets[m] + d])
+                for m in self.group_members[gid]
+            )
+            for gid, d in seed_slots
+        )
 
     def sweep_of(self, live: int) -> tuple:
         """The instances of the components in mask `live`, in instance order."""
@@ -400,11 +425,16 @@ class _Compiled:
         return out
 
 
-def _close(comp: _Compiled, row: list[int]) -> list[int]:
+def _close(comp: _Compiled, row: list[int], used: list[int], live: int) -> None:
     """Run all propagation instances to a fixpoint on a mask row, in place.
 
-    `row` is laid out as `_Compiled` says.  Returns the per-value used-axis
-    masks.  The instance list is swept in a fixed order until no sweep
+    `row` is laid out as `_Compiled` says.  The caller hands over the entry
+    with it: `used[v]`, the OR of value v's dim masks and its partial mask,
+    and `live`, the OR of `_Compiled.part_of` over the nonzero dim
+    positions.  `_make_state` writes the seeds, the only nonzero masks at
+    entry, and records both from the same seed table (`seed_writes`), so
+    they are what a scan of the row would find.  `used` is updated in
+    place.  The instance list is swept in a fixed order until no sweep
     changes anything, so the result depends only on the seeded masks.
 
     Every instance `(partial, i, pi, size_i, j, pj, size_j, res)` ties dim
@@ -436,13 +466,7 @@ def _close(comp: _Compiled, row: list[int]) -> list[int]:
       a dim fails again while the dim's mask stays put.  So the component
       never changes again.
     """
-    used = row[comp.partial_base:]
     part_of = comp.part_of
-    live = 0
-    for v, part, m in zip(comp.value_of, part_of, row):  # dim positions only
-        if m:
-            used[v] |= m
-            live |= part
     prod = comp.prod
     while live:
         changed = 0
@@ -479,21 +503,20 @@ def _close(comp: _Compiled, row: list[int]) -> list[int]:
                     used[res] |= add
                     changed |= part_of[pi]
         live = changed
-    return used
 
 
 class ModuleState:
     """A propagation-closed assignment of shardings for one graph on one mesh.
 
-    Immutable.  `worklists` maps each mesh axis to the set of group ids still
-    actionable on that axis: a group leaves an axis's worklist as soon as any
+    Immutable.  A group is actionable on an axis (`legal_actions`) until any
     member carries that axis anywhere in its sharding, whether from a direct
     action or from propagation.  Arguments are never partial, so this is
     read off the members' dim masks (`_Compiled.group_dims`).
 
     Search keeps every state it reaches, so a state is stored compactly: one
-    array row of closed masks (`_row`, laid out as `_Compiled` says) and one
-    int bitmask of the applied action set's seed indices (`_key`).
+    row of closed masks (`_row`, laid out and stored as `_Compiled` says:
+    `bytes` when a mask fits one byte, an `array` beyond that) and one int
+    bitmask of the applied action set's seed indices (`_key`).
     """
 
     __slots__ = ("applied", "fingerprint", "_comp", "_key", "_row")
@@ -512,18 +535,6 @@ class ModuleState:
     @property
     def mesh(self) -> ir.Mesh:
         return self._comp.mesh
-
-    @property
-    def worklists(self) -> dict[str, frozenset[int]]:
-        """Per mesh axis, the ids of the groups still actionable on it."""
-        comp, row = self._comp, self._row
-        return {
-            name: frozenset(
-                gid for (gid, _), dims in zip(comp.groups, comp.group_dims)
-                if not any(row[p] & bit for p in dims)
-            )
-            for name, bit in comp.bit_of.items()
-        }
 
     def _digest(self) -> str:
         row, labels = self._row, self._comp.labels
@@ -546,23 +557,29 @@ class ModuleState:
 
 
 def _make_state(comp: _Compiled, key: int, applied: tuple) -> ModuleState:
-    """Seed the actions of `key`, a legal action set, and close.
+    """Seed the actions of `key`, a legal action set, close, and pack the row.
 
-    Every seed divides its dim: a legal seed's axes there are a subset of
-    the parent's closed axes plus the new one, and the members of a group
-    share their dims.
+    Each seed's writes (`_Compiled.seed_writes`) also give `_close` its
+    entry: the used masks of the values they write, and the components of
+    the positions.  Every seed divides its dim: a legal seed's axes there
+    are a subset of the parent's closed axes plus the new one, and the
+    members of a group share their dims.
     """
     row = [0] * (comp.partial_base + comp.nvals)
+    used = [0] * comp.nvals
+    live = 0
     rest = key
     while rest:  # ascending seed index: (group, dim, axis) order
         low = rest & -rest
         rest ^= low
         slot, k = divmod(low.bit_length() - 1, comp.nbits)
-        gid, dim = comp.seed_slots[slot]
-        for m in comp.group_members[gid]:
-            row[comp.offsets[m] + dim] |= 1 << k
-    _close(comp, row)
-    return ModuleState(comp, key, applied, array.array(comp.typecode, row))
+        bit = 1 << k
+        for pos, v, part in comp.seed_writes[slot]:
+            row[pos] |= bit
+            used[v] |= bit
+            live |= part
+    _close(comp, row, used, live)
+    return ModuleState(comp, key, applied, comp.pack(row))
 
 
 def initial_state(graph: ir.Graph, mesh: ir.Mesh) -> ModuleState:
@@ -664,20 +681,26 @@ class StateCache:
     Search and enumeration revisit the same states through many action
     orders; since a state is a pure function of its action set, the closure
     is computed once per distinct set.  Every state the cache makes shares
-    `start`'s tables.  `apply` checks the action with the same rule as
-    `apply_action`, on a hit too, so it raises exactly when `apply_action`
-    does, with the same message.
+    `start`'s tables.  `apply` checks the action once, with the rule of
+    `apply_action`: itself on a hit, through `apply_action` on a miss.  So
+    it raises exactly when `apply_action` does, with the same message.  An
+    action with no seed index (`_Compiled.seed_of`) has an unknown axis,
+    group or dim, and goes to `apply_action`, which rejects it.
     """
 
     def __init__(self, start: ModuleState):
         self._states: dict[int, ModuleState] = {start._key: start}
 
     def apply(self, state: ModuleState, action: Action) -> ModuleState:
-        key = state._key | 1 << _seed_index(state, action)
-        hit = self._states.get(key)
-        if hit is None:
-            hit = self._states[key] = apply_action(state, action)
-        return hit
+        index = state._comp.seed_of.get(action)
+        if index is not None:
+            hit = self._states.get(state._key | 1 << index)
+            if hit is not None:
+                _seed_index(state, action)  # raises as `apply_action` would
+                return hit
+        made = apply_action(state, action)
+        self._states[made._key] = made
+        return made
 
     def __len__(self) -> int:
         return len(self._states)

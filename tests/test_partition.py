@@ -24,6 +24,36 @@ def build(fn) -> ir.Graph:
     return b.build()
 
 
+def worklists(state: engine.ModuleState) -> dict[str, frozenset[int]]:
+    """Per mesh axis, the ids of the groups still actionable on it: those
+    with no member carrying the axis on any dim."""
+    comp, row = state._comp, state._row
+    return {
+        name: frozenset(
+            gid for (gid, _), dims in zip(comp.groups, comp.group_dims)
+            if not any(row[p] & bit for p in dims)
+        )
+        for name, bit in comp.bit_of.items()
+    }
+
+
+def close_row(comp, row: list[int]) -> list[int]:
+    """`engine._close` a hand-seeded row in place; return the used masks.
+
+    Scans the row for the entry `_close` takes from its caller: per value,
+    the OR of its dim masks and its partial mask, and the components of
+    the nonzero dim positions.
+    """
+    used = row[comp.partial_base:]
+    live = 0
+    for v, part, m in zip(comp.value_of, comp.part_of, row):  # dim positions only
+        if m:
+            used[v] |= m
+            live |= part
+    engine._close(comp, row, used, live)
+    return used
+
+
 # --- per-rule propagation behavior -------------------------------------------
 
 
@@ -68,7 +98,7 @@ def test_dot_contraction_ties_operands_and_marks_result_partial():
     assert sh["w"].per_dim[0].axes == ("a",)
     assert sh["v0"].partial_axes == frozenset({"a"})
     assert all(d.axes == () for d in sh["v0"].per_dim)
-    assert 1 not in st.worklists["a"]
+    assert 1 not in worklists(st)["a"]
 
 
 def test_dot_batch_and_free_dims_tie_operands_to_result():
@@ -199,7 +229,7 @@ def test_closure_conflict_resolves_to_one_axis_deterministically():
     fm[q] = comp.bit_of["a"]
     partials = [0] * comp.nvals
     row = fm + [0] + partials
-    engine._close(comp, row)
+    close_row(comp, row)
     # dim0 (size 4) cannot hold both a size-2 and a size-4 axis: the tie
     # of p, first in instance order, wins, and each seed stays put
     assert (row[p], row[q], row[v0]) == (comp.bit_of["b"], comp.bit_of["a"], comp.bit_of["b"])
@@ -254,10 +284,10 @@ def test_group_leaves_worklist_once_sharded_even_by_propagation():
         b.output(b.add(y, "c"))
 
     start = engine.initial_state(build(g), A2)
-    assert start.worklists["a"] == {0, 1, 2}
+    assert worklists(start)["a"] == {0, 1, 2}
     st = engine.apply_action(start, engine.Action(0, 0, "a"))
     # propagation sharded c through the add, so c is no longer actionable
-    assert st.worklists["a"] == {1}
+    assert worklists(st)["a"] == {1}
     with pytest.raises(IllegalActionError):
         engine.apply_action(st, engine.Action(2, 0, "a"))
 
@@ -274,7 +304,7 @@ def test_worklists_shrink_monotonically():
                 break
             nxt = engine.apply_action(st, rng.choice(legal))
             for axis in mesh.axis_names:
-                assert nxt.worklists[axis] <= st.worklists[axis]
+                assert worklists(nxt)[axis] <= worklists(st)[axis]
             st = nxt
 
 
@@ -372,6 +402,48 @@ def test_state_cache_returns_identical_objects():
     assert len(cache) >= 2
 
 
+def test_the_state_cache_checks_each_action_once(monkeypatch):
+    calls = {"_seed_index": 0, "apply_action": 0}
+
+    def counted(name: str):
+        fn = getattr(engine, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(engine, name, wrapper)
+
+    counted("_seed_index")
+    counted("apply_action")
+    root = engine.initial_state(matmul_bias_graph(), AB)
+    cache = engine.StateCache(root)
+    x, w = engine.Action(0, 0, "a"), engine.Action(1, 1, "b")
+
+    def apply(state, action, calls_apply_action: bool):
+        """`cache.apply`, which must run `_seed_index` once either way."""
+        before = dict(calls)
+        try:
+            return cache.apply(state, action)
+        finally:
+            assert calls["_seed_index"] - before["_seed_index"] == 1
+            assert calls["apply_action"] - before["apply_action"] == calls_apply_action
+
+    # `apply_action` runs once per new state, and never on a hit
+    sx = apply(root, x, True)
+    assert apply(root, x, False) is sx
+    sxw = apply(sx, w, True)
+    sw = apply(root, w, True)
+    assert apply(sw, x, False) is sxw  # the same set, reached the other way
+    # illegal on a hit (an applied action), and with no seed index at all,
+    # which `apply_action` rejects
+    with pytest.raises(IllegalActionError):
+        apply(sx, x, False)
+    with pytest.raises(IllegalActionError):
+        apply(sx, engine.Action(0, 0, "zz"), True)
+    assert len(cache) == 4
+
+
 # --- compact state storage ----------------------------------------------------
 
 # nine axes: masks no longer fit one byte, so states use a wider typecode
@@ -433,14 +505,14 @@ def reference_state(state: engine.ModuleState) -> tuple[list[int], list[int], di
         for m in comp.group_members[a.group]:
             fm[comp.offsets[m] + a.dim] |= comp.bit_of[a.axis]
     used = reference_close(comp, fm, partials)
-    worklists = {
+    actionable = {
         name: frozenset(
             gid for gid, members in comp.groups
             if all(used[m] & comp.bit_of[name] == 0 for m in members)
         )
         for name in comp.axis_names
     }
-    return fm, partials, worklists
+    return fm, partials, actionable
 
 
 def reference_digest(state: engine.ModuleState) -> str:
@@ -458,15 +530,15 @@ def reference_digest(state: engine.ModuleState) -> str:
 
 
 def check_against_reference(state: engine.ModuleState) -> None:
-    fm, partials, worklists = reference_state(state)
-    comp, row = state._comp, state._row.tolist()
+    fm, partials, want_worklists = reference_state(state)
+    comp, row = state._comp, list(state._row)
     # the row's shape first: one mask per dim position, the zero slot, and
     # one partial mask per value (`engine._Compiled`)
     assert len(row) == comp.partial_base + comp.nvals
     assert row[comp.total_dims] == 0
     assert row == fm + [0] + partials
     assert state.fingerprint.digest == reference_digest(state)
-    assert state.worklists == worklists
+    assert worklists(state) == want_worklists
 
 
 SEEDS = strategies.integers(0, 2**32 - 1)
@@ -489,7 +561,7 @@ def test_permuted_action_sets_store_identical_state(graph_seed, wide, picks, dat
         assume(False)  # this order is unreachable; nothing to compare
     first = engine.replay_plan(graph, mesh, seq)
     assert again._row == first._row
-    assert again.worklists == first.worklists
+    assert worklists(again) == worklists(first)
     assert again.fingerprint == first.fingerprint
     # one action set, one cache key, whatever the order
     root = engine.initial_state(graph, mesh)
@@ -583,6 +655,45 @@ def test_masks_past_the_eighth_axis_are_stored_whole():
     check_against_reference(state)
 
 
+def test_rows_are_bytes_while_a_mask_fits_one_byte():
+    graph = random_graph(random.Random(3))
+    eight = ir.Mesh(tuple(ir.MeshAxis(f"ax{i}", 2) for i in range(8)))
+    for mesh, narrow in ((AB, True), (eight, True), (WIDE, False)):
+        root = engine.initial_state(graph, mesh)
+        state = engine.apply_action(root, engine.legal_actions(root, None)[-1])
+        for s in (root, state):
+            assert (type(s._row) is bytes) == narrow
+
+
+def random_action_set(comp: engine._Compiled, rng: random.Random) -> tuple[int, tuple]:
+    """A random set of seed indices, legal or not, and its actions."""
+    n = len(comp.actions)
+    key = rng.getrandbits(n) & rng.getrandbits(n)
+    return key, tuple(a for i, a in enumerate(comp.actions) if key >> i & 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_seed=SEEDS, wide=strategies.booleans(), tied=strategies.booleans(),
+       key_seed=SEEDS)
+def test_states_made_from_random_action_sets_match_the_list_closure(
+    graph_seed, wide, tied, key_seed
+):
+    comp = random_compiled(graph_seed, wide, tied)
+    key, applied = random_action_set(comp, random.Random(key_seed))
+    check_against_reference(engine._make_state(comp, key, applied))
+
+
+@pytest.mark.parametrize("name", sorted(models.MODEL_BUILDERS))
+def test_model_states_made_from_random_action_sets_match_the_list_closure(name):
+    mesh = ir.Mesh((ir.MeshAxis("batch", 2), ir.MeshAxis("model", 2)))
+    comp = engine._Compiled(models.build_named_model(name), mesh)
+    if name != "unet":  # seeds that write two or more members
+        assert max(len(members) for _, members in comp.groups) >= 2
+    rng = random.Random(0)
+    for _ in range(20):
+        check_against_reference(engine._make_state(comp, *random_action_set(comp, rng)))
+
+
 def footprint(state: engine.ModuleState) -> int:
     """Bytes a state holds of its own: sys.getsizeof summed over its fields.
 
@@ -639,9 +750,9 @@ def walk_states(graph_seed: int, wide: bool, picks: list[int], tied: bool = Fals
 @given(graph_seed=SEEDS, wide=strategies.booleans(), picks=strategies.lists(PICKS, max_size=5))
 def test_closing_a_closed_state_again_changes_nothing(graph_seed, wide, picks):
     for state in walk_states(graph_seed, wide, picks):
-        row = state._row.tolist()
-        engine._close(state._comp, row)
-        assert row == state._row.tolist()
+        row = list(state._row)
+        close_row(state._comp, row)
+        assert row == list(state._row)
 
 
 @settings(max_examples=100, deadline=None)
@@ -804,6 +915,19 @@ def test_states_sharing_a_digest_are_priced_by_their_rows(name, plans):
     check_warm_and_cold_analyses_agree([root, a, b])
 
 
+def test_the_analysis_cache_keys_each_analysis_by_a_priced_row_itself():
+    mesh = ir.Mesh((ir.MeshAxis("batch", 2), ir.MeshAxis("model", 2)))
+    graph = models.build_named_model("transformer")
+    states = walks_from_one_root(graph, mesh, [[3, 1, 4, 1, 5], [9, 2, 6], [5, 3, 5, 8]])
+    cfg = cm.default_config(mesh)
+    for state in states:
+        cm.estimate(state, cfg)
+    (by_row,) = states[0]._comp.analyses.values()
+    assert len(by_row) == len({bytes(s._row) for s in states})
+    rows = {id(s._row) for s in states}
+    assert all(id(key) in rows for key in by_row)  # no copy of a row
+
+
 def random_compiled(graph_seed: int, wide: bool, tied: bool) -> engine._Compiled:
     rng = random.Random(graph_seed)
     graph = self_tied_graph(rng) if tied else random_graph(rng)
@@ -830,7 +954,7 @@ def test_the_closure_matches_the_plain_sweep(graph_seed, wide, tied, mask_seed):
     ref_fm, ref_partials = fm[:], partials[:]
     ref_used = reference_close(comp, ref_fm, ref_partials)
     row = fm + [0] + partials
-    assert engine._close(comp, row) == ref_used
+    assert close_row(comp, row) == ref_used
     assert row == ref_fm + [0] + ref_partials
 
 
@@ -892,7 +1016,7 @@ def test_a_component_without_masks_at_entry_stays_unsharded(graph_seed, wide, ti
     event(f"live components: {min(len(live), 3)}{'+' if len(live) >= 3 else ''}")
     dead = [part for part in tie_components(comp) if part not in live]
     row = fm + [0] + partials
-    engine._close(comp, row)
+    close_row(comp, row)
     assert all(row[p] == 0 for part in dead for p in part)
 
 
@@ -909,7 +1033,7 @@ def close_both_ways(comp, fm: list[int], partials: list[int]) -> tuple[list[int]
     the closed dim and partial masks."""
     ref_fm, ref_partials = fm[:], partials[:]
     row = fm + [0] + partials
-    assert engine._close(comp, row) == reference_close(comp, ref_fm, ref_partials)
+    assert close_row(comp, row) == reference_close(comp, ref_fm, ref_partials)
     assert row == ref_fm + [0] + ref_partials
     return ref_fm, ref_partials
 
