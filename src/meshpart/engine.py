@@ -16,12 +16,14 @@ the graph and the mesh: the propagation and lowering tables, the axis
 encoding, one `Action` per seed index, the layout and storage of a state's
 mask row (immutable `bytes` when a mask fits one byte, that is on meshes
 of up to 8 axes, an `array` beyond that), the seed writes of every action,
-and the pricing memo and analysis cache that `costmodel` fills.  It
-belongs to a root state: `initial_state` builds it, every state made from
-that root shares it, and a state reads its graph and mesh through it.
-There is no process-wide cache, so each `initial_state` call compiles its
-own tables, and they are freed with the last state that holds them; a
-command builds its root once and hands it to every consumer.
+the closure table of closed rows, and the pricing memo and analysis cache
+that `costmodel` fills.  It belongs to a root state: `initial_state` builds
+it, every state made from that root shares it, and a state reads its graph
+and mesh through it.  There is no process-wide cache, so each
+`initial_state` call compiles its own tables, and they are freed with the
+last state that holds them; a command builds its root once and hands it to
+every consumer, so the closure runs once per distinct action set per
+command, across its goals and seeds.
 Graphs and meshes are valid by construction, and whether a mesh can shard
 a graph is an IR check (`models.check_mesh_compatibility`), so none is here.
 
@@ -175,6 +177,10 @@ class _Compiled:
     `array` of the narrowest type for a mask.  A `bytes` row is its own
     key in the analysis cache (`costmodel.estimate`), so that cache holds
     no copy of it.
+
+    The closure table maps a state key to its packed row (`closed`), and
+    `rows` maps each distinct row's bytes to the one row object that every
+    state with that row holds.  Only `_make_state` fills or reads them.
     """
 
     __slots__ = (
@@ -185,7 +191,7 @@ class _Compiled:
         "group_dims", "seed_base", "seed_writes", "offsets", "value_of",
         "total_dims", "partial_base", "instances", "op_meta", "part_of", "_sweeps",
         "digest_slots", "scan_keys", "scans", "scan_interned", "analyses", "counts_interned",
-        "actions", "seed_of",
+        "actions", "seed_of", "closed", "rows",
     )
 
     def __init__(self, graph: ir.Graph, mesh: ir.Mesh):
@@ -396,15 +402,19 @@ class _Compiled:
             for p in (inst[2], inst[5]):
                 self.part_of[p] = bit_of_root.setdefault(find(p), 1 << len(bit_of_root))
         self._sweeps: dict[int, tuple] = {}
-        # per seed slot, the writes that seeding it makes: one
-        # `(position, value, component bit)` per group member
+        # per seed slot, `(component bit, writes)`: the writes that seeding
+        # it makes, one `(position, value)` per group member.  The members'
+        # dims are tied to the first member's, so they share its component.
         self.seed_writes = tuple(
-            tuple(
-                (self.offsets[m] + d, m, self.part_of[self.offsets[m] + d])
-                for m in self.group_members[gid]
+            (
+                self.part_of[self.offsets[self.group_members[gid][0]] + d],
+                tuple((self.offsets[m] + d, m) for m in self.group_members[gid]),
             )
             for gid, d in seed_slots
         )
+        # the closure table (`_make_state`): key -> row, and bytes -> row
+        self.closed: dict[int, object] = {}
+        self.rows: dict[bytes, object] = {}
 
     def sweep_of(self, live: int) -> tuple:
         """The instances of the components in mask `live`, in instance order."""
@@ -516,7 +526,8 @@ class ModuleState:
     Search keeps every state it reaches, so a state is stored compactly: one
     row of closed masks (`_row`, laid out and stored as `_Compiled` says:
     `bytes` when a mask fits one byte, an `array` beyond that) and one int
-    bitmask of the applied action set's seed indices (`_key`).
+    bitmask of the applied action set's seed indices (`_key`).  States
+    with equal rows share one row object (`_make_state`).
     """
 
     __slots__ = ("applied", "fingerprint", "_comp", "_key", "_row")
@@ -557,29 +568,41 @@ class ModuleState:
 
 
 def _make_state(comp: _Compiled, key: int, applied: tuple) -> ModuleState:
-    """Seed the actions of `key`, a legal action set, close, and pack the row.
+    """The state of `key`, a legal action set, reached by `applied`.
+
+    The row comes from the root's closure table (`_Compiled.closed`) when
+    an earlier call closed the same set.  Otherwise the actions of `key`
+    are seeded, the row is closed and packed, and the table records it,
+    interned through `_Compiled.rows` so that equal rows are one object.
+    A row depends only on the action set, so a table hit is the row a
+    closure would compute.
 
     Each seed's writes (`_Compiled.seed_writes`) also give `_close` its
-    entry: the used masks of the values they write, and the components of
-    the positions.  Every seed divides its dim: a legal seed's axes there
-    are a subset of the parent's closed axes plus the new one, and the
-    members of a group share their dims.
+    entry: the used masks of the values they write, and the component of
+    the slot.  Every seed divides its dim: a legal seed's axes there are a
+    subset of the parent's closed axes plus the new one, and the members
+    of a group share their dims.
     """
-    row = [0] * (comp.partial_base + comp.nvals)
-    used = [0] * comp.nvals
-    live = 0
-    rest = key
-    while rest:  # ascending seed index: (group, dim, axis) order
-        low = rest & -rest
-        rest ^= low
-        slot, k = divmod(low.bit_length() - 1, comp.nbits)
-        bit = 1 << k
-        for pos, v, part in comp.seed_writes[slot]:
-            row[pos] |= bit
-            used[v] |= bit
+    row = comp.closed.get(key)
+    if row is None:
+        work = [0] * (comp.partial_base + comp.nvals)
+        used = [0] * comp.nvals
+        live = 0
+        rest = key
+        while rest:  # ascending seed index: (group, dim, axis) order
+            low = rest & -rest
+            rest ^= low
+            slot, k = divmod(low.bit_length() - 1, comp.nbits)
+            bit = 1 << k
+            part, writes = comp.seed_writes[slot]
             live |= part
-    _close(comp, row, used, live)
-    return ModuleState(comp, key, applied, comp.pack(row))
+            for pos, v in writes:
+                work[pos] |= bit
+                used[v] |= bit
+        _close(comp, work, used, live)
+        row = comp.pack(work)
+        row = comp.closed[key] = comp.rows.setdefault(bytes(row), row)
+    return ModuleState(comp, key, applied, row)
 
 
 def initial_state(graph: ir.Graph, mesh: ir.Mesh) -> ModuleState:
@@ -679,9 +702,13 @@ class StateCache:
     """Memoizes the states reached from `start` by applied action *set*.
 
     Search and enumeration revisit the same states through many action
-    orders; since a state is a pure function of its action set, the closure
-    is computed once per distinct set.  Every state the cache makes shares
-    `start`'s tables.  `apply` checks the action once, with the rule of
+    orders.  The cache hands out the first state made for each set, so
+    its `applied` order, which plans report, is the first order that one
+    search reached the set by.  That is why a cache serves one schedule
+    run and is not shared across seeds: a later seed must report its own
+    orders.  The closure itself is not repeated across caches, since every
+    state the cache makes shares `start`'s tables and their closure table
+    (`_make_state`).  `apply` checks the action once, with the rule of
     `apply_action`: itself on a hit, through `apply_action` on a miss.  So
     it raises exactly when `apply_action` does, with the same message.  An
     action with no seed index (`_Compiled.seed_of`) has an unknown axis,

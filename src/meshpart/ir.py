@@ -125,9 +125,6 @@ class Sharding:
     def replicated(rank: int) -> "Sharding":
         return Sharding(per_dim=tuple(DimSharding() for _ in range(rank)))
 
-    def is_replicated(self) -> bool:
-        return not self.partial_axes and all(not d.axes for d in self.per_dim)
-
 
 def validate_sharding(ttype: TensorType, sharding: Sharding, mesh: Mesh) -> None:
     """Raise ShapeError unless the sharding is valid for the tensor on the mesh."""

@@ -266,26 +266,35 @@ def outcome_summary(out: ctl.ScheduleOutcome) -> tuple:
 
 def test_a_root_shared_across_seeds_changes_no_outcome(monkeypatch):
     # every seed of a command starts from one root, whose tables keep the
-    # analyses of the states earlier seeds priced
-    real_analyze = cm._analyze
-    calls = []
+    # closed rows of the action sets and the analyses of the states that
+    # earlier seeds made and priced
+    calls = {"_analyze": 0, "_close": 0}
 
-    def counted(state, cfg):
-        calls.append(None)
-        return real_analyze(state, cfg)
+    def counted(module, name: str):
+        fn = getattr(module, name)
 
-    monkeypatch.setattr(cm, "_analyze", counted)
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(cm, "_analyze")
+    counted(engine, "_close")
     graph = models.build_named_model("gns")
     s = ctl.builtin_schedule("RT_MP_ALL", AB, 300)
-    fresh = ctl.run_schedule(engine.initial_state(graph, AB), s, seed=1)
-    fresh_calls = len(calls)
+    fresh_root = engine.initial_state(graph, AB)
+    calls.update(_analyze=0, _close=0)
+    fresh = ctl.run_schedule(fresh_root, s, seed=1)
+    fresh_calls = dict(calls)
     shared = engine.initial_state(graph, AB)
     ctl.run_schedule(shared, s, seed=0)
-    calls.clear()
+    calls.update(_analyze=0, _close=0)
     warm = ctl.run_schedule(shared, s, seed=1)
     assert outcome_summary(warm) == outcome_summary(fresh)
-    assert 0 < len(calls) < fresh_calls
-    calls.clear()
+    assert 0 < calls["_analyze"] < fresh_calls["_analyze"]
+    assert 0 < calls["_close"] < fresh_calls["_close"]
+    calls.update(_analyze=0, _close=0)
     again = ctl.run_schedule(shared, s, seed=1)
     assert outcome_summary(again) == outcome_summary(fresh)
-    assert calls == []
+    assert calls == {"_analyze": 0, "_close": 0}

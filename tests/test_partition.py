@@ -349,7 +349,9 @@ def test_initial_state_is_empty_and_replicated():
     start = engine.initial_state(matmul_bias_graph(), A2)
     assert start.fingerprint.digest == "()"
     assert start.applied == ()
-    assert all(s.is_replicated() for s in start.shardings.values())
+    for sharding in start.shardings.values():
+        assert all(d.axes == () for d in sharding.per_dim)
+        assert sharding.partial_axes == frozenset()
 
 
 def test_action_order_never_changes_the_resulting_state():
@@ -928,6 +930,90 @@ def test_the_analysis_cache_keys_each_analysis_by_a_priced_row_itself():
     assert all(id(key) in rows for key in by_row)  # no copy of a row
 
 
+# --- the root's closure table -------------------------------------------------
+
+
+def check_the_closure_table(graph: ir.Graph, mesh: ir.Mesh, walks: list[list[int]],
+                            rng: random.Random) -> None:
+    """The action sets of several walks from one root, replayed shuffled on
+    that warm root, against a closure of each set on a fresh root.
+
+    Each shuffled prefix is a set the table may not hold yet and each full
+    set is one it holds, so the check covers both ways `_make_state` takes.
+    A hit must also keep the `applied` order of its own caller.
+    """
+    root, *states = walks_from_one_root(graph, mesh, walks)
+    cfg = cm.default_config(mesh)
+    for seq in (s.applied for s in states):
+        order = rng.sample(seq, len(seq))
+        try:
+            warm = functools.reduce(engine.apply_action, order, root)
+        except IllegalActionError:
+            order = seq  # this order is unreachable; the walk's order is not
+            warm = functools.reduce(engine.apply_action, order, root)
+        cold = engine.replay_plan(graph, mesh, list(seq))
+        assert warm._comp is root._comp and warm.applied == tuple(order)
+        assert warm._key == cold._key
+        assert warm._row == cold._row
+        assert warm.fingerprint == cold.fingerprint
+        a, b = cm.estimate(warm, cfg), cm.estimate(cold, cfg)
+        assert a.runtime_seconds.hex() == b.runtime_seconds.hex()
+        assert a.penalized_cost.hex() == b.penalized_cost.hex()
+        assert a == b
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph_seed=SEEDS, wide=strategies.booleans(), tied=strategies.booleans(),
+       walks=strategies.lists(strategies.lists(PICKS, max_size=5), min_size=1, max_size=3),
+       order_seed=SEEDS)
+def test_a_warm_closure_table_makes_the_states_a_fresh_root_does(
+    graph_seed, wide, tied, walks, order_seed
+):
+    rng = random.Random(graph_seed)
+    graph = self_tied_graph(rng) if tied else random_graph(rng)
+    mesh = WIDE if wide else random_mesh(rng)
+    check_the_closure_table(graph, mesh, walks, random.Random(order_seed))
+
+
+@settings(max_examples=15, deadline=None)
+@given(name=strategies.sampled_from(sorted(models.MODEL_BUILDERS)),
+       walks=strategies.lists(strategies.lists(PICKS, max_size=6), min_size=1, max_size=3),
+       order_seed=SEEDS)
+def test_a_warm_closure_table_makes_the_model_states_a_fresh_root_does(name, walks, order_seed):
+    mesh = ir.Mesh((ir.MeshAxis("batch", 2), ir.MeshAxis("model", 2)))
+    check_the_closure_table(
+        models.build_named_model(name), mesh, walks, random.Random(order_seed)
+    )
+
+
+@pytest.mark.parametrize("mesh", [A2, WIDE], ids=["bytes", "array"])
+def test_action_sets_closing_to_equal_rows_hold_one_row(mesh):
+    graph = matmul_bias_graph()
+    root = engine.initial_state(graph, mesh)
+    axis = mesh.axis_names[0]
+    via_x = engine.apply_action(root, engine.Action(0, 0, axis))
+    via_c = engine.apply_action(root, engine.Action(2, 0, axis))
+    assert via_x._key != via_c._key
+    assert via_x._row is via_c._row
+    comp = root._comp
+    assert comp.closed[via_x._key] is comp.closed[via_c._key] is via_x._row
+    assert comp.rows == {bytes(s._row): s._row for s in (root, via_x)}
+
+
+def test_every_state_of_a_root_holds_its_tables_row():
+    mesh = ir.Mesh((ir.MeshAxis("batch", 2), ir.MeshAxis("model", 2)))
+    graph = models.build_named_model("gns")
+    states = walks_from_one_root(graph, mesh, [[3, 1, 4, 1, 5], [9, 2, 6], [5, 3, 5, 8], [2, 7]])
+    comp = states[0]._comp
+    assert len(comp.rows) == len({bytes(s._row) for s in states}) < len(states)
+    assert all(comp.rows[bytes(s._row)] is comp.closed[s._key] is s._row for s in states)
+    cfg = cm.default_config(mesh)
+    for state in states:
+        cm.estimate(state, cfg)
+    (by_row,) = comp.analyses.values()
+    assert all(comp.rows[key] is key for key in by_row)  # each key is a state's own row
+
+
 def random_compiled(graph_seed: int, wide: bool, tied: bool) -> engine._Compiled:
     rng = random.Random(graph_seed)
     graph = self_tied_graph(rng) if tied else random_graph(rng)
@@ -1186,8 +1272,9 @@ def test_a_missing_link_fails_only_where_its_axis_carries_a_collective(graph_see
 
 
 def test_compiled_tables_are_freed_with_their_graph():
-    # pricing fills the memo, its intern table and the analysis cache on the
-    # root's tables; they must not hold the graph or a state
+    # closing fills the closure table, and pricing the memo, its intern table
+    # and the analysis cache, on the root's tables; they must not hold the
+    # graph or a state
     mesh = ir.Mesh((ir.MeshAxis("batch", 2), ir.MeshAxis("model", 2)))
     graphs = [models.build_named_model("transformer") for _ in range(20)]
     for graph in graphs:
@@ -1198,6 +1285,7 @@ def test_compiled_tables_are_freed_with_their_graph():
                 cm.estimate(s, cm.default_config(mesh, cse_allgather=cse))
         assert root._comp.scans[0]
         assert [len(by_row) for by_row in root._comp.analyses.values()] == [2, 2]
+        assert len(root._comp.closed) == len(root._comp.rows) == 2
     refs = [weakref.ref(graph) for graph in graphs]
     del graphs, graph, root, state, s
     gc.collect()
