@@ -122,7 +122,7 @@ def run_schedule(
     """
     if cost_cfg is None:
         cost_cfg = costmodel.default_config(start.mesh)
-    cache = engine.StateCache(start)
+    cache = engine.StateCache()
     state = start
     master = random.Random(seed)
     goal_seeds = [master.getrandbits(32) for _ in schedule.goals]

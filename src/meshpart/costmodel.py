@@ -237,7 +237,7 @@ def _scan(comp: engine._Compiled, i: int, row: Sequence[int]) -> tuple:
     pairs, and base values the operands some slot reads as they are, each
     in slot order.
     """
-    _, operand_idx, plans, (mult, terms) = comp.op_meta[i]
+    operand_idx, plans, (mult, terms) = comp.op_meta[i]
     gathers: list[tuple[int, int]] = []
     part_entries: list[tuple[tuple[int, int], bool]] = []
     bases: list[int] = []

@@ -6,10 +6,10 @@ graph.  Propagation is monotone (axis assignments only grow) and conservative:
 an axis only lands on a dim when divisibility and the single-use rule hold;
 conflicting arrivals are dropped, first writer wins in a canonical order.
 
-A state is made only from a legal action set.  `apply_action` (and so
-`replay_plan`) and `StateCache.apply` admit an action only through
-`_seed_index`, which holds the whole legality rule, so the cache raises
-exactly when `apply_action` does.
+A state is made only from a legal action set.  Every state but a root is
+made by `apply_action`, which admits an action only through `_seed_index`,
+the whole legality rule; `replay_plan` and `StateCache.apply` call it, so
+they raise exactly when it does.
 
 One table object, `_Compiled(graph, mesh)`, holds everything derived from
 the graph and the mesh: the propagation and lowering tables, the axis
@@ -138,7 +138,6 @@ class _OpMeta(NamedTuple):
     the result dims, then each contracted or reduced dim.
     """
 
-    result_idx: int
     operand_idx: tuple[int, ...]
     plans: tuple[tuple[tuple[int, int, int], ...], ...]
     flops: tuple[int, tuple[tuple[int, int, int], ...]]
@@ -180,7 +179,8 @@ class _Compiled:
 
     The closure table maps a state key to its packed row (`closed`), and
     `rows` maps each distinct row's bytes to the one row object that every
-    state with that row holds.  Only `_make_state` fills or reads them.
+    state with that row holds.  Only `_make_state` fills or reads them, so
+    a repeated action set costs `apply_action` a table hit, not a closure.
     """
 
     __slots__ = (
@@ -191,7 +191,7 @@ class _Compiled:
         "group_dims", "seed_base", "seed_writes", "offsets", "value_of",
         "total_dims", "partial_base", "instances", "op_meta", "part_of", "_sweeps",
         "digest_slots", "scan_keys", "scans", "scan_interned", "analyses", "counts_interned",
-        "actions", "seed_of", "closed", "rows",
+        "actions", "closed", "rows",
     )
 
     def __init__(self, graph: ir.Graph, mesh: ir.Mesh):
@@ -259,7 +259,6 @@ class _Compiled:
         self.actions = tuple(
             Action(gid, d, name) for gid, d in seed_slots for name in self.axis_names
         )
-        self.seed_of = {action: index for index, action in enumerate(self.actions)}
         # digest entries: the dims of each group's first member, in seed-slot order
         self.digest_slots = tuple(
             (self.offsets[self.group_members[gid][0]] + d, f"{gid}.{d}:")
@@ -356,7 +355,7 @@ class _Compiled:
             else:  # constant
                 mult = 0
             self.op_meta.append(_OpMeta(
-                res, operand_idx, tuple(map(tuple, plans)),
+                operand_idx, tuple(map(tuple, plans)),
                 (mult, tuple(terms)) if mult else (0, ()),
             ))
         self.instances = tuple(instances)
@@ -681,7 +680,12 @@ def _seed_index(state: ModuleState, action: Action) -> int:
 
 
 def apply_action(state: ModuleState, action: Action) -> ModuleState:
-    """Apply one action and re-propagate to fixpoint; raises if illegal."""
+    """Apply one action and re-propagate to fixpoint; raises if illegal.
+
+    The one way to make a state from another: `_seed_index` checks the
+    action, and `_make_state` takes the new set's row from the closure
+    table or closes it.  The result is a new state object each call.
+    """
     return _make_state(
         state._comp, state._key | 1 << _seed_index(state, action), state.applied + (action,)
     )
@@ -699,35 +703,24 @@ def replay_plan(graph: ir.Graph, mesh: ir.Mesh, actions: list[Action]) -> Module
 
 
 class StateCache:
-    """Memoizes the states reached from `start` by applied action *set*.
+    """The first state one search made for each applied action *set*.
 
-    Search and enumeration revisit the same states through many action
-    orders.  The cache hands out the first state made for each set, so
-    its `applied` order, which plans report, is the first order that one
-    search reached the set by.  That is why a cache serves one schedule
-    run and is not shared across seeds: a later seed must report its own
-    orders.  The closure itself is not repeated across caches, since every
-    state the cache makes shares `start`'s tables and their closure table
-    (`_make_state`).  `apply` checks the action once, with the rule of
-    `apply_action`: itself on a hit, through `apply_action` on a miss.  So
-    it raises exactly when `apply_action` does, with the same message.  An
-    action with no seed index (`_Compiled.seed_of`) has an unknown axis,
-    group or dim, and goes to `apply_action`, which rejects it.
+    Search reaches the same set through many action orders.  `apply` makes
+    every state with `apply_action`, so it raises exactly when that does,
+    with the same message, and a repeated set costs a closure-table hit
+    (`_Compiled.closed`).  What the cache adds is the first state made for
+    each set: it hands that object out again, so the set's `applied`
+    order, which plans report, is the first order one search reached it
+    by.  That is why a cache serves one schedule run and is not shared
+    across seeds: a later seed must report its own orders.
     """
 
-    def __init__(self, start: ModuleState):
-        self._states: dict[int, ModuleState] = {start._key: start}
+    def __init__(self):
+        self._states: dict[int, ModuleState] = {}
 
     def apply(self, state: ModuleState, action: Action) -> ModuleState:
-        index = state._comp.seed_of.get(action)
-        if index is not None:
-            hit = self._states.get(state._key | 1 << index)
-            if hit is not None:
-                _seed_index(state, action)  # raises as `apply_action` would
-                return hit
         made = apply_action(state, action)
-        self._states[made._key] = made
-        return made
+        return self._states.setdefault(made._key, made)
 
     def __len__(self) -> int:
         return len(self._states)

@@ -121,10 +121,6 @@ class Sharding:
     per_dim: tuple[DimSharding, ...]
     partial_axes: frozenset[str] = frozenset()
 
-    @staticmethod
-    def replicated(rank: int) -> "Sharding":
-        return Sharding(per_dim=tuple(DimSharding() for _ in range(rank)))
-
 
 def validate_sharding(ttype: TensorType, sharding: Sharding, mesh: Mesh) -> None:
     """Raise ShapeError unless the sharding is valid for the tensor on the mesh."""
@@ -148,16 +144,6 @@ def validate_sharding(ttype: TensorType, sharding: Sharding, mesh: Mesh) -> None
                 f"dim {d} of size {ttype.dims[d]} not divisible by axes "
                 f"{dim_sharding.axes} (product {product})"
             )
-
-
-def local_shape(ttype: TensorType, sharding: Sharding, mesh: Mesh) -> TensorType:
-    """Per-device shape under the sharding; partial axes do not divide data."""
-    validate_sharding(ttype, sharding, mesh)
-    dims = []
-    for d, dim_sharding in enumerate(sharding.per_dim):
-        product = math.prod(mesh.axis_size(n) for n in dim_sharding.axes)
-        dims.append(ttype.dims[d] // product)
-    return TensorType(dims=tuple(dims), element_bytes=ttype.element_bytes)
 
 
 # --- Operation kinds ---------------------------------------------------------

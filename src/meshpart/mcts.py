@@ -136,7 +136,7 @@ def run_search(
     budget of 0 that is the start state and its estimate.
     """
     if state_cache is None:
-        state_cache = engine.StateCache(start)
+        state_cache = engine.StateCache()
     if estimate_cache is None:
         estimate_cache = {}
 

@@ -68,7 +68,6 @@ def enumerate_states(
     use_axes = _walk_axes(start, axes)
     cfg = cost_cfg if cost_cfg is not None else costmodel.default_config(start.mesh)
 
-    cache = engine.StateCache(start)
     seen: dict[str, engine.ModuleState] = {start.fingerprint.digest: start}
     frontier = [start]
     depth = 0
@@ -76,7 +75,7 @@ def enumerate_states(
         nxt = []
         for state in frontier:
             for action in _legal(state, use_axes):
-                child = cache.apply(state, action)
+                child = engine.apply_action(state, action)
                 digest = child.fingerprint.digest
                 if digest not in seen:
                     seen[digest] = child
@@ -116,7 +115,6 @@ def count_action_sequences(
     distinct fingerprints shows how much state compression merges.
     """
     use_axes = _walk_axes(start, axes)
-    cache = engine.StateCache(start)
     total = 0
 
     def walk(state: engine.ModuleState, remaining: int) -> None:
@@ -125,7 +123,7 @@ def count_action_sequences(
             return
         for action in _legal(state, use_axes):
             total += 1
-            walk(cache.apply(state, action), remaining - 1)
+            walk(engine.apply_action(state, action), remaining - 1)
 
     walk(start, max_depth)
     return total

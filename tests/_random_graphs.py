@@ -1,4 +1,5 @@
-"""Seeded random tiny-graph generator shared by the property tests.
+"""Seeded random tiny-graph generator shared by the property tests, and
+one fixed tiny graph (`matmul_bias_graph`) shared by the unit tests.
 
 Graphs stay inside the exhaustive enumerator's size guard (at most 4
 argument groups, 1-2 mesh axes) and every dim size is a multiple of 4 so
@@ -14,6 +15,17 @@ from meshpart import ir
 
 DIM_SIZES = (4, 8, 16)
 ROLES = (ir.Role.DATA, ir.Role.PARAMETER, ir.Role.OPTIMIZER_STATE)
+
+
+def matmul_bias_graph() -> ir.Graph:
+    """x @ w + c: three groups, each tied to the others through the ops."""
+    b = ir.GraphBuilder("matmul_bias")
+    b.arg("x", (8, 4), role=ir.Role.DATA, group="x")
+    b.arg("w", (4, 8), role=ir.Role.PARAMETER, group="w")
+    b.arg("c", (8, 8), role=ir.Role.PARAMETER, group="c")
+    y = b.dot("x", "w", lhs_contract=(1,), rhs_contract=(0,))
+    b.output(b.add(y, "c"))
+    return b.build()
 
 
 def random_mesh(rng: random.Random, max_axes: int = 2) -> ir.Mesh:

@@ -6,21 +6,12 @@ from meshpart import controller as ctl
 from meshpart import costmodel as cm
 from meshpart import engine, ir, models
 from meshpart.errors import ConfigError
+from _random_graphs import matmul_bias_graph
 
 A2 = ir.Mesh((ir.MeshAxis("a", 2),))
 AB = ir.Mesh((ir.MeshAxis("a", 2), ir.MeshAxis("b", 2)))
 
 RT, MEM, MP = cm.RUNTIME, cm.MEMORY, cm.PENALIZED_RUNTIME
-
-
-def matmul_bias_graph() -> ir.Graph:
-    b = ir.GraphBuilder("matmul_bias")
-    b.arg("x", (8, 4), role=ir.Role.DATA, group="x")
-    b.arg("w", (4, 8), role=ir.Role.PARAMETER, group="w")
-    b.arg("c", (8, 8), role=ir.Role.PARAMETER, group="c")
-    y = b.dot("x", "w", lhs_contract=(1,), rhs_contract=(0,))
-    b.output(b.add(y, "c"))
-    return b.build()
 
 
 # --- budgets -----------------------------------------------------------------

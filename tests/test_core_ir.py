@@ -63,26 +63,6 @@ def test_tensor_type_rejects_bad_dims():
         ir.TensorType((4,), element_bytes=0)
 
 
-def test_local_shape_divides_each_dim():
-    mesh = ir.Mesh((ir.MeshAxis("a", 4),))
-    t = ir.TensorType((16, 8))
-    s = ir.Sharding(per_dim=(ir.DimSharding(("a",)), ir.DimSharding()))
-    assert ir.local_shape(t, s, mesh).dims == (4, 8)
-
-
-def test_local_shape_replicated_is_identity():
-    mesh = mesh2x2()
-    t = ir.TensorType((16, 8))
-    assert ir.local_shape(t, ir.Sharding.replicated(2), mesh).dims == (16, 8)
-
-
-def test_local_shape_two_axes_on_one_dim():
-    mesh = ir.Mesh((ir.MeshAxis("a", 2), ir.MeshAxis("b", 4)))
-    t = ir.TensorType((16, 8))
-    s = ir.Sharding(per_dim=(ir.DimSharding(("a", "b")), ir.DimSharding()))
-    assert ir.local_shape(t, s, mesh).dims == (2, 8)
-
-
 def test_validate_sharding_rejects_axis_reuse():
     mesh = mesh2x2()
     t = ir.TensorType((8, 8))

@@ -12,7 +12,7 @@ from hypothesis import assume, event, given, settings, strategies
 
 from meshpart import costmodel as cm, engine, ir, models
 from meshpart.errors import ConfigError, IllegalActionError, PlanReplayError
-from _random_graphs import random_graph, random_mesh, self_tied_graph
+from _random_graphs import matmul_bias_graph, random_graph, random_mesh, self_tied_graph
 
 A2 = ir.Mesh((ir.MeshAxis("a", 2),))
 AB = ir.Mesh((ir.MeshAxis("a", 2), ir.MeshAxis("b", 2)))
@@ -325,16 +325,6 @@ def test_apply_rejects_unknown_group_and_axis():
 # --- state identity ----------------------------------------------------------
 
 
-def matmul_bias_graph() -> ir.Graph:
-    b = ir.GraphBuilder("matmul_bias")
-    b.arg("x", (8, 4), role=ir.Role.DATA, group="x")
-    b.arg("w", (4, 8), role=ir.Role.PARAMETER, group="w")
-    b.arg("c", (8, 8), role=ir.Role.PARAMETER, group="c")
-    y = b.dot("x", "w", lhs_contract=(1,), rhs_contract=(0,))
-    b.output(b.add(y, "c"))
-    return b.build()
-
-
 def test_different_actions_reaching_one_sharding_share_a_fingerprint():
     graph = matmul_bias_graph()
     start = engine.initial_state(graph, A2)
@@ -396,12 +386,12 @@ def test_replay_plan_reports_failing_action_index():
 def test_state_cache_returns_identical_objects():
     graph = matmul_bias_graph()
     root = engine.initial_state(graph, A2)
-    cache = engine.StateCache(root)
+    cache = engine.StateCache()
     a = engine.Action(0, 0, "a")
     s1 = cache.apply(root, a)
     s2 = cache.apply(root, a)
     assert s1 is s2
-    assert len(cache) >= 2
+    assert len(cache) == 1
 
 
 def test_the_state_cache_checks_each_action_once(monkeypatch):
@@ -419,31 +409,34 @@ def test_the_state_cache_checks_each_action_once(monkeypatch):
     counted("_seed_index")
     counted("apply_action")
     root = engine.initial_state(matmul_bias_graph(), AB)
-    cache = engine.StateCache(root)
+    cache = engine.StateCache()
     x, w = engine.Action(0, 0, "a"), engine.Action(1, 1, "b")
 
-    def apply(state, action, calls_apply_action: bool):
-        """`cache.apply`, which must run `_seed_index` once either way."""
+    def apply(state, action):
+        """`cache.apply`, which must run `apply_action` and `_seed_index`
+        once each, on a hit or a miss."""
         before = dict(calls)
         try:
             return cache.apply(state, action)
         finally:
-            assert calls["_seed_index"] - before["_seed_index"] == 1
-            assert calls["apply_action"] - before["apply_action"] == calls_apply_action
+            assert {name: n - before[name] for name, n in calls.items()} == {
+                "_seed_index": 1, "apply_action": 1,
+            }
 
-    # `apply_action` runs once per new state, and never on a hit
-    sx = apply(root, x, True)
-    assert apply(root, x, False) is sx
-    sxw = apply(sx, w, True)
-    sw = apply(root, w, True)
-    assert apply(sw, x, False) is sxw  # the same set, reached the other way
-    # illegal on a hit (an applied action), and with no seed index at all,
-    # which `apply_action` rejects
-    with pytest.raises(IllegalActionError):
-        apply(sx, x, False)
-    with pytest.raises(IllegalActionError):
-        apply(sx, engine.Action(0, 0, "zz"), True)
-    assert len(cache) == 4
+    sx = apply(root, x)
+    assert apply(root, x) is sx  # a hit returns the stored object
+    sxw = apply(sx, w)
+    sw = apply(root, w)
+    assert apply(sw, x) is sxw  # the same set, reached the other way
+    assert sxw.applied == (x, w)
+    # an applied action, and an axis with no seed index: `apply_action`'s message
+    for state, action in ((sx, x), (sx, engine.Action(0, 0, "zz"))):
+        with pytest.raises(IllegalActionError) as got:
+            apply(state, action)
+        with pytest.raises(IllegalActionError) as want:
+            engine.apply_action(state, action)
+        assert str(got.value) == str(want.value)
+    assert len(cache) == 3
 
 
 # --- compact state storage ----------------------------------------------------
@@ -567,7 +560,7 @@ def test_permuted_action_sets_store_identical_state(graph_seed, wide, picks, dat
     assert again.fingerprint == first.fingerprint
     # one action set, one cache key, whatever the order
     root = engine.initial_state(graph, mesh)
-    cache = engine.StateCache(root)
+    cache = engine.StateCache()
     ends = []
     for order in (seq, perm):
         state = root
@@ -607,7 +600,7 @@ def test_the_state_cache_admits_exactly_the_actions_apply_action_does(graph_seed
     graph = random_graph(rng)
     mesh = random_mesh(rng)
     state = engine.initial_state(graph, mesh)
-    cache = engine.StateCache(state)
+    cache = engine.StateCache()
     comp = state._comp
     # every group and one unknown, every dim and one past the widest rank,
     # every axis and one unknown
@@ -928,6 +921,51 @@ def test_the_analysis_cache_keys_each_analysis_by_a_priced_row_itself():
     assert len(by_row) == len({bytes(s._row) for s in states})
     rows = {id(s._row) for s in states}
     assert all(id(key) in rows for key in by_row)  # no copy of a row
+
+
+# --- the state cache -----------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(source=strategies.sampled_from(["random", "tied", "wide", *sorted(models.MODEL_BUILDERS)]),
+       graph_seed=SEEDS,
+       walks=strategies.lists(strategies.lists(PICKS, max_size=5), min_size=1, max_size=3),
+       order_seed=SEEDS)
+def test_the_state_cache_hands_out_the_first_state_made_for_each_set(
+    source, graph_seed, walks, order_seed
+):
+    """One cache walked through shuffled orders of the same action sets:
+    every set gets the first state made for it, with that state's order,
+    and its row and digest are those `apply_action` gives from a fresh root."""
+    rng = random.Random(graph_seed)
+    if source in models.MODEL_BUILDERS:
+        graph = models.build_named_model(source)
+        mesh = ir.Mesh((ir.MeshAxis("batch", 2), ir.MeshAxis("model", 2)))
+    else:
+        graph = self_tied_graph(rng) if source == "tied" else random_graph(rng)
+        mesh = WIDE if source == "wide" else random_mesh(rng)
+    root, *states = walks_from_one_root(graph, mesh, walks)
+    order_rng = random.Random(order_seed)
+    cache = engine.StateCache()
+    first: dict[frozenset, tuple] = {}  # action set -> (state, the order that made it)
+    for seq in [s.applied for s in states] * 2:
+        state, order = root, ()
+        for action in order_rng.sample(seq, len(seq)):
+            try:
+                state = cache.apply(state, action)
+            except IllegalActionError:
+                break  # this order is unreachable from here on
+            # a new set is made from the state of the set before it
+            pinned, order = first.setdefault(
+                frozenset(order + (action,)), (state, order + (action,))
+            )
+            assert state is pinned
+            assert state.applied == order
+    for pinned, order in first.values():
+        fresh = engine.replay_plan(graph, mesh, list(order))
+        assert pinned._key == fresh._key
+        assert pinned._row == fresh._row
+        assert pinned.fingerprint.digest == fresh.fingerprint.digest
 
 
 # --- the root's closure table -------------------------------------------------

@@ -8,20 +8,10 @@ from hypothesis import given, settings, strategies
 
 from meshpart import costmodel as cm
 from meshpart import engine, ir, mcts, oracle
-from _random_graphs import random_graph, random_mesh
+from _random_graphs import matmul_bias_graph, random_graph, random_mesh
 
 A2 = ir.Mesh((ir.MeshAxis("a", 2),))
 AB = ir.Mesh((ir.MeshAxis("a", 2), ir.MeshAxis("b", 2)))
-
-
-def matmul_bias_graph() -> ir.Graph:
-    b = ir.GraphBuilder("matmul_bias")
-    b.arg("x", (8, 4), role=ir.Role.DATA, group="x")
-    b.arg("w", (4, 8), role=ir.Role.PARAMETER, group="w")
-    b.arg("c", (8, 8), role=ir.Role.PARAMETER, group="c")
-    y = b.dot("x", "w", lhs_contract=(1,), rhs_contract=(0,))
-    b.output(b.add(y, "c"))
-    return b.build()
 
 
 def est(runtime: float) -> cm.CostEstimate:
