@@ -34,13 +34,21 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _entries(text: str, flag: str) -> list[str]:
+    """The stripped comma-separated entries of `text`, none when every
+    entry is blank; an empty entry beside others is a ConfigError."""
+    entries = [part.strip() for part in text.split(",")]
+    if not any(entries):
+        return []
+    if not all(entries):
+        raise ConfigError(f"empty entry in {flag} {text!r}")
+    return entries
+
+
 def parse_mesh_spec(text: str) -> ir.Mesh:
     """``name=size[,name=size...]`` -> Mesh; every mistake is a ConfigError."""
     axes = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
+    for part in _entries(text, "--mesh"):
         name, sep, size = part.partition("=")
         if not sep or not name.strip():
             raise ConfigError(f"bad mesh axis {part!r}; expected name=size")
@@ -77,7 +85,7 @@ def _load_graph_and_mesh(args) -> tuple[ir.Graph, ir.Mesh | None]:
         graph, mesh = models.build_named_model(args.model, _load_model_cfg(args.model_cfg)), None
     else:
         raise ConfigError("one of --graph or --model is required")
-    if args.mesh:
+    if args.mesh is not None:  # an empty `--mesh ""` is a mistake, not an absent flag
         mesh = parse_mesh_spec(args.mesh)
     return graph, mesh
 
@@ -236,8 +244,7 @@ def cmd_oracle(args) -> int:
     if args.max_depth is not None and args.max_depth < 0:
         raise ConfigError(f"--max-depth must be at least 0, got {args.max_depth}")
     graph, mesh, cost_cfg = _load_problem(args)
-    axes = None if args.axes is None else tuple(
-        a.strip() for a in args.axes.split(",") if a.strip())
+    axes = None if args.axes is None else tuple(_entries(args.axes, "--axes"))
     start = engine.initial_state(graph, mesh)
     table = oracle.enumerate_states(start, axes, args.max_depth, cost_cfg)
     lines = [

@@ -48,9 +48,8 @@ bookkeeping that reads the results, so one memo serves every config.
 `estimate` also caches each state's penalty-free analysis (runtime, peak,
 counts), keyed first by the config fields `_analyze` reads
 (`flops_per_second`, `cse_allgather`, `links`) and then by the row itself,
-so the cache holds no copy.  A row is `bytes` on meshes of up to 8 axes
-(`engine._Compiled`), and `bytes()` of it is the same object; a wider
-row's key is its bytes.  The analysis is a pure function of the row and
+so the cache holds no copy: a row is one immutable `bytes` object
+(`engine._Compiled`).  The analysis is a pure function of the row and
 those fields, so a hit is exact.  A digest would not do as the key: it
 covers the argument groups only, and states sharing one may differ in
 cost.  The memory limit and penalty slope stay out of the key: `_penalize`
@@ -436,12 +435,11 @@ def estimate(state: engine.ModuleState, cfg: CostModelConfig) -> CostEstimate:
     """Simulated step time, peak per-device memory, and collective counts."""
     comp = state._comp
     by_row = comp.analyses.setdefault(_analysis_key(cfg), {})
-    row = bytes(state._row)  # a `bytes` row itself: the cache keeps no copy
-    costs = by_row.get(row)
+    costs = by_row.get(state._row)
     if costs is None:
         runtime, peak, counts = _analysis(state, cfg)[1:]
         counts = comp.counts_interned.setdefault(tuple(counts.values()), counts)
-        costs = by_row[row] = runtime, peak, counts
+        costs = by_row[state._row] = runtime, peak, counts
     return _penalize(cfg, *costs)
 
 

@@ -13,10 +13,10 @@ they raise exactly when it does.
 
 One table object, `_Compiled(graph, mesh)`, holds everything derived from
 the graph and the mesh: the propagation and lowering tables, the axis
-encoding, one `Action` per seed index, the layout and storage of a state's
-mask row (immutable `bytes` when a mask fits one byte, that is on meshes
-of up to 8 axes, an `array` beyond that), the seed writes of every action,
-the closure table of closed rows, and the pricing memo and analysis cache
+encoding, one `Action` per seed index, the layout of a state's mask row
+(one immutable `bytes` object: a mesh has at most `ir.MAX_MESH_AXES` = 8
+axes, so every mask fits one byte), the seed writes of every action, the
+closure table of closed rows, and the pricing memo and analysis cache
 that `costmodel` fills.  It belongs to a root state: `initial_state` builds
 it, every state made from that root shares it, and a state reads its graph
 and mesh through it.  There is no process-wide cache, so each
@@ -71,9 +71,7 @@ group carries the same sharding after closure.
 
 from __future__ import annotations
 
-import array
 import dataclasses
-import functools
 import operator
 from typing import NamedTuple
 
@@ -143,49 +141,30 @@ class _OpMeta(NamedTuple):
     flops: tuple[int, tuple[tuple[int, int, int], ...]]
 
 
-class _Labels(dict):
-    """Axis mask -> its axis names, sorted and joined by '+'; filled on first use."""
-
-    __slots__ = ("_name_of_bit",)
-
-    def __init__(self, name_of_bit: dict[int, str]):
-        super().__init__()
-        self._name_of_bit = name_of_bit
-
-    def __missing__(self, mask: int) -> str:
-        names = [name for bit, name in self._name_of_bit.items() if mask & bit]
-        label = self[mask] = "+".join(sorted(names))
-        return label
-
-
 class _Compiled:
     """Propagation/lowering tables and the axis encoding for one graph on one mesh.
 
     Axis #k of the mesh is mask bit `1 << k`; `prod[mask]` is the product of
-    the sizes of the axes in `mask`.  A closed state is one row of masks,
-    laid out here and only here: `row[offsets[v] + d]`, below `total_dims`,
-    holds the axes on dim d of value v; `row[total_dims]` is the zero slot,
-    which plans read for a dim that must be unsharded;
+    the sizes of the axes in `mask`, and `labels[mask]` their names, sorted
+    and joined by '+'.  A mesh has at most 8 axes (`ir.MAX_MESH_AXES`), so
+    a mask fits one byte, and a closed state is one immutable `bytes` row
+    of masks, laid out here and only here: `row[offsets[v] + d]`, below
+    `total_dims`, holds the axes on dim d of value v; `row[total_dims]` is
+    the zero slot, which plans read for a dim that must be unsharded;
     `row[partial_base + v]`, where `partial_base = total_dims + 1`, holds
     the axes value v is partial over.  The zero slot stays 0, which plans
     and a constant's memo key rely on: instances write only dim and partial
-    positions, seeds only dim ones.
+    positions, seeds only dim ones.  A row is its own key in the analysis
+    cache (`costmodel.estimate`), so that cache holds no copy of it.
 
-    `pack` stores a closed row, and is chosen here and only here: an
-    immutable `bytes` when every mask fits one byte (up to 8 axes), else an
-    `array` of the narrowest type for a mask.  A `bytes` row is its own
-    key in the analysis cache (`costmodel.estimate`), so that cache holds
-    no copy of it.
-
-    The closure table maps a state key to its packed row (`closed`), and
-    `rows` maps each distinct row's bytes to the one row object that every
-    state with that row holds.  Only `_make_state` fills or reads them, so
-    a repeated action set costs `apply_action` a table hit, not a closure.
+    The closure table maps a state key to its row (`closed`), and `rows`
+    maps each distinct row to the one row object that every state with
+    that row holds.  Only `_make_state` fills or reads them, so a repeated
+    action set costs `apply_action` a table hit, not a closure.
     """
 
     __slots__ = (
-        "graph", "mesh", "axis_names", "bit_of", "name_of_bit", "prod", "nbits",
-        "pack", "labels",
+        "graph", "mesh", "axis_names", "bit_of", "name_of_bit", "prod", "nbits", "labels",
         "ids", "index", "dims", "nbytes", "nvals", "live_to_end",
         "producer_op", "out_idx", "groups", "group_pos", "group_rank", "group_members",
         "group_dims", "seed_base", "seed_writes", "offsets", "value_of",
@@ -205,13 +184,9 @@ class _Compiled:
         for mask in range(1, 1 << self.nbits):
             low = mask & -mask
             self.prod[mask] = self.prod[mask ^ low] * mesh.axes[low.bit_length() - 1].size
-        if self.nbits <= 8:
-            self.pack = lambda row: bytes(bytearray(row))
-        else:
-            self.pack = functools.partial(array.array, next(
-                code for code in "HILQ" if array.array(code).itemsize * 8 >= self.nbits
-            ))
-        self.labels = _Labels(self.name_of_bit)
+        self.labels = tuple(
+            "+".join(sorted(self.names(mask))) for mask in range(1 << self.nbits)
+        )
 
         self.ids = [a.id for a in graph.args] + [op.id for op in graph.ops]
         self.index = {vid: i for i, vid in enumerate(self.ids)}
@@ -411,9 +386,9 @@ class _Compiled:
             )
             for gid, d in seed_slots
         )
-        # the closure table (`_make_state`): key -> row, and bytes -> row
-        self.closed: dict[int, object] = {}
-        self.rows: dict[bytes, object] = {}
+        # the closure table (`_make_state`): key -> row, and row -> itself
+        self.closed: dict[int, bytes] = {}
+        self.rows: dict[bytes, bytes] = {}
 
     def sweep_of(self, live: int) -> tuple:
         """The instances of the components in mask `live`, in instance order."""
@@ -523,10 +498,9 @@ class ModuleState:
     read off the members' dim masks (`_Compiled.group_dims`).
 
     Search keeps every state it reaches, so a state is stored compactly: one
-    row of closed masks (`_row`, laid out and stored as `_Compiled` says:
-    `bytes` when a mask fits one byte, an `array` beyond that) and one int
-    bitmask of the applied action set's seed indices (`_key`).  States
-    with equal rows share one row object (`_make_state`).
+    `bytes` row of closed masks (`_row`, laid out as `_Compiled` says) and
+    one int bitmask of the applied action set's seed indices (`_key`).
+    States with equal rows share one row object (`_make_state`).
     """
 
     __slots__ = ("applied", "fingerprint", "_comp", "_key", "_row")
@@ -571,10 +545,10 @@ def _make_state(comp: _Compiled, key: int, applied: tuple) -> ModuleState:
 
     The row comes from the root's closure table (`_Compiled.closed`) when
     an earlier call closed the same set.  Otherwise the actions of `key`
-    are seeded, the row is closed and packed, and the table records it,
-    interned through `_Compiled.rows` so that equal rows are one object.
-    A row depends only on the action set, so a table hit is the row a
-    closure would compute.
+    are seeded, the row is closed and stored as `bytes`, and the table
+    records it, interned through `_Compiled.rows` so that equal rows are
+    one object.  A row depends only on the action set, so a table hit is
+    the row a closure would compute.
 
     Each seed's writes (`_Compiled.seed_writes`) also give `_close` its
     entry: the used masks of the values they write, and the component of
@@ -599,8 +573,8 @@ def _make_state(comp: _Compiled, key: int, applied: tuple) -> ModuleState:
                 work[pos] |= bit
                 used[v] |= bit
         _close(comp, work, used, live)
-        row = comp.pack(work)
-        row = comp.closed[key] = comp.rows.setdefault(bytes(row), row)
+        row = bytes(work)
+        row = comp.closed[key] = comp.rows.setdefault(row, row)
     return ModuleState(comp, key, applied, row)
 
 

@@ -44,7 +44,7 @@ class MeshAxis:
             raise ShapeError(f"mesh axis {self.name!r} has size {self.size}; need >= 2")
 
 
-MAX_MESH_AXES = 16  # the engine tabulates all 2**n axis subsets of a mesh
+MAX_MESH_AXES = 8  # a dim's axes are one mask byte of a state's row (`engine`)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -194,13 +194,13 @@ def test_mesh_compatibility_check_names_the_offending_axis():
     assert "axis 'batch' (size 3)" in str(exc.value)
 
 
-WIDE = ir.Mesh(tuple(ir.MeshAxis(f"ax{i}", 2) for i in range(9)))
+WIDE = ir.Mesh(tuple(ir.MeshAxis(f"ax{i}", 2) for i in range(8)))
 
 
 @settings(max_examples=150, deadline=None)
 @given(graph_seed=strategies.integers(0, 2**32 - 1), wide=strategies.booleans(),
        sizes=strategies.lists(strategies.sampled_from((2, 3, 4, 8, 16, 32)),
-                              min_size=1, max_size=9))
+                              min_size=1, max_size=8))
 def test_the_mesh_check_fails_exactly_when_an_axis_has_no_legal_action(graph_seed, wide, sizes):
     graph = random_graph(random.Random(graph_seed))
     mesh = WIDE if wide else ir.Mesh(

@@ -441,8 +441,8 @@ def test_the_state_cache_checks_each_action_once(monkeypatch):
 
 # --- compact state storage ----------------------------------------------------
 
-# nine axes: masks no longer fit one byte, so states use a wider typecode
-WIDE = ir.Mesh(tuple(ir.MeshAxis(f"ax{i}", 2) for i in range(9)))
+# eight axes, the most a mesh may have: masks use every bit of a row's byte
+WIDE = ir.Mesh(tuple(ir.MeshAxis(f"ax{i}", 2) for i in range(8)))
 
 
 def random_walk(graph: ir.Graph, mesh: ir.Mesh, picks: list[int]) -> list[engine.Action]:
@@ -638,26 +638,26 @@ def test_the_state_cache_admits_exactly_the_actions_apply_action_does(graph_seed
     assert cm.estimate(replayed, cfg) == cm.estimate(state, cfg)
 
 
-def test_masks_past_the_eighth_axis_are_stored_whole():
+def test_an_action_on_the_eighth_axis_sets_the_top_bit_of_its_mask():
     graph = random_graph(random.Random(3))
     state = engine.initial_state(graph, WIDE)
-    assert state._row.itemsize > 1
-    a = engine.legal_actions(state, "ax8")[0]
+    a = engine.legal_actions(state, "ax7")[0]
     state = engine.apply_action(state, a)
     first = state._comp.group_members[a.group][0]
-    assert state._row[state._comp.offsets[first] + a.dim] & 1 << 8
-    assert state.shardings[graph.args[first].id].per_dim[a.dim].axes[-1] == "ax8"
+    assert state._row[state._comp.offsets[first] + a.dim] == 1 << 7
+    assert state.shardings[graph.args[first].id].per_dim[a.dim].axes == ("ax7",)
+    assert f"{a.group}.{a.dim}:ax7" in state.fingerprint.digest.split(";")
     check_against_reference(state)
 
 
 def test_rows_are_bytes_while_a_mask_fits_one_byte():
+    # every mesh does: it has at most 8 axes, one bit of a mask byte each
     graph = random_graph(random.Random(3))
-    eight = ir.Mesh(tuple(ir.MeshAxis(f"ax{i}", 2) for i in range(8)))
-    for mesh, narrow in ((AB, True), (eight, True), (WIDE, False)):
+    for mesh in (AB, WIDE):
         root = engine.initial_state(graph, mesh)
         state = engine.apply_action(root, engine.legal_actions(root, None)[-1])
         for s in (root, state):
-            assert (type(s._row) is bytes) == narrow
+            assert type(s._row) is bytes
 
 
 def random_action_set(comp: engine._Compiled, rng: random.Random) -> tuple[int, tuple]:
@@ -1024,7 +1024,7 @@ def test_a_warm_closure_table_makes_the_model_states_a_fresh_root_does(name, wal
     )
 
 
-@pytest.mark.parametrize("mesh", [A2, WIDE], ids=["bytes", "array"])
+@pytest.mark.parametrize("mesh", [A2, WIDE], ids=["1-axis", "8-axes"])
 def test_action_sets_closing_to_equal_rows_hold_one_row(mesh):
     graph = matmul_bias_graph()
     root = engine.initial_state(graph, mesh)

@@ -11,7 +11,7 @@ import re
 import shlex
 import sys
 
-from meshpart import cli
+from meshpart import cli, ir
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "meshpart"
@@ -108,6 +108,16 @@ def test_the_readme_report_example_has_the_keys_of_a_real_report(tmp_path):
         return sorted(r), sorted(r["goals"][0]), sorted(r["estimate"])
 
     assert keys(example) == keys(report)
+
+
+def test_the_readme_states_the_mesh_axis_limit_of_the_code():
+    # the input rules give the limit twice: what `--mesh` rejects, and why
+    text = " ".join(README.split())
+    stated = re.findall(
+        r"more than (\d+) axes|A mesh has at least one axis, and at most (\d+)", text
+    )
+    assert len(stated) == 2
+    assert {int(over or most) for over, most in stated} == {ir.MAX_MESH_AXES}
 
 
 def test_every_function_the_bench_wraps_exists():
