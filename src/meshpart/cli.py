@@ -51,11 +51,11 @@ def parse_mesh_spec(text: str) -> ir.Mesh:
     for part in _entries(text, "--mesh"):
         name, sep, size = part.partition("=")
         if not sep or not name.strip():
-            raise ConfigError(f"bad mesh axis {part!r}; expected name=size")
+            raise ConfigError(f"bad mesh spec {text!r}: axis {part!r} is not name=size")
         try:
             n = int(size)
         except ValueError:
-            raise ConfigError(f"bad mesh axis size in {part!r}") from None
+            raise ConfigError(f"bad mesh spec {text!r}: {part!r} has no integer size") from None
         axes.append((name.strip(), n))
     try:
         return ir.Mesh(tuple(ir.MeshAxis(name, n) for name, n in axes))
@@ -123,10 +123,12 @@ def plan_from_obj(obj) -> list[engine.Action]:
         raise ConfigError("plan file must be a JSON list or a report with a 'plan'")
     actions = []
     for i, item in enumerate(obj):
+        if not isinstance(item, dict):
+            raise ConfigError(f"plan entry #{i} is malformed: it must be an object, got {item!r}")
         try:
             group, dim, axis = item["group"], item["dim"], item["axis"]
-        except (KeyError, TypeError) as e:
-            raise ConfigError(f"plan entry #{i} is malformed: {e}") from e
+        except KeyError as e:
+            raise ConfigError(f"plan entry #{i} is malformed: it has no key {e}") from e
         # bool is an int subclass, so true/false need the exact type test
         if type(group) is not int or type(dim) is not int or not isinstance(axis, str):
             raise ConfigError(

@@ -122,7 +122,6 @@ def run_schedule(
     """
     if cost_cfg is None:
         cost_cfg = costmodel.default_config(start.mesh)
-    cache = engine.StateCache()
     state = start
     master = random.Random(seed)
     goal_seeds = [master.getrandbits(32) for _ in schedule.goals]
@@ -149,7 +148,6 @@ def run_schedule(
             goal.axis,
             scfg,
             gcfg,
-            state_cache=cache,
             estimate_cache=estimate_caches.setdefault(goal.penalty_scale, {}),
             trace=goal_trace,
         )

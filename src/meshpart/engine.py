@@ -685,8 +685,9 @@ class StateCache:
     (`_Compiled.closed`).  What the cache adds is the first state made for
     each set: it hands that object out again, so the set's `applied`
     order, which plans report, is the first order one search reached it
-    by.  That is why a cache serves one schedule run and is not shared
-    across seeds: a later seed must report its own orders.
+    by.  That is why a cache serves one search (`mcts.run_search` makes
+    its own) and is not shared across goals or seeds: each search reports
+    its own orders.
     """
 
     def __init__(self):

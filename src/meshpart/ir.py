@@ -313,8 +313,12 @@ def infer_result_type(kind: OpKind, operand_types: list[TensorType]) -> TensorTy
                 f"{operand_types[0].dims} vs {operand_types[1].dims}"
             )
         return operand_types[0]
+    if not isinstance(kind, (Reduce, Transpose, Reshape)):
+        raise ShapeError(f"unknown op kind {type(kind).__name__}")
+    if len(operand_types) != 1:
+        raise ShapeError(f"{type(kind).__name__} takes 1 operand, got {len(operand_types)}")
+    (t,) = operand_types
     if isinstance(kind, Reduce):
-        (t,) = operand_types
         if kind.reduce_kind not in ("sum", "max"):
             raise ShapeError(f"unknown reduce kind {kind.reduce_kind!r}")
         if len(set(kind.dims)) != len(kind.dims):
@@ -325,7 +329,6 @@ def infer_result_type(kind: OpKind, operand_types: list[TensorType]) -> TensorTy
         dims = tuple(s for d, s in enumerate(t.dims) if d not in kind.dims)
         return TensorType(dims, t.element_bytes)
     if isinstance(kind, Transpose):
-        (t,) = operand_types
         if sorted(kind.permutation) != list(range(t.rank)):
             raise ShapeError(
                 f"permutation {kind.permutation} is not a permutation of rank {t.rank}"
@@ -333,14 +336,11 @@ def infer_result_type(kind: OpKind, operand_types: list[TensorType]) -> TensorTy
         return TensorType(
             tuple(t.dims[p] for p in kind.permutation), t.element_bytes
         )
-    if isinstance(kind, Reshape):
-        (t,) = operand_types
-        if math.prod(kind.target_dims) != math.prod(t.dims):
-            raise ShapeError(
-                f"reshape changes element count: {t.dims} -> {kind.target_dims}"
-            )
-        return TensorType(kind.target_dims, t.element_bytes)
-    raise ShapeError(f"unknown op kind {type(kind).__name__}")
+    if math.prod(kind.target_dims) != math.prod(t.dims):
+        raise ShapeError(
+            f"reshape changes element count: {t.dims} -> {kind.target_dims}"
+        )
+    return TensorType(kind.target_dims, t.element_bytes)
 
 
 # --- Graph validation --------------------------------------------------------

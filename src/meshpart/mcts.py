@@ -12,6 +12,11 @@ cost of the first state priced under a digest.  So the digest cache decides
 During expansion, actions that land on an already-known child of the
 current node are skipped and never simulated again.
 
+Each `run_search` call makes its states through its own
+`engine.StateCache`, so the state it holds for an action set, and that
+state's `applied` order, is the first one this search made; a later goal
+or seed pins its own orders, and the states die with the search.
+
 Each trajectory runs selection (UCT over children), one expansion, and a
 uniform random rollout that may stop early: at every rollout step the stop
 choice is one extra slot next to the legal actions, so it is taken with
@@ -124,7 +129,6 @@ def run_search(
     cfg: SearchConfig,
     cost_cfg: costmodel.CostModelConfig,
     *,
-    state_cache: engine.StateCache | None = None,
     estimate_cache: dict[str, costmodel.CostEstimate] | None = None,
     trace: TraceFn | None = None,
 ) -> SearchResult:
@@ -135,8 +139,7 @@ def run_search(
     under cfg.objective, which may be the start state itself.  With a
     budget of 0 that is the start state and its estimate.
     """
-    if state_cache is None:
-        state_cache = engine.StateCache()
+    state_cache = engine.StateCache()
     if estimate_cache is None:
         estimate_cache = {}
 

@@ -262,6 +262,12 @@ def only_error_line(capsys) -> str:
 @pytest.mark.parametrize("mutate, message", [
     (lambda g: g["ops"].__setitem__(0, 5), "ops[0] must be an object"),
     (lambda g: g["outputs"].__setitem__(0, []), "outputs[0] must be a value id"),
+    (lambda g: g["ops"].append({"id": "r", "kind": "Reduce", "reduce_kind": "sum",
+                                "dims": [0], "operands": []}),
+     "Reduce takes 1 operand, got 0"),
+    (lambda g: g["ops"].append({"id": "t", "kind": "Transpose", "permutation": [1, 0],
+                                "operands": ["x", "w"]}),
+     "Transpose takes 1 operand, got 2"),
 ])
 def test_mistyped_graph_json_entries_exit_two(tmp_path, capsys, mutate, message):
     obj = ir.graph_to_json(small_graph(), AB)
@@ -328,6 +334,21 @@ def test_mistyped_plan_entries_exit_three(graph_file, tmp_path, capsys, entry):
     assert "plan entry #1 is malformed" in only_error_line(capsys)
 
 
+@pytest.mark.parametrize("plan_obj, message", [
+    (5, "plan file must be a JSON list or a report with a 'plan'"),
+    ({"x": 1}, "plan file must be a JSON list or a report with a 'plan'"),
+    ({"plan": 3}, "plan file must be a JSON list or a report with a 'plan'"),
+    ([{"group": 0}], "plan entry #0 is malformed: it has no key 'dim'"),
+    ([7], "plan entry #0 is malformed: it must be an object, got 7"),
+])
+def test_a_plan_that_is_no_list_of_actions_exits_three(
+        graph_file, tmp_path, capsys, plan_obj, message):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(plan_obj))
+    assert run_cli("estimate", "--graph", graph_file, "--plan", str(plan)) == 3
+    assert message in only_error_line(capsys)
+
+
 @pytest.mark.parametrize("command", ["search", "estimate", "oracle"])
 def test_a_graph_without_arguments_exits_two(tmp_path, capsys, command):
     obj = {
@@ -368,6 +389,7 @@ def test_incompatible_mesh_names_a_group_with_its_own_dims(tmp_path, capsys):
     ("unet", {"skip_connections": "no"}, "skip_connections must be true or false"),
     ("unet", {"skip_connections": 0}, "skip_connections must be true or false"),
     ("transformer", {"widths": [16, 32]}, "unexpected keyword argument 'widths'"),
+    ("transformer", [1], "--model-cfg must be a JSON object"),
 ])
 def test_mistyped_model_configs_exit_three(tmp_path, capsys, model, cfg, message):
     plan = tmp_path / "plan.json"
@@ -392,7 +414,7 @@ def axes_spec(n: int) -> str:
 # a mesh past 8 axes is rejected: a dim's axes are one mask byte of a row;
 # an empty entry is rejected, not skipped
 @pytest.mark.parametrize("spec", [
-    ",", "a=1", "a=-3", "a=2,a=2", "a=x",
+    ",", "a=1", "a=-3", "a=2,a=2", "a=x", "a", "=2", "a=2,b", "a=2,b=x",
     "", "a=2,,b=2", "a=2,b=2,", ",a=2", "a=2, ,b=2",
     pytest.param(axes_spec(9), id="9-axes"),
     pytest.param(axes_spec(65), id="65-axes"),

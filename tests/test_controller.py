@@ -1,15 +1,19 @@
 """Goal sequencing: budget splits, commit rules, built-ins, and parsing."""
 
+import gc
+import weakref
+
 import pytest
 
 from meshpart import controller as ctl
 from meshpart import costmodel as cm
-from meshpart import engine, ir, models
+from meshpart import engine, ir, mcts, models
 from meshpart.errors import ConfigError
 from _random_graphs import matmul_bias_graph
 
 A2 = ir.Mesh((ir.MeshAxis("a", 2),))
 AB = ir.Mesh((ir.MeshAxis("a", 2), ir.MeshAxis("b", 2)))
+BATCH_MODEL = ir.Mesh((ir.MeshAxis("batch", 2), ir.MeshAxis("model", 2)))
 
 RT, MEM, MP = cm.RUNTIME, cm.MEMORY, cm.PENALIZED_RUNTIME
 
@@ -289,3 +293,67 @@ def test_a_root_shared_across_seeds_changes_no_outcome(monkeypatch):
     again = ctl.run_schedule(shared, s, seed=1)
     assert outcome_summary(again) == outcome_summary(fresh)
     assert calls == {"_analyze": 0, "_close": 0}
+
+
+def watch_searches(monkeypatch) -> tuple[list, list, list]:
+    """Watch each `run_search` call and the states `apply_action` makes in it.
+
+    Returns (first, results, alive): per search, the first order in which
+    it made each action set, its result, and the fingerprints of the states
+    it made that are still alive when the next search starts (weak
+    references to `state.fingerprint`, since a `ModuleState` has slots and
+    no `__weakref__`).
+    """
+    made, first, results, alive = [], [], [], []
+    real_apply, real_search = engine.apply_action, mcts.run_search
+
+    def apply_action(state, action):
+        new = real_apply(state, action)
+        made[-1].append(weakref.ref(new.fingerprint))
+        first[-1].setdefault(frozenset(new.applied), new.applied)
+        return new
+
+    def run_search(*args, **kwargs):
+        if made:
+            gc.collect()
+            alive.append([fp for ref in made[-1] if (fp := ref()) is not None])
+        made.append([])
+        first.append({})
+        results.append(real_search(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(engine, "apply_action", apply_action)
+    monkeypatch.setattr(mcts, "run_search", run_search)
+    return first, results, alive
+
+
+def test_a_goals_search_frees_every_state_but_the_one_it_returns(monkeypatch):
+    first, results, alive = watch_searches(monkeypatch)
+    graph = models.build_named_model("gns")
+    s = ctl.builtin_schedule("RT_MP_ALL", BATCH_MODEL, 400)
+    out = ctl.run_schedule(engine.initial_state(graph, BATCH_MODEL), s, seed=0)
+    assert out.goal_outcomes[0].committed and len(first[0]) > 100
+    (left,) = alive  # when the second goal's search starts
+    assert len(left) == 1 and left[0] is results[0].best_state.fingerprint
+
+
+@pytest.mark.parametrize("model, spec, budget, seed", [
+    # the second goal searches the same axis again, so it reaches sets the
+    # first goal reached, here by another order
+    ("unet", "batch:rt,batch:mem", 200, 0),
+    # a best state whose set the search had made before by another order:
+    # without the pin it would report the later order
+    ("gns", "RT_MP_ALL", 400, 3),
+])
+def test_each_goal_reports_the_order_its_own_search_first_made_its_set_by(
+    monkeypatch, model, spec, budget, seed
+):
+    first, results, _ = watch_searches(monkeypatch)
+    graph = models.build_named_model(model)
+    s = ctl.parse_schedule(spec, BATCH_MODEL, budget)
+    out = ctl.run_schedule(engine.initial_state(graph, BATCH_MODEL), s, seed=seed)
+    assert [o.result for o in out.goal_outcomes] == results
+    assert all(r.trajectories_to_best > 0 for r in results)
+    for r, orders in zip(results, first):
+        best = r.best_state
+        assert best.applied == orders[frozenset(best.applied)]

@@ -161,6 +161,19 @@ def test_undefined_operand_is_reported():
     ]
 
 
+@pytest.mark.parametrize("kind", [ir.Reduce("sum", (0,)), ir.Transpose((1, 0)), ir.Reshape((32,))])
+@pytest.mark.parametrize("operands", [(), ("x", "w")])
+def test_a_unary_op_with_another_operand_count_is_reported(kind, operands):
+    g = small_chain()
+    bad = ir.Operation("zz", kind, operands, ir.TensorType((1,)))
+    with pytest.raises(GraphValidationError) as exc:
+        ir.Graph(name=g.name, args=g.args, ops=g.ops + (bad,), outputs=g.outputs,
+                 groups=g.groups)
+    assert [(v.value_id, v.message) for v in exc.value.violations] == [
+        ("zz", f"{type(kind).__name__} takes 1 operand, got {len(operands)}"),
+    ]
+
+
 def test_group_member_shape_mismatch_is_reported():
     t1, t2 = ir.TensorType((4, 4)), ir.TensorType((8, 4))
     with pytest.raises(GraphValidationError) as exc:
