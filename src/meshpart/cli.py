@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import controller, costmodel, engine, ir, models, oracle
@@ -162,6 +163,8 @@ def cmd_search(args) -> int:
     for path in (args.trace, args.out):
         if path:
             _emit("", path)  # an unwritable path fails now, not after the search
+    if args.trace and args.out and os.path.samefile(args.trace, args.out):
+        raise ConfigError(f"--trace and --out name one file {args.out!r}")
     start = engine.initial_state(graph, mesh)
 
     trace_rows: list[tuple] = []

@@ -8,8 +8,8 @@ conflicting arrivals are dropped, first writer wins in a canonical order.
 
 A state is made only from a legal action set.  Every state but a root is
 made by `apply_action`, which admits an action only through `_seed_index`,
-the whole legality rule; `replay_plan` and `StateCache.apply` call it, so
-they raise exactly when it does.
+the whole legality rule; `replay_plan` and search call it, so they raise
+exactly when it does.
 
 One table object, `_Compiled(graph, mesh)`, holds everything derived from
 the graph and the mesh: the propagation and lowering tables, the axis
@@ -497,7 +497,7 @@ class ModuleState:
     action or from propagation.  Arguments are never partial, so this is
     read off the members' dim masks (`_Compiled.group_dims`).
 
-    Search keeps every state it reaches, so a state is stored compactly: one
+    A search holds a state per tree node, so a state is stored compactly: one
     `bytes` row of closed masks (`_row`, laid out as `_Compiled` says) and
     one int bitmask of the applied action set's seed indices (`_key`).
     States with equal rows share one row object (`_make_state`).
@@ -677,25 +677,13 @@ def replay_plan(graph: ir.Graph, mesh: ir.Mesh, actions: list[Action]) -> Module
 
 
 class StateCache:
-    """The first state one search made for each applied action *set*.
+    """Caches nothing: `apply` is `apply_action`.
 
-    Search reaches the same set through many action orders.  `apply` makes
-    every state with `apply_action`, so it raises exactly when that does,
-    with the same message, and a repeated set costs a closure-table hit
-    (`_Compiled.closed`).  What the cache adds is the first state made for
-    each set: it hands that object out again, so the set's `applied`
-    order, which plans report, is the first order one search reached it
-    by.  That is why a cache serves one search (`mcts.run_search` makes
-    its own) and is not shared across goals or seeds: each search reports
-    its own orders.
+    `mcts.run_search` makes its states through it only because the traced
+    bench wraps `StateCache.apply` to count them (`bench/child.py`); the
+    class goes when that wrapper does.  A state's `applied` order is the
+    path that made it.
     """
 
-    def __init__(self):
-        self._states: dict[int, ModuleState] = {}
-
     def apply(self, state: ModuleState, action: Action) -> ModuleState:
-        made = apply_action(state, action)
-        return self._states.setdefault(made._key, made)
-
-    def __len__(self) -> int:
-        return len(self._states)
+        return apply_action(state, action)

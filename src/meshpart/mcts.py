@@ -12,10 +12,8 @@ cost of the first state priced under a digest.  So the digest cache decides
 During expansion, actions that land on an already-known child of the
 current node are skipped and never simulated again.
 
-Each `run_search` call makes its states through its own
-`engine.StateCache`, so the state it holds for an action set, and that
-state's `applied` order, is the first one this search made; a later goal
-or seed pins its own orders, and the states die with the search.
+A state's `applied` order is the path that made it.  A rollout state that
+joins no tree node and is not the best dies when its trajectory ends.
 
 Each trajectory runs selection (UCT over children), one expansion, and a
 uniform random rollout that may stop early: at every rollout step the stop

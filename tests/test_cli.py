@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from _random_graphs import random_graph, random_mesh
-from meshpart import cli, costmodel as cm, engine, ir, models, oracle
+from meshpart import cli, controller, costmodel as cm, engine, ir, models, oracle
 
 AB = ir.Mesh((ir.MeshAxis("a", 2), ir.MeshAxis("b", 2)))
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -268,6 +268,20 @@ def only_error_line(capsys) -> str:
     (lambda g: g["ops"].append({"id": "t", "kind": "Transpose", "permutation": [1, 0],
                                 "operands": ["x", "w"]}),
      "Transpose takes 1 operand, got 2"),
+    (lambda g: g["ops"].append({"id": "b", "kind": "DotGeneral", "lhs_batch_dims": [0],
+                                "rhs_batch_dims": [0], "operands": ["x", "w"]}),
+     "batch pair 0: lhs dim 0 (8) != rhs dim 0 (4)"),
+    (lambda g: g["ops"].append({"id": "k", "kind": "Constant", "dims": [2],
+                                "element_bytes": 4, "operands": ["x"]}),
+     "Constant takes no operands"),
+    (lambda g: g["ops"].append({"id": "r", "kind": "Reduce", "reduce_kind": "sum",
+                                "dims": [0, 0], "operands": ["x"]}),
+     "duplicate reduce dims (0, 0)"),
+    (lambda g: g["ops"].append({"id": "r", "kind": "Reduce", "reduce_kind": "sum",
+                                "dims": [2], "operands": ["x"]}),
+     "reduce dim 2 out of range for rank 2"),
+    (lambda g: g["args"].append(dict(g["args"][0], group=3)),
+     "duplicate value id 'x'; x: argument 'x' appears in groups 0 and 3"),
 ])
 def test_mistyped_graph_json_entries_exit_two(tmp_path, capsys, mutate, message):
     obj = ir.graph_to_json(small_graph(), AB)
@@ -499,6 +513,17 @@ def test_a_cost_that_is_not_a_finite_float_exits_three(tmp_path, capsys, model_c
         assert err.count("\n") == 1 and "is not a finite number" in err, err
 
 
+def test_an_argument_whose_bytes_overflow_a_float_cost_exits_three(tmp_path, capsys):
+    obj = ir.graph_to_json(small_graph(), AB)
+    obj["args"][0]["element_bytes"] = 10**400  # peak memory past the float range
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(json.dumps(obj))
+    plan = tmp_path / "plan.json"
+    plan.write_text("[]")
+    assert run_cli("estimate", "--graph", str(graph_path), "--plan", str(plan)) == 3
+    assert "the cost of this plan is not a finite number" in only_error_line(capsys)
+
+
 def count_calls(monkeypatch, owner, name: str) -> list[int]:
     """A one-item list that counts the calls of `owner.<name>`."""
     count = [0]
@@ -544,6 +569,17 @@ def test_unwritable_search_outputs_exit_three(graph_file, tmp_path, capsys, flag
     target = str(tmp_path / "no_such_dir" / "file")
     assert run_cli("search", "--graph", graph_file, "--budget", "40", flag, target) == 3
     assert "cannot write" in only_error_line(capsys)
+
+
+def test_a_trace_and_a_report_on_one_file_exit_three_before_the_search(
+    graph_file, tmp_path, capsys, monkeypatch
+):
+    searches = count_calls(monkeypatch, controller, "run_schedule")
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("search", "--graph", graph_file, "--budget", "40",
+                   "--trace", "./both", "--out", "both") == 3
+    assert "--trace and --out name one file 'both'" in only_error_line(capsys)
+    assert searches == [0]
 
 
 def test_unwritable_out_exits_three_for_every_command(graph_file, tmp_path, capsys):

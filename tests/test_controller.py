@@ -298,19 +298,17 @@ def test_a_root_shared_across_seeds_changes_no_outcome(monkeypatch):
 def watch_searches(monkeypatch) -> tuple[list, list, list]:
     """Watch each `run_search` call and the states `apply_action` makes in it.
 
-    Returns (first, results, alive): per search, the first order in which
-    it made each action set, its result, and the fingerprints of the states
-    it made that are still alive when the next search starts (weak
-    references to `state.fingerprint`, since a `ModuleState` has slots and
-    no `__weakref__`).
+    Returns (made, results, alive): per search, weak references to the
+    fingerprints of the states it made (a `ModuleState` has slots and no
+    `__weakref__`), its result, and those of its states still alive when
+    the next search starts.
     """
-    made, first, results, alive = [], [], [], []
+    made, results, alive = [], [], []
     real_apply, real_search = engine.apply_action, mcts.run_search
 
     def apply_action(state, action):
         new = real_apply(state, action)
         made[-1].append(weakref.ref(new.fingerprint))
-        first[-1].setdefault(frozenset(new.applied), new.applied)
         return new
 
     def run_search(*args, **kwargs):
@@ -318,42 +316,37 @@ def watch_searches(monkeypatch) -> tuple[list, list, list]:
             gc.collect()
             alive.append([fp for ref in made[-1] if (fp := ref()) is not None])
         made.append([])
-        first.append({})
         results.append(real_search(*args, **kwargs))
         return results[-1]
 
     monkeypatch.setattr(engine, "apply_action", apply_action)
     monkeypatch.setattr(mcts, "run_search", run_search)
-    return first, results, alive
+    return made, results, alive
 
 
 def test_a_goals_search_frees_every_state_but_the_one_it_returns(monkeypatch):
-    first, results, alive = watch_searches(monkeypatch)
+    made, results, alive = watch_searches(monkeypatch)
     graph = models.build_named_model("gns")
     s = ctl.builtin_schedule("RT_MP_ALL", BATCH_MODEL, 400)
     out = ctl.run_schedule(engine.initial_state(graph, BATCH_MODEL), s, seed=0)
-    assert out.goal_outcomes[0].committed and len(first[0]) > 100
+    assert out.goal_outcomes[0].committed and len(made[0]) > 100
     (left,) = alive  # when the second goal's search starts
     assert len(left) == 1 and left[0] is results[0].best_state.fingerprint
 
 
-@pytest.mark.parametrize("model, spec, budget, seed", [
-    # the second goal searches the same axis again, so it reaches sets the
-    # first goal reached, here by another order
-    ("unet", "batch:rt,batch:mem", 200, 0),
-    # a best state whose set the search had made before by another order:
-    # without the pin it would report the later order
-    ("gns", "RT_MP_ALL", 400, 3),
-])
-def test_each_goal_reports_the_order_its_own_search_first_made_its_set_by(
-    monkeypatch, model, spec, budget, seed
-):
-    first, results, _ = watch_searches(monkeypatch)
-    graph = models.build_named_model(model)
-    s = ctl.parse_schedule(spec, BATCH_MODEL, budget)
-    out = ctl.run_schedule(engine.initial_state(graph, BATCH_MODEL), s, seed=seed)
-    assert [o.result for o in out.goal_outcomes] == results
-    assert all(r.trajectories_to_best > 0 for r in results)
-    for r, orders in zip(results, first):
-        best = r.best_state
-        assert best.applied == orders[frozenset(best.applied)]
+def test_a_search_keeps_only_its_tree_states_its_best_and_its_terminal(monkeypatch):
+    """A state that no tree node holds dies with its trajectory: at
+    trajectory t, at most t tree nodes (one per expansion), the best state
+    and the terminal are alive of the states the search made."""
+    made, _, _ = watch_searches(monkeypatch)
+    excess = []
+
+    def trace(t, *_):
+        gc.collect()
+        excess.append(sum(ref() is not None for ref in made[-1]) - t)
+
+    start = engine.initial_state(models.build_named_model("gns"), BATCH_MODEL)
+    mcts.run_search(start, None, mcts.SearchConfig(300, seed=0),
+                    cm.default_config(BATCH_MODEL), trace=trace)
+    assert len(excess) == 300 and len(made[0]) > 1000
+    assert max(excess) <= 2

@@ -90,6 +90,12 @@ def test_validate_sharding_rejects_unknown_axis():
         )
 
 
+def test_validate_sharding_rejects_a_sharding_of_the_wrong_rank():
+    s = ir.Sharding((ir.DimSharding(("batch",)),))
+    with pytest.raises(ShapeError, match="sharding covers 1 dims but tensor has rank 2"):
+        ir.validate_sharding(ir.TensorType((8, 8)), s, mesh2x2())
+
+
 # --- result type inference ---------------------------------------------------
 
 
@@ -174,6 +180,34 @@ def test_a_unary_op_with_another_operand_count_is_reported(kind, operands):
     ]
 
 
+@pytest.mark.parametrize("kind, result, message", [
+    ("relu", (8, 8), "unknown op kind str"),
+    (ir.Elementwise("relu"), (8, 4), "result type (8, 4) does not match inferred (8, 8)"),
+])
+def test_a_bad_op_is_reported(kind, result, message):
+    g = small_chain()
+    bad = ir.Operation("zz", kind, (g.ops[-1].id,), ir.TensorType(result))
+    with pytest.raises(GraphValidationError) as exc:
+        ir.Graph(name=g.name, args=g.args, ops=g.ops + (bad,), outputs=g.outputs,
+                 groups=g.groups)
+    assert [(v.value_id, v.message) for v in exc.value.violations] == [("zz", message)]
+
+
+@pytest.mark.parametrize("groups, violation", [
+    ((ir.EquiShardGroup(0, ("a",)), ir.EquiShardGroup(0, ("c",))),
+     (None, "duplicate group id 0")),
+    ((ir.EquiShardGroup(0, ("a",)), ir.EquiShardGroup(1, ("c", "ghost"))),
+     ("ghost", "group 1 member 'ghost' is not an argument")),
+])
+def test_bad_group_bookkeeping_is_reported(groups, violation):
+    t = ir.TensorType((4,))
+    with pytest.raises(GraphValidationError) as exc:
+        ir.Graph(name="g", args=(ir.Argument("a", t, ir.Role.DATA),
+                                 ir.Argument("c", t, ir.Role.PARAMETER)),
+                 ops=(), outputs=("a",), groups=groups)
+    assert [(v.value_id, v.message) for v in exc.value.violations] == [violation]
+
+
 def test_group_member_shape_mismatch_is_reported():
     t1, t2 = ir.TensorType((4, 4)), ir.TensorType((8, 4))
     with pytest.raises(GraphValidationError) as exc:
@@ -233,6 +267,16 @@ def test_builder_rejects_duplicate_ids():
     b.arg("x", (4,), role=ir.Role.DATA, group="d")
     with pytest.raises(ShapeError):
         b.arg("x", (4,), role=ir.Role.DATA, group="d")
+    b.elementwise("relu", "x", name="y")
+    with pytest.raises(ShapeError, match="duplicate value id 'y'"):
+        b.elementwise("relu", "x", name="y")
+
+
+def test_builder_rejects_an_undefined_operand():
+    b = ir.GraphBuilder("g")
+    b.arg("x", (4,), role=ir.Role.DATA, group="d")
+    with pytest.raises(ShapeError, match="operand 'ghost' is not defined"):
+        b.add("x", "ghost")
 
 
 def test_builder_infers_op_types():

@@ -58,6 +58,11 @@ def test_expert_plans_have_expected_action_counts():
     assert plans["bp_mt_zero3"][: len(plans["bp_mt"])] == plans["bp_mt"]
 
 
+def test_expert_plans_need_a_two_axis_mesh():
+    with pytest.raises(ConfigError, match="need a 2-axis mesh"):
+        models.transformer_expert_plans(ir.Mesh((ir.MeshAxis("batch", 2),)))
+
+
 def test_batch_parallel_plan_allreduces_each_gradient():
     graph = models.build_transformer()
     plans = models.transformer_expert_plans(MESH)

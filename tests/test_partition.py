@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, event, given, settings, strategies
 
 from meshpart import costmodel as cm, engine, ir, models
-from meshpart.errors import ConfigError, IllegalActionError, PlanReplayError
+from meshpart.errors import ConfigError, IllegalActionError, PlanReplayError, ShapeError
 from _random_graphs import matmul_bias_graph, random_graph, random_mesh, self_tied_graph
 
 A2 = ir.Mesh((ir.MeshAxis("a", 2),))
@@ -322,6 +322,12 @@ def test_apply_rejects_unknown_group_and_axis():
         engine.apply_action(start, engine.Action(0, 3, "a"))
 
 
+def test_legal_actions_rejects_an_unknown_axis():
+    start = engine.initial_state(matmul_bias_graph(), A2)
+    with pytest.raises(ShapeError, match="unknown mesh axis 'zz'"):
+        engine.legal_actions(start, "zz")
+
+
 # --- state identity ----------------------------------------------------------
 
 
@@ -381,62 +387,6 @@ def test_replay_plan_reports_failing_action_index():
     with pytest.raises(PlanReplayError) as exc:
         engine.replay_plan(graph, A2, plan)
     assert exc.value.action_index == 1
-
-
-def test_state_cache_returns_identical_objects():
-    graph = matmul_bias_graph()
-    root = engine.initial_state(graph, A2)
-    cache = engine.StateCache()
-    a = engine.Action(0, 0, "a")
-    s1 = cache.apply(root, a)
-    s2 = cache.apply(root, a)
-    assert s1 is s2
-    assert len(cache) == 1
-
-
-def test_the_state_cache_checks_each_action_once(monkeypatch):
-    calls = {"_seed_index": 0, "apply_action": 0}
-
-    def counted(name: str):
-        fn = getattr(engine, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-
-        monkeypatch.setattr(engine, name, wrapper)
-
-    counted("_seed_index")
-    counted("apply_action")
-    root = engine.initial_state(matmul_bias_graph(), AB)
-    cache = engine.StateCache()
-    x, w = engine.Action(0, 0, "a"), engine.Action(1, 1, "b")
-
-    def apply(state, action):
-        """`cache.apply`, which must run `apply_action` and `_seed_index`
-        once each, on a hit or a miss."""
-        before = dict(calls)
-        try:
-            return cache.apply(state, action)
-        finally:
-            assert {name: n - before[name] for name, n in calls.items()} == {
-                "_seed_index": 1, "apply_action": 1,
-            }
-
-    sx = apply(root, x)
-    assert apply(root, x) is sx  # a hit returns the stored object
-    sxw = apply(sx, w)
-    sw = apply(root, w)
-    assert apply(sw, x) is sxw  # the same set, reached the other way
-    assert sxw.applied == (x, w)
-    # an applied action, and an axis with no seed index: `apply_action`'s message
-    for state, action in ((sx, x), (sx, engine.Action(0, 0, "zz"))):
-        with pytest.raises(IllegalActionError) as got:
-            apply(state, action)
-        with pytest.raises(IllegalActionError) as want:
-            engine.apply_action(state, action)
-        assert str(got.value) == str(want.value)
-    assert len(cache) == 3
 
 
 # --- compact state storage ----------------------------------------------------
@@ -558,16 +508,6 @@ def test_permuted_action_sets_store_identical_state(graph_seed, wide, picks, dat
     assert again._row == first._row
     assert worklists(again) == worklists(first)
     assert again.fingerprint == first.fingerprint
-    # one action set, one cache key, whatever the order
-    root = engine.initial_state(graph, mesh)
-    cache = engine.StateCache()
-    ends = []
-    for order in (seq, perm):
-        state = root
-        for a in order:
-            state = cache.apply(state, a)
-        ends.append(state)
-    assert ends[0] is ends[1]
     cfg = cm.default_config(mesh)
     assert cm.estimate(again, cfg) == cm.estimate(first, cfg)
 
@@ -585,57 +525,35 @@ def test_every_stored_state_matches_the_list_closure(graph_seed, wide, picks):
         check_against_reference(state)
 
 
-def outcome(apply, state: engine.ModuleState, action: engine.Action):
-    """The state `apply` makes, or the message it raises."""
-    try:
-        return apply(state, action)
-    except IllegalActionError as e:
-        return str(e)
-
-
 @settings(max_examples=100, deadline=None)
 @given(graph_seed=SEEDS, picks=strategies.lists(PICKS, min_size=1, max_size=5))
-def test_the_state_cache_admits_exactly_the_actions_apply_action_does(graph_seed, picks):
+def test_apply_action_admits_exactly_the_legal_actions(graph_seed, picks):
     rng = random.Random(graph_seed)
     graph = random_graph(rng)
     mesh = random_mesh(rng)
     state = engine.initial_state(graph, mesh)
-    cache = engine.StateCache()
     comp = state._comp
     # every group and one unknown, every dim and one past the widest rank,
     # every axis and one unknown
     gids = [gid for gid, _ in comp.groups] + [len(comp.groups)]
     dims = range(max(comp.group_rank.values()) + 1)
     axes = mesh.axis_names + ("zz",)
-    # one cache across the walk: every child of every state on it is
-    # stored, so later states meet action sets the cache already holds
-    seq = []
     for pick in [*picks, None]:
         accepted = set()
         for gid in gids:
             for dim in dims:
                 for axis in axes:
                     action = engine.Action(gid, dim, axis)
-                    got = outcome(cache.apply, state, action)
-                    want = outcome(engine.apply_action, state, action)
-                    if isinstance(want, str):
-                        assert got == want
-                    else:
-                        assert not isinstance(got, str), got
-                        assert got._key == want._key
-                        assert got._row == want._row
-                        accepted.add(action)
+                    try:
+                        engine.apply_action(state, action)
+                    except IllegalActionError:
+                        continue
+                    accepted.add(action)
         legal = engine.legal_actions(state, None)
         assert sorted(legal) == sorted(accepted)
         if pick is None or not legal:
             break
-        seq.append(legal[pick % len(legal)])
-        state = cache.apply(state, seq[-1])
-    replayed = engine.replay_plan(graph, mesh, seq)
-    assert replayed._row == state._row
-    assert replayed.fingerprint.digest == state.fingerprint.digest
-    cfg = cm.default_config(mesh)
-    assert cm.estimate(replayed, cfg) == cm.estimate(state, cfg)
+        state = engine.apply_action(state, legal[pick % len(legal)])
 
 
 def test_an_action_on_the_eighth_axis_sets_the_top_bit_of_its_mask():
@@ -923,7 +841,7 @@ def test_the_analysis_cache_keys_each_analysis_by_a_priced_row_itself():
     assert all(id(key) in rows for key in by_row)  # no copy of a row
 
 
-# --- the state cache -----------------------------------------------------------
+# --- a state depends on its action set only ---------------------------------
 
 
 @settings(max_examples=100, deadline=None)
@@ -931,12 +849,12 @@ def test_the_analysis_cache_keys_each_analysis_by_a_priced_row_itself():
        graph_seed=SEEDS,
        walks=strategies.lists(strategies.lists(PICKS, max_size=5), min_size=1, max_size=3),
        order_seed=SEEDS)
-def test_the_state_cache_hands_out_the_first_state_made_for_each_set(
+def test_any_order_of_an_action_set_makes_the_state_a_fresh_replay_does(
     source, graph_seed, walks, order_seed
 ):
-    """One cache walked through shuffled orders of the same action sets:
-    every set gets the first state made for it, with that state's order,
-    and its row and digest are those `apply_action` gives from a fresh root."""
+    """Shuffled orders of the same action sets, applied on one root: every
+    prefix keeps the order that made it, and its key, row and digest are
+    those of replaying that order on a fresh root."""
     rng = random.Random(graph_seed)
     if source in models.MODEL_BUILDERS:
         graph = models.build_named_model(source)
@@ -946,26 +864,19 @@ def test_the_state_cache_hands_out_the_first_state_made_for_each_set(
         mesh = WIDE if source == "wide" else random_mesh(rng)
     root, *states = walks_from_one_root(graph, mesh, walks)
     order_rng = random.Random(order_seed)
-    cache = engine.StateCache()
-    first: dict[frozenset, tuple] = {}  # action set -> (state, the order that made it)
     for seq in [s.applied for s in states] * 2:
         state, order = root, ()
         for action in order_rng.sample(seq, len(seq)):
             try:
-                state = cache.apply(state, action)
+                state = engine.apply_action(state, action)
             except IllegalActionError:
                 break  # this order is unreachable from here on
-            # a new set is made from the state of the set before it
-            pinned, order = first.setdefault(
-                frozenset(order + (action,)), (state, order + (action,))
-            )
-            assert state is pinned
+            order += (action,)
             assert state.applied == order
-    for pinned, order in first.values():
-        fresh = engine.replay_plan(graph, mesh, list(order))
-        assert pinned._key == fresh._key
-        assert pinned._row == fresh._row
-        assert pinned.fingerprint.digest == fresh.fingerprint.digest
+            fresh = engine.replay_plan(graph, mesh, list(order))
+            assert state._key == fresh._key
+            assert state._row == fresh._row
+            assert state.fingerprint.digest == fresh.fingerprint.digest
 
 
 # --- the root's closure table -------------------------------------------------
