@@ -350,3 +350,31 @@ def test_a_search_keeps_only_its_tree_states_its_best_and_its_terminal(monkeypat
                     cm.default_config(BATCH_MODEL), trace=trace)
     assert len(excess) == 300 and len(made[0]) > 1000
     assert max(excess) <= 2
+
+
+@pytest.mark.parametrize("model, spec, budget, seed", [
+    # the second goal searches the same axis again, so it reaches sets the
+    # first goal reached, here by another order
+    ("unet", "batch:rt,batch:mem", 200, 0),
+    # a best state whose set the search had made before by another order
+    ("gns", "RT_MP_ALL", 400, 3),
+])
+def test_each_goal_reports_the_order_its_own_search_first_made_its_set_by(
+    monkeypatch, model, spec, budget, seed
+):
+    """Each goal reports the order of the path by which its own search made
+    its best state: that state object came from this goal's search, not an
+    earlier goal's, and its order replays to the same state."""
+    made, results, _ = watch_searches(monkeypatch)
+    graph = models.build_named_model(model)
+    s = ctl.parse_schedule(spec, BATCH_MODEL, budget)
+    out = ctl.run_schedule(engine.initial_state(graph, BATCH_MODEL), s, seed=seed)
+    assert [o.result for o in out.goal_outcomes] == results
+    assert all(r.trajectories_to_best > 0 for r in results)
+    for i, r in enumerate(results):
+        fp = r.best_state.fingerprint
+        owners = [j for j, refs in enumerate(made) if any(ref() is fp for ref in refs)]
+        assert owners == [i]
+    for r in results:
+        best = r.best_state
+        assert engine.replay_plan(graph, BATCH_MODEL, best.applied).fingerprint == best.fingerprint
