@@ -140,10 +140,10 @@ def plan_from_obj(obj) -> list[engine.Action]:
     return actions
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(text: str, out_path: str | None, mode: str = "w") -> None:
     if out_path:
         try:
-            with open(out_path, "w", encoding="utf-8") as f:
+            with open(out_path, mode, encoding="utf-8") as f:
                 f.write(text)
         except OSError as e:
             raise ConfigError(f"cannot write {out_path!r}: {e}") from e
@@ -162,7 +162,9 @@ def cmd_search(args) -> int:
     schedule = controller.parse_schedule(args.schedule, mesh, args.budget)
     for path in (args.trace, args.out):
         if path:
-            _emit("", path)  # an unwritable path fails now, not after the search
+            # an unwritable path fails now, not after the search; appending
+            # nothing keeps the bytes of a file that a failed search leaves
+            _emit("", path, "a")
     if args.trace and args.out and os.path.samefile(args.trace, args.out):
         raise ConfigError(f"--trace and --out name one file {args.out!r}")
     start = engine.initial_state(graph, mesh)

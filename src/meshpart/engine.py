@@ -16,10 +16,11 @@ the graph and the mesh: the propagation and lowering tables, the axis
 encoding, one `Action` per seed index, the layout of a state's mask row
 (one immutable `bytes` object: a mesh has at most `ir.MAX_MESH_AXES` = 8
 axes, so every mask fits one byte), the seed writes of every action, the
-closure table of closed rows, and the pricing memo and analysis cache
-that `costmodel` fills.  It belongs to a root state: `initial_state` builds
-it, every state made from that root shares it, and a state reads its graph
-and mesh through it.  There is no process-wide cache, so each
+closure table of closed rows, packed several masks per byte, and the
+pricing memo and analysis cache that `costmodel` fills.  It belongs to a
+root state: `initial_state` builds it, every state made from that root
+shares it, and a state reads its graph and mesh through it, but holds its
+own unpacked row.  There is no process-wide cache, so each
 `initial_state` call compiles its own tables, and they are freed with the
 last state that holds them; a command builds its root once and hands it to
 every consumer, so the closure runs once per distinct action set per
@@ -141,6 +142,39 @@ class _OpMeta(NamedTuple):
     flops: tuple[int, tuple[tuple[int, int, int], ...]]
 
 
+# per field width (bits per mask), one `bytes.translate` table per field of
+# a packed byte, low field first: it maps the byte to that field's mask
+_FIELD_TABLES = {
+    w: tuple(bytes(b >> shift & (1 << w) - 1 for b in range(256)) for shift in range(0, 8, w))
+    for w in (1, 2, 4, 8)
+}
+
+
+def _pack(row: bytes, width: int) -> bytes:
+    """Masks below `1 << width`, `8 // width` per byte, low field first.
+
+    Field j of every byte is the masks `row[j::per]`, shifted by `j *
+    width` in one integer: no mask reaches the next field, so no shift
+    carries into the next byte.
+    """
+    per = 8 // width
+    packed = 0
+    for j in range(per):
+        packed |= int.from_bytes(row[j::per], "little") << j * width
+    return packed.to_bytes(-(-len(row) // per), "little")
+
+
+def _unpack(packed: bytes, width: int, length: int) -> bytes:
+    """The first `length` masks of a row that `_pack` packed at `width`."""
+    tables = _FIELD_TABLES[width]
+    per = len(tables)
+    row = bytearray(len(packed) * per)
+    for j, table in enumerate(tables):
+        row[j::per] = packed.translate(table)
+    del row[length:]
+    return bytes(row)
+
+
 class _Compiled:
     """Propagation/lowering tables and the axis encoding for one graph on one mesh.
 
@@ -154,13 +188,17 @@ class _Compiled:
     `row[partial_base + v]`, where `partial_base = total_dims + 1`, holds
     the axes value v is partial over.  The zero slot stays 0, which plans
     and a constant's memo key rely on: instances write only dim and partial
-    positions, seeds only dim ones.  A row is its own key in the analysis
-    cache (`costmodel.estimate`), so that cache holds no copy of it.
+    positions, seeds only dim ones.
 
-    The closure table maps a state key to its row (`closed`), and `rows`
-    maps each distinct row to the one row object that every state with
-    that row holds.  Only `_make_state` fills or reads them, so a repeated
-    action set costs `apply_action` a table hit, not a closure.
+    The closure table maps a state key to its row packed (`closed`), and
+    `rows` maps each distinct packed row to the one object that the table
+    and the analysis cache (`costmodel.estimate`) hold for it, so neither
+    holds a second copy.  A packed row keeps `per = 8 // field_bits`
+    masks per byte, where `field_bits` is the least power of two at or
+    above the axis count: mask i sits in byte `i // per` at bit `(i % per)
+    * field_bits`, and the last byte is padded with zero masks (`pack`,
+    `unpack`).  Only `_make_state` reads the table, so a repeated action
+    set costs `apply_action` a table hit and an unpack, not a closure.
     """
 
     __slots__ = (
@@ -170,7 +208,7 @@ class _Compiled:
         "group_dims", "seed_base", "seed_writes", "offsets", "value_of",
         "total_dims", "partial_base", "instances", "op_meta", "part_of", "_sweeps",
         "digest_slots", "scan_keys", "scans", "scan_interned", "analyses", "counts_interned",
-        "actions", "closed", "rows",
+        "actions", "field_bits", "closed", "rows",
     )
 
     def __init__(self, graph: ir.Graph, mesh: ir.Mesh):
@@ -386,9 +424,19 @@ class _Compiled:
             )
             for gid, d in seed_slots
         )
-        # the closure table (`_make_state`): key -> row, and row -> itself
+        # the closure table (`_make_state`): key -> packed row, and packed
+        # row -> itself
+        self.field_bits = 1 << (self.nbits - 1).bit_length()
         self.closed: dict[int, bytes] = {}
         self.rows: dict[bytes, bytes] = {}
+
+    def pack(self, row: bytes) -> bytes:
+        """`row` at `field_bits` bits per mask, `8 // field_bits` masks per byte."""
+        return _pack(row, self.field_bits)
+
+    def unpack(self, packed: bytes) -> bytes:
+        """The row that `pack` packed: one mask per byte, padding dropped."""
+        return _unpack(packed, self.field_bits, self.partial_base + self.nvals)
 
     def sweep_of(self, live: int) -> tuple:
         """The instances of the components in mask `live`, in instance order."""
@@ -498,9 +546,10 @@ class ModuleState:
     read off the members' dim masks (`_Compiled.group_dims`).
 
     A search holds a state per tree node, so a state is stored compactly: one
-    `bytes` row of closed masks (`_row`, laid out as `_Compiled` says) and
-    one int bitmask of the applied action set's seed indices (`_key`).
-    States with equal rows share one row object (`_make_state`).
+    `bytes` row of closed masks (`_row`, laid out as `_Compiled` says, one
+    mask per byte) and one int bitmask of the applied action set's seed
+    indices (`_key`).  The row is the state's own: the closure table keeps
+    it packed, and `_make_state` unpacks a fresh copy for each state.
     """
 
     __slots__ = ("applied", "fingerprint", "_comp", "_key", "_row")
@@ -543,12 +592,13 @@ class ModuleState:
 def _make_state(comp: _Compiled, key: int, applied: tuple) -> ModuleState:
     """The state of `key`, a legal action set, reached by `applied`.
 
-    The row comes from the root's closure table (`_Compiled.closed`) when
-    an earlier call closed the same set.  Otherwise the actions of `key`
-    are seeded, the row is closed and stored as `bytes`, and the table
-    records it, interned through `_Compiled.rows` so that equal rows are
-    one object.  A row depends only on the action set, so a table hit is
-    the row a closure would compute.
+    The row is unpacked from the root's closure table (`_Compiled.closed`)
+    when an earlier call closed the same set.  Otherwise the actions of
+    `key` are seeded, the row is closed and stored as `bytes`, and the
+    table records it packed, interned through `_Compiled.rows` so that
+    equal packed rows are one object.  A row depends only on the action
+    set, and unpacking returns what was packed, so a table hit is the row
+    a closure would compute.
 
     Each seed's writes (`_Compiled.seed_writes`) also give `_close` its
     entry: the used masks of the values they write, and the component of
@@ -556,8 +606,10 @@ def _make_state(comp: _Compiled, key: int, applied: tuple) -> ModuleState:
     subset of the parent's closed axes plus the new one, and the members
     of a group share their dims.
     """
-    row = comp.closed.get(key)
-    if row is None:
+    packed = comp.closed.get(key)
+    if packed is not None:
+        row = comp.unpack(packed)
+    else:
         work = [0] * (comp.partial_base + comp.nvals)
         used = [0] * comp.nvals
         live = 0
@@ -574,7 +626,8 @@ def _make_state(comp: _Compiled, key: int, applied: tuple) -> ModuleState:
                 used[v] |= bit
         _close(comp, work, used, live)
         row = bytes(work)
-        row = comp.closed[key] = comp.rows.setdefault(row, row)
+        packed = comp.pack(row)
+        comp.closed[key] = comp.rows.setdefault(packed, packed)
     return ModuleState(comp, key, applied, row)
 
 

@@ -50,6 +50,8 @@ class SearchConfig:
             raise ValueError("trajectory_budget must be >= 0")
         if self.uct_c < 0:
             raise ValueError("uct_c must be >= 0")
+        if self.max_depth is not None and self.max_depth < 0:
+            raise ValueError("max_depth must be >= 0 or None")
 
 
 @dataclasses.dataclass(frozen=True)

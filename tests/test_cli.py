@@ -571,6 +571,19 @@ def test_unwritable_search_outputs_exit_three(graph_file, tmp_path, capsys, flag
     assert "cannot write" in only_error_line(capsys)
 
 
+@pytest.mark.parametrize("flag", ["--out", "--trace"])
+def test_a_failed_search_keeps_the_old_bytes_of_its_outputs(tmp_path, capsys, flag):
+    old = tmp_path / "old"
+    old.write_bytes(b'{"an": "earlier report"}\n')
+    cfg_path = tmp_path / "cost.json"
+    cfg_path.write_text(json.dumps({"flops_per_second": 1e-300}))  # every cost overflows
+    assert run_cli("search", "--model", "transformer", "--mesh", "batch=2,model=2",
+                   "--model-cfg", json.dumps({"layers": 4}), "--cost-cfg", str(cfg_path),
+                   "--budget", "4", flag, str(old)) == 3
+    assert "is not a finite number" in only_error_line(capsys)
+    assert old.read_bytes() == b'{"an": "earlier report"}\n'
+
+
 def test_a_trace_and_a_report_on_one_file_exit_three_before_the_search(
     graph_file, tmp_path, capsys, monkeypatch
 ):

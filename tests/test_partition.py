@@ -835,10 +835,11 @@ def test_the_analysis_cache_keys_each_analysis_by_a_priced_row_itself():
     cfg = cm.default_config(mesh)
     for state in states:
         cm.estimate(state, cfg)
-    (by_row,) = states[0]._comp.analyses.values()
-    assert len(by_row) == len({bytes(s._row) for s in states})
-    rows = {id(s._row) for s in states}
-    assert all(id(key) in rows for key in by_row)  # no copy of a row
+    comp = states[0]._comp
+    (by_row,) = comp.analyses.values()
+    assert len(by_row) == len({s._row for s in states})
+    assert set(by_row) == {comp.pack(s._row) for s in states}
+    assert all(comp.rows[key] is key for key in by_row)  # the table's own packed row
 
 
 # --- a state depends on its action set only ---------------------------------
@@ -943,10 +944,12 @@ def test_action_sets_closing_to_equal_rows_hold_one_row(mesh):
     via_x = engine.apply_action(root, engine.Action(0, 0, axis))
     via_c = engine.apply_action(root, engine.Action(2, 0, axis))
     assert via_x._key != via_c._key
-    assert via_x._row is via_c._row
+    assert via_x._row == via_c._row
     comp = root._comp
-    assert comp.closed[via_x._key] is comp.closed[via_c._key] is via_x._row
-    assert comp.rows == {bytes(s._row): s._row for s in (root, via_x)}
+    assert comp.closed[via_x._key] is comp.closed[via_c._key]
+    assert comp.unpack(comp.closed[via_x._key]) == via_x._row
+    assert set(comp.rows) == {comp.pack(s._row) for s in (root, via_x)}
+    assert all(key is packed for key, packed in comp.rows.items())
 
 
 def test_every_state_of_a_root_holds_its_tables_row():
@@ -954,13 +957,45 @@ def test_every_state_of_a_root_holds_its_tables_row():
     graph = models.build_named_model("gns")
     states = walks_from_one_root(graph, mesh, [[3, 1, 4, 1, 5], [9, 2, 6], [5, 3, 5, 8], [2, 7]])
     comp = states[0]._comp
-    assert len(comp.rows) == len({bytes(s._row) for s in states}) < len(states)
-    assert all(comp.rows[bytes(s._row)] is comp.closed[s._key] is s._row for s in states)
+    assert len(comp.rows) == len({s._row for s in states}) < len(states)
+    assert all(comp.unpack(comp.closed[s._key]) == s._row for s in states)
+    assert all(comp.rows[comp.closed[s._key]] is comp.closed[s._key] for s in states)
     cfg = cm.default_config(mesh)
     for state in states:
         cm.estimate(state, cfg)
     (by_row,) = comp.analyses.values()
-    assert all(comp.rows[key] is key for key in by_row)  # each key is a state's own row
+    assert all(comp.rows[key] is key for key in by_row)  # each key is the table's packed row
+
+
+def test_the_closure_table_keeps_four_masks_per_byte_on_a_two_axis_mesh():
+    # a table of unpacked rows would be four times as large on the bench's mesh
+    mesh = ir.Mesh((ir.MeshAxis("batch", 2), ir.MeshAxis("model", 2)))
+    graph = models.build_named_model("transformer")
+    states = walks_from_one_root(graph, mesh, [[3, 1, 4, 1, 5], [9, 2, 6], [5, 3, 5, 8]])
+    comp = states[0]._comp
+    assert len(comp.closed) > 10
+    assert {len(packed) for packed in comp.closed.values()} == {-(-len(states[0]._row) // 4)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(naxes=strategies.integers(1, 8), data=strategies.data())
+def test_a_packed_row_unpacks_to_itself_on_meshes_of_one_to_eight_axes(naxes, data):
+    mesh = ir.Mesh(tuple(ir.MeshAxis(f"ax{k}", 2) for k in range(naxes)))
+    comp = engine._Compiled(matmul_bias_graph(), mesh)
+    width = comp.field_bits  # the least power of two at or above the axis count
+    assert width == (1, 2, 4, 4, 8, 8, 8, 8)[naxes - 1]
+    per = 8 // width
+    # a length that leaves the last byte part padding, where one can
+    length = data.draw(strategies.integers(1, 40).filter(lambda n: per == 1 or n % per))
+    masks = strategies.integers(0, 2**naxes - 1)
+    row = bytes(data.draw(strategies.lists(masks, min_size=length, max_size=length)))
+    packed = engine._pack(row, width)
+    assert packed == bytes(
+        sum(m << j * width for j, m in enumerate(row[b:b + per])) for b in range(0, length, per)
+    )
+    assert engine._unpack(packed, width, length) == row
+    full = bytes([2**naxes - 1]) * length
+    assert engine._unpack(engine._pack(full, width), width, length) == full
 
 
 def random_compiled(graph_seed: int, wide: bool, tied: bool) -> engine._Compiled:

@@ -75,6 +75,8 @@ def test_search_config_validation():
         mcts.SearchConfig(trajectory_budget=-1)
     with pytest.raises(ValueError):
         mcts.SearchConfig(trajectory_budget=10, uct_c=-0.5)
+    with pytest.raises(ValueError, match="max_depth"):
+        mcts.SearchConfig(trajectory_budget=5, max_depth=-1)
 
 
 # --- run_search contracts ----------------------------------------------------
