@@ -16,6 +16,7 @@ byte-identical reports (stable key order, no timestamps).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -160,13 +161,29 @@ def cmd_search(args) -> int:
         raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
     graph, mesh, cost_cfg = _load_problem(args)
     schedule = controller.parse_schedule(args.schedule, mesh, args.budget)
-    for path in (args.trace, args.out):
-        if path:
-            # an unwritable path fails now, not after the search; appending
-            # nothing keeps the bytes of a file that a failed search leaves
-            _emit("", path, "a")
-    if args.trace and args.out and os.path.samefile(args.trace, args.out):
-        raise ConfigError(f"--trace and --out name one file {args.out!r}")
+    created = []  # the output paths that the check below makes
+    try:
+        for path in (args.trace, args.out):
+            if path:
+                # an unwritable path fails now, not after the search;
+                # appending nothing keeps the bytes of a file that exists
+                new = not os.path.lexists(path)
+                _emit("", path, "a")
+                if new:
+                    created.append(path)
+        if args.trace and args.out and os.path.samefile(args.trace, args.out):
+            raise ConfigError(f"--trace and --out name one file {args.out!r}")
+        return _search(args, graph, mesh, cost_cfg, schedule)
+    except BaseException:
+        # a failed search leaves no file that was not there before it
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+
+
+def _search(args, graph, mesh, cost_cfg, schedule) -> int:
+    """Run `cmd_search` once its outputs are known to be writable."""
     start = engine.initial_state(graph, mesh)
 
     trace_rows: list[tuple] = []

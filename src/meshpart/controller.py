@@ -126,7 +126,7 @@ def run_schedule(
     master = random.Random(seed)
     goal_seeds = [master.getrandbits(32) for _ in schedule.goals]
     budgets = resolve_budgets(schedule)
-    estimate_caches: dict[float, dict[str, costmodel.CostEstimate]] = {}
+    estimate_caches: dict[float, dict[bytes, costmodel.CostEstimate]] = {}
     outcomes: list[GoalOutcome] = []
     carry = 0
     trajectories_before = 0

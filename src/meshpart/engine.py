@@ -1,4 +1,4 @@
-"""Partitioning engine: actions, sharding propagation, worklists, fingerprints.
+"""Partitioning engine: actions, sharding propagation, worklists, state identity.
 
 An action shards one dim of one argument group along one mesh axis.  After
 seeding the action, shardings are propagated to a fixpoint through the whole
@@ -34,6 +34,12 @@ order, so any application order of the same action set yields identical
 shardings and fingerprints.  The converse does not hold: two different action
 sets may close to the same group shardings (one fingerprint) while op results
 in between carry different shardings.
+
+Search keys a state by `ModuleState.ident`, the argument-group masks that
+the fingerprint spells out, packed: a few dozen bytes, built once per state
+and only when asked for, and equal exactly when the fingerprints are.  The
+fingerprint's digest string is built only where it is shown (a tree node,
+a trace row, a report).
 
 The closure sweeps the propagation instances in one fixed order until a
 sweep changes nothing, but only those of *live* components: the instances
@@ -208,7 +214,7 @@ class _Compiled:
         "group_dims", "seed_base", "seed_writes", "offsets", "value_of",
         "total_dims", "partial_base", "instances", "op_meta", "part_of", "_sweeps",
         "digest_slots", "scan_keys", "scans", "scan_interned", "analyses", "counts_interned",
-        "actions", "field_bits", "closed", "rows",
+        "actions", "field_bits", "closed", "rows", "ident_masks",
     )
 
     def __init__(self, graph: ir.Graph, mesh: ir.Mesh):
@@ -277,6 +283,9 @@ class _Compiled:
             (self.offsets[self.group_members[gid][0]] + d, f"{gid}.{d}:")
             for gid, d in seed_slots
         )
+        # a row's masks at the digest positions, then the zero slot, so
+        # that one digest slot still gives a tuple (`ModuleState.ident`)
+        self.ident_masks = operator.itemgetter(*(pos for pos, _ in self.digest_slots), zero)
 
         instances: list[tuple] = []
 
@@ -550,16 +559,20 @@ class ModuleState:
     mask per byte) and one int bitmask of the applied action set's seed
     indices (`_key`).  The row is the state's own: the closure table keeps
     it packed, and `_make_state` unpacks a fresh copy for each state.
+
+    Search keys states by `ident`, built on first use; the display digest
+    (`fingerprint`) is built on each access, so a state that nothing shows
+    never builds one.
     """
 
-    __slots__ = ("applied", "fingerprint", "_comp", "_key", "_row")
+    __slots__ = ("applied", "_comp", "_key", "_row", "_ident", "__weakref__")
 
     def __init__(self, comp, key, applied, row):
         self._comp = comp
         self._key = key
         self.applied = applied
         self._row = row
-        self.fingerprint = Fingerprint(self._digest())
+        self._ident = None
 
     @property
     def graph(self) -> ir.Graph:
@@ -568,6 +581,24 @@ class ModuleState:
     @property
     def mesh(self) -> ir.Mesh:
         return self._comp.mesh
+
+    @property
+    def ident(self) -> bytes:
+        """The masks at the digest positions, packed (`_Compiled.pack`).
+
+        Equal exactly when the fingerprints are: both read the same
+        positions, and a mask's label names exactly its axes.  Comparable
+        only between states of one root.
+        """
+        ident = self._ident
+        if ident is None:
+            comp = self._comp
+            ident = self._ident = comp.pack(comp.ident_masks(self._row))
+        return ident
+
+    @property
+    def fingerprint(self) -> Fingerprint:
+        return Fingerprint(self._digest())
 
     def _digest(self) -> str:
         row, labels = self._row, self._comp.labels

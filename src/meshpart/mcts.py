@@ -1,14 +1,17 @@
 """Monte Carlo tree search over partitioning actions.
 
-The tree is built over canonical state fingerprints, not action sequences:
-a global transposition table maps each digest to a single node, so every
-action order and action set that closes to the same argument-group shardings
-shares one set of statistics.  A fingerprint does not cover op results,
-which different action sets may shard differently: a node holds the state of
-the action set that first expanded into it, and the estimate cache keeps the
-cost of the first state priced under a digest.  So the digest cache decides
-*which* state's cost a digest gets; pricing that state is exact per mask row
-(`costmodel.estimate` caches analyses by row across goals and seeds).
+The tree is built over canonical state identities, not action sequences:
+a global transposition table maps each `ModuleState.ident` (the packed
+argument-group masks, equal exactly when the fingerprints are) to a single
+node, so every action order and action set that closes to the same
+argument-group shardings shares one set of statistics.  An ident does not
+cover op results, which different action sets may shard differently: a node
+holds the state of the action set that first expanded into it, and the
+estimate cache keeps the cost of the first state priced under an ident.  So
+the ident cache decides *which* state's cost an ident gets; pricing that
+state is exact per mask row (`costmodel.estimate` caches analyses by row
+across goals and seeds).  Only a node and a traced terminal build the
+display digest.
 During expansion, actions that land on an already-known child of the
 current node are skipped and never simulated again.
 
@@ -70,21 +73,23 @@ class SearchResult:
 
 
 class SearchNode:
-    """One tree node per distinct fingerprint.
+    """One tree node per distinct state ident.
 
-    `state` is the state the node was created with; `children` maps each
-    child's digest to its node, and several actions may lead to one child.
-    `untried` holds actions not yet simulated from here (None until the
-    node is first expanded).
+    `state` is the state the node was created with and `digest` its display
+    digest, which breaks selection ties; `children` maps each child's ident
+    to its node, and several actions may lead to one child.  `untried`
+    holds actions not yet simulated from here (None until the node is first
+    expanded).
     """
 
-    __slots__ = ("state", "visit_count", "total_value", "children", "untried")
+    __slots__ = ("state", "digest", "visit_count", "total_value", "children", "untried")
 
     def __init__(self, state: engine.ModuleState):
         self.state = state
+        self.digest = state.fingerprint.digest
         self.visit_count = 0
         self.total_value = 0.0
-        self.children: dict[str, SearchNode] = {}
+        self.children: dict[bytes, SearchNode] = {}
         self.untried: list[engine.Action] | None = None
 
 
@@ -104,23 +109,24 @@ def reward(
 def select_child(node: SearchNode, cfg: SearchConfig) -> SearchNode:
     """UCT pick among children; ties go to the smallest digest.
 
-    A child reached through several actions is one candidate.
+    A child reached through several actions is one candidate.  Ties
+    compare the display digests, not the idents, whose byte order differs.
     """
     log_n = math.log(node.visit_count) if node.visit_count > 1 else 0.0
-    best_digest = None
+    best = None
     best_score = -math.inf
-    for digest, child in node.children.items():
+    for child in node.children.values():
         if child.visit_count == 0:
             score = math.inf
         else:
             q = child.total_value / child.visit_count
             score = q + cfg.uct_c * math.sqrt(log_n / child.visit_count)
-        if score > best_score or (score == best_score and digest < best_digest):
+        if score > best_score or (score == best_score and child.digest < best.digest):
             best_score = score
-            best_digest = digest
-    if best_digest is None:
+            best = child
+    if best is None:
         raise ValueError("select_child on a node with no children")
-    return node.children[best_digest]
+    return best
 
 
 def run_search(
@@ -129,7 +135,7 @@ def run_search(
     cfg: SearchConfig,
     cost_cfg: costmodel.CostModelConfig,
     *,
-    estimate_cache: dict[str, costmodel.CostEstimate] | None = None,
+    estimate_cache: dict[bytes, costmodel.CostEstimate] | None = None,
     trace: TraceFn | None = None,
 ) -> SearchResult:
     """Search from `start`, restricted to `axis` (None: all mesh axes).
@@ -137,17 +143,18 @@ def run_search(
     Runs exactly cfg.trajectory_budget trajectories (zero when the start
     state has no legal actions) and returns the cheapest state evaluated
     under cfg.objective, which may be the start state itself.  With a
-    budget of 0 that is the start state and its estimate.
+    budget of 0 that is the start state and its estimate.  `estimate_cache`
+    maps a state ident to the estimate of the first state priced under it.
     """
     state_cache = engine.StateCache()
     if estimate_cache is None:
         estimate_cache = {}
 
     def est_of(state: engine.ModuleState) -> costmodel.CostEstimate:
-        d = state.fingerprint.digest
-        e = estimate_cache.get(d)
+        ident = state.ident
+        e = estimate_cache.get(ident)
         if e is None:
-            e = estimate_cache[d] = costmodel.estimate(state, cost_cfg)
+            e = estimate_cache[ident] = costmodel.estimate(state, cost_cfg)
         return e
 
     rng = random.Random(cfg.seed)
@@ -164,8 +171,8 @@ def run_search(
         return SearchResult(start, baseline, 0, 0, 1)
 
     root = SearchNode(start)
-    table: dict[str, SearchNode] = {start.fingerprint.digest: root}
-    seen: set[str] = {start.fingerprint.digest}
+    table: dict[bytes, SearchNode] = {start.ident: root}
+    seen: set[bytes] = {start.ident}
 
     for t in range(1, cfg.trajectory_budget + 1):
         node = root
@@ -182,16 +189,16 @@ def run_search(
                 rng.shuffle(node.untried)
             while node.untried:
                 child_state = state_cache.apply(state, node.untried.pop())
-                digest = child_state.fingerprint.digest
-                if digest in node.children:
+                ident = child_state.ident
+                if ident in node.children:
                     continue  # grouped action: same child, nothing new to simulate
-                child = table.get(digest)
+                child = table.get(ident)
                 if child is None:
-                    child = table[digest] = SearchNode(child_state)
+                    child = table[ident] = SearchNode(child_state)
                     # a state becomes best-eligible as soon as it joins the
                     # tree; rollouts alone would rarely stop right here
                     candidates.append(child_state)
-                node.children[digest] = child
+                node.children[ident] = child
                 node, state = child, child_state
                 expanded = True
                 break
@@ -202,7 +209,7 @@ def run_search(
                 state = node.state
             depth += 1
             path.append(node)
-            seen.add(state.fingerprint.digest)
+            seen.add(state.ident)
 
         # Rollout from wherever the tree phase stopped.
         while depth < max_depth:
@@ -214,7 +221,7 @@ def run_search(
                 break
             state = state_cache.apply(state, legal[k])
             depth += 1
-            seen.add(state.fingerprint.digest)
+            seen.add(state.ident)
 
         candidates.append(state)
         for cand in candidates:

@@ -584,6 +584,18 @@ def test_a_failed_search_keeps_the_old_bytes_of_its_outputs(tmp_path, capsys, fl
     assert old.read_bytes() == b'{"an": "earlier report"}\n'
 
 
+@pytest.mark.parametrize("flag", ["--out", "--trace"])
+def test_a_failed_search_leaves_no_new_output_file(tmp_path, capsys, flag):
+    new = tmp_path / "new"
+    cfg_path = tmp_path / "cost.json"
+    cfg_path.write_text(json.dumps({"flops_per_second": 1e-300}))  # every cost overflows
+    assert run_cli("search", "--model", "transformer", "--mesh", "batch=2,model=2",
+                   "--model-cfg", json.dumps({"layers": 4}), "--cost-cfg", str(cfg_path),
+                   "--budget", "4", flag, str(new)) == 3
+    assert "is not a finite number" in only_error_line(capsys)
+    assert not new.exists()
+
+
 def test_a_trace_and_a_report_on_one_file_exit_three_before_the_search(
     graph_file, tmp_path, capsys, monkeypatch
 ):
@@ -593,6 +605,7 @@ def test_a_trace_and_a_report_on_one_file_exit_three_before_the_search(
                    "--trace", "./both", "--out", "both") == 3
     assert "--trace and --out name one file 'both'" in only_error_line(capsys)
     assert searches == [0]
+    assert not (tmp_path / "both").exists()  # the writability check made it
 
 
 def test_unwritable_out_exits_three_for_every_command(graph_file, tmp_path, capsys):

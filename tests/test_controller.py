@@ -259,23 +259,24 @@ def outcome_summary(out: ctl.ScheduleOutcome) -> tuple:
     ]
 
 
+def count_calls(monkeypatch, calls: dict, owner, name: str) -> None:
+    """Count the calls of `owner.<name>` in `calls[name]`."""
+    fn = getattr(owner, name)
+
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
 def test_a_root_shared_across_seeds_changes_no_outcome(monkeypatch):
     # every seed of a command starts from one root, whose tables keep the
     # closed rows of the action sets and the analyses of the states that
     # earlier seeds made and priced
     calls = {"_analyze": 0, "_close": 0}
-
-    def counted(module, name: str):
-        fn = getattr(module, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    counted(cm, "_analyze")
-    counted(engine, "_close")
+    count_calls(monkeypatch, calls, cm, "_analyze")
+    count_calls(monkeypatch, calls, engine, "_close")
     graph = models.build_named_model("gns")
     s = ctl.builtin_schedule("RT_MP_ALL", AB, 300)
     fresh_root = engine.initial_state(graph, AB)
@@ -299,8 +300,7 @@ def watch_searches(monkeypatch) -> tuple[list, list, list]:
     """Watch each `run_search` call and the states `apply_action` makes in it.
 
     Returns (made, results, alive): per search, weak references to the
-    fingerprints of the states it made (a `ModuleState` has slots and no
-    `__weakref__`), its result, and those of its states still alive when
+    states it made, its result, and those of its states still alive when
     the next search starts.
     """
     made, results, alive = [], [], []
@@ -308,13 +308,13 @@ def watch_searches(monkeypatch) -> tuple[list, list, list]:
 
     def apply_action(state, action):
         new = real_apply(state, action)
-        made[-1].append(weakref.ref(new.fingerprint))
+        made[-1].append(weakref.ref(new))
         return new
 
     def run_search(*args, **kwargs):
         if made:
             gc.collect()
-            alive.append([fp for ref in made[-1] if (fp := ref()) is not None])
+            alive.append([st for ref in made[-1] if (st := ref()) is not None])
         made.append([])
         results.append(real_search(*args, **kwargs))
         return results[-1]
@@ -331,7 +331,7 @@ def test_a_goals_search_frees_every_state_but_the_one_it_returns(monkeypatch):
     out = ctl.run_schedule(engine.initial_state(graph, BATCH_MODEL), s, seed=0)
     assert out.goal_outcomes[0].committed and len(made[0]) > 100
     (left,) = alive  # when the second goal's search starts
-    assert len(left) == 1 and left[0] is results[0].best_state.fingerprint
+    assert len(left) == 1 and left[0] is results[0].best_state
 
 
 def test_a_search_keeps_only_its_tree_states_its_best_and_its_terminal(monkeypatch):
@@ -350,6 +350,19 @@ def test_a_search_keeps_only_its_tree_states_its_best_and_its_terminal(monkeypat
                     cm.default_config(BATCH_MODEL), trace=trace)
     assert len(excess) == 300 and len(made[0]) > 1000
     assert max(excess) <= 2
+
+
+def test_an_untraced_schedule_builds_a_digest_per_tree_node_and_for_its_report(monkeypatch):
+    """Search keys states by ident, so only a tree node builds the display
+    digest of its state; rollout states and pricings build none."""
+    calls = {"_digest": 0, "__init__": 0}
+    count_calls(monkeypatch, calls, engine.ModuleState, "_digest")
+    count_calls(monkeypatch, calls, mcts.SearchNode, "__init__")
+    graph = models.build_named_model("gns")
+    s = ctl.builtin_schedule("RT_MP_ALL", BATCH_MODEL, 2000)
+    out = ctl.run_schedule(engine.initial_state(graph, BATCH_MODEL), s, seed=0)
+    assert out.final_state.fingerprint.digest  # as the report shows it
+    assert 0 < calls["_digest"] <= calls["__init__"] + 1
 
 
 @pytest.mark.parametrize("model, spec, budget, seed", [
@@ -372,8 +385,9 @@ def test_each_goal_reports_the_order_its_own_search_first_made_its_set_by(
     assert [o.result for o in out.goal_outcomes] == results
     assert all(r.trajectories_to_best > 0 for r in results)
     for i, r in enumerate(results):
-        fp = r.best_state.fingerprint
-        owners = [j for j, refs in enumerate(made) if any(ref() is fp for ref in refs)]
+        owners = [
+            j for j, refs in enumerate(made) if any(ref() is r.best_state for ref in refs)
+        ]
         assert owners == [i]
     for r in results:
         best = r.best_state

@@ -845,6 +845,25 @@ def test_the_analysis_cache_keys_each_analysis_by_a_priced_row_itself():
 # --- a state depends on its action set only ---------------------------------
 
 
+def one_slot_graph(rng: random.Random) -> ir.Graph:
+    """One argument group of rank 1, so a digest has one slot."""
+    b = ir.GraphBuilder("one_slot")
+    x = b.arg("x", (rng.choice((4, 8, 16)),), role=ir.Role.DATA, group="g")
+    b.output(b.elementwise("relu", x))
+    return b.build()
+
+
+def graph_of(source: str, rng: random.Random) -> tuple[ir.Graph, ir.Mesh]:
+    """A bundled model on `batch=2,model=2`, or a generated graph and mesh."""
+    if source in models.MODEL_BUILDERS:
+        mesh = ir.Mesh((ir.MeshAxis("batch", 2), ir.MeshAxis("model", 2)))
+        return models.build_named_model(source), mesh
+    if source == "one_slot":
+        return one_slot_graph(rng), random_mesh(rng)
+    graph = self_tied_graph(rng) if source == "tied" else random_graph(rng)
+    return graph, WIDE if source == "wide" else random_mesh(rng)
+
+
 @settings(max_examples=100, deadline=None)
 @given(source=strategies.sampled_from(["random", "tied", "wide", *sorted(models.MODEL_BUILDERS)]),
        graph_seed=SEEDS,
@@ -856,13 +875,7 @@ def test_any_order_of_an_action_set_makes_the_state_a_fresh_replay_does(
     """Shuffled orders of the same action sets, applied on one root: every
     prefix keeps the order that made it, and its key, row and digest are
     those of replaying that order on a fresh root."""
-    rng = random.Random(graph_seed)
-    if source in models.MODEL_BUILDERS:
-        graph = models.build_named_model(source)
-        mesh = ir.Mesh((ir.MeshAxis("batch", 2), ir.MeshAxis("model", 2)))
-    else:
-        graph = self_tied_graph(rng) if source == "tied" else random_graph(rng)
-        mesh = WIDE if source == "wide" else random_mesh(rng)
+    graph, mesh = graph_of(source, random.Random(graph_seed))
     root, *states = walks_from_one_root(graph, mesh, walks)
     order_rng = random.Random(order_seed)
     for seq in [s.applied for s in states] * 2:
@@ -878,6 +891,28 @@ def test_any_order_of_an_action_set_makes_the_state_a_fresh_replay_does(
             assert state._key == fresh._key
             assert state._row == fresh._row
             assert state.fingerprint.digest == fresh.fingerprint.digest
+
+
+@settings(max_examples=100, deadline=None)
+@given(source=strategies.sampled_from(
+           ["random", "tied", "wide", "one_slot", *sorted(models.MODEL_BUILDERS)]),
+       graph_seed=SEEDS,
+       walks=strategies.lists(strategies.lists(PICKS, max_size=5), min_size=1, max_size=3))
+def test_two_states_share_an_ident_exactly_when_they_share_a_fingerprint(
+    source, graph_seed, walks
+):
+    """The ident that search keys by against the digest it stands for, over
+    the states of walks from one root and every child of each of them."""
+    graph, mesh = graph_of(source, random.Random(graph_seed))
+    states = walks_from_one_root(graph, mesh, walks)
+    for walked in {id(s): s for s in states}.values():
+        states += [engine.apply_action(walked, a) for a in engine.legal_actions(walked, None)]
+    by_ident, by_digest = {}, {}
+    for i, state in enumerate(states):
+        by_ident.setdefault(state.ident, set()).add(i)
+        by_digest.setdefault(state.fingerprint, set()).add(i)
+    event(source + " with shared digests" * any(len(c) > 1 for c in by_digest.values()))
+    assert sorted(map(sorted, by_ident.values())) == sorted(map(sorted, by_digest.values()))
 
 
 # --- the root's closure table -------------------------------------------------

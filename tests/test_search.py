@@ -32,15 +32,15 @@ def test_reward_is_clamped_metric_ratio():
 # --- UCT selection -----------------------------------------------------------
 
 
-def node(visits: int = 0, total: float = 0.0) -> mcts.SearchNode:
-    # selection reads only the statistics and the children's digest keys
-    n = mcts.SearchNode(engine.initial_state(matmul_bias_graph(), A2))
+def node(visits: int = 0, total: float = 0.0, state=None) -> mcts.SearchNode:
+    # selection reads only the statistics and the children's digests
+    n = mcts.SearchNode(state or engine.initial_state(matmul_bias_graph(), A2))
     n.visit_count = visits
     n.total_value = total
     return n
 
 
-def parented(children: dict[str, mcts.SearchNode]) -> mcts.SearchNode:
+def parented(children: dict[bytes, mcts.SearchNode]) -> mcts.SearchNode:
     p = node(visits=sum(c.visit_count for c in children.values()))
     p.children = dict(children)
     return p
@@ -57,12 +57,20 @@ def test_uct_balances_value_against_visit_count():
 
 
 def test_unvisited_children_have_priority_and_ties_pick_smallest_digest():
-    fresh1, fresh2 = node(), node()
-    seasoned = node(5, 5.0)
-    parent = parented({"z_late": fresh1, "a_early": fresh2, "mid": seasoned})
+    root = engine.initial_state(matmul_bias_graph(), A2)
+    late, early, other = (
+        engine.apply_action(root, engine.Action(g, d, "a")) for g, d in ((0, 1), (0, 0), (1, 1))
+    )
+    # the children are keyed by ident as in a search, and the two orders
+    # disagree, so a tie broken on the keys would pick the other child
+    assert early.fingerprint.digest < late.fingerprint.digest
+    assert early.ident > late.ident
+    fresh_late, fresh_early = node(state=late), node(state=early)
+    seasoned = node(5, 5.0, state=other)
+    parent = parented({n.state.ident: n for n in (fresh_late, fresh_early, seasoned)})
     cfg = mcts.SearchConfig(trajectory_budget=1)
-    # both unvisited score inf; 'a_early' < 'z_late'
-    assert mcts.select_child(parent, cfg) is fresh2
+    # both unvisited score inf, and the smaller digest wins
+    assert mcts.select_child(parent, cfg) is fresh_early
 
 
 def test_select_child_requires_children():

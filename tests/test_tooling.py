@@ -9,7 +9,9 @@ import json
 import pathlib
 import re
 import shlex
+import subprocess
 import sys
+import time
 
 from meshpart import cli, ir
 
@@ -120,16 +122,21 @@ def test_the_readme_states_the_mesh_axis_limit_of_the_code():
     assert {int(over or most) for over, most in stated} == {ir.MAX_MESH_AXES}
 
 
-def test_every_function_the_bench_wraps_exists():
-    # bench/child.py patches `wrap(owner, "attr", ...)` over meshpart names;
-    # a rename would only surface when the benchmark runs
+def bench_wraps() -> list[tuple[str, str, str]]:
+    """(owner, attribute, span name) of every `wrap` call in bench/child.py."""
     tree = ast.parse((ROOT / "bench" / "child.py").read_text(encoding="utf-8"))
-    wrapped = [
-        (ast.unparse(node.args[0]), node.args[1].value)
+    return [
+        (ast.unparse(node.args[0]), node.args[1].value, node.args[2].value)
         for node in ast.walk(tree)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
         and node.func.id == "wrap"
     ]
+
+
+def test_every_function_the_bench_wraps_exists():
+    # bench/child.py patches `wrap(owner, "attr", ...)` over meshpart names;
+    # a rename would only surface when the benchmark runs
+    wrapped = [(owner, attr) for owner, attr, _ in bench_wraps()]
     assert len(wrapped) >= 8
     missing = []
     for owner, attr in wrapped:
@@ -140,6 +147,24 @@ def test_every_function_the_bench_wraps_exists():
         if not callable(getattr(obj, attr, None)):
             missing.append(f"{owner}.{attr}")
     assert not missing, missing
+
+
+def test_a_traced_bench_child_records_a_span_for_every_wrapped_name(tmp_path):
+    # the traced child's notes read state attributes (the estimate note reads
+    # `fingerprint.digest`), which only a traced run exercises; one axis of
+    # gns lets 6 trajectories expand a whole node and select below it
+    timings = tmp_path / "timings.json"
+    spawn_t = time.clock_gettime(time.CLOCK_MONOTONIC)
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "child.py"), repr(spawn_t), "traced",
+         str(timings), str(SRC.parent), "search", "--model", "gns", "--mesh", "batch=2",
+         "--schedule", "batch:rt", "--budget", "6", "--out", str(tmp_path / "report.json")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    recorded = json.loads(timings.read_text())
+    assert {name for _, _, name in bench_wraps()} <= {s[0] for s in recorded["spans"]}
+    assert recorded["counters"]["trajectories"] == 6
 
 
 def test_the_bench_gate_passes_a_real_search_report(tmp_path, monkeypatch):
