@@ -128,7 +128,7 @@ def default_config(mesh: ir.Mesh, **overrides) -> CostModelConfig:
     return CostModelConfig(**base)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class CostEstimate:
     runtime_seconds: float
     peak_memory_bytes: int

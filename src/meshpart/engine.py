@@ -38,8 +38,8 @@ in between carry different shardings.
 Search keys a state by `ModuleState.ident`, the argument-group masks that
 the fingerprint spells out, packed: a few dozen bytes, built once per state
 and only when asked for, and equal exactly when the fingerprints are.  The
-fingerprint's digest string is built only where it is shown (a tree node,
-a trace row, a report).
+fingerprint's digest string is built only where it is read (a tie between
+tree nodes, a trace row, a report).
 
 The closure sweeps the propagation instances in one fixed order until a
 sweep changes nothing, but only those of *live* components: the instances

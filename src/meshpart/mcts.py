@@ -10,13 +10,16 @@ holds the state of the action set that first expanded into it, and the
 estimate cache keeps the cost of the first state priced under an ident.  So
 the ident cache decides *which* state's cost an ident gets; pricing that
 state is exact per mask row (`costmodel.estimate` caches analyses by row
-across goals and seeds).  Only a node and a traced terminal build the
-display digest.
+across goals and seeds).  Only the start, an expansion child and a rollout
+terminal build an ident; a display digest is built only for a node whose
+selection tie reads it and for a traced terminal.
 During expansion, actions that land on an already-known child of the
 current node are skipped and never simulated again.
 
 A state's `applied` order is the path that made it.  A rollout state that
-joins no tree node and is not the best dies when its trajectory ends.
+joins no tree node and is not the best dies when its trajectory ends, and
+the search keeps nothing for it: `distinct_states_visited` counts the
+distinct idents among the tree's nodes and the trajectories' terminals.
 
 Each trajectory runs selection (UCT over children), one expansion, and a
 uniform random rollout that may stop early: at every rollout step the stop
@@ -63,6 +66,9 @@ class SearchResult:
 
     `trajectories_to_best` is 0 exactly when nothing beat the start; then
     `best_state` is the start state and `best_cost` its estimate.
+    `distinct_states_visited` is the number of distinct idents among the
+    tree's nodes (the start included) and the trajectories' terminals; a
+    state a trajectory only passed through in its rollout is not counted.
     """
 
     best_state: engine.ModuleState
@@ -76,21 +82,28 @@ class SearchNode:
     """One tree node per distinct state ident.
 
     `state` is the state the node was created with and `digest` its display
-    digest, which breaks selection ties; `children` maps each child's ident
-    to its node, and several actions may lead to one child.  `untried`
-    holds actions not yet simulated from here (None until the node is first
-    expanded).
+    digest, which breaks selection ties and is built on first read;
+    `children` maps each child's ident to its node, and several actions may
+    lead to one child.  `untried` holds actions not yet simulated from here
+    (None until the node is first expanded).
     """
 
-    __slots__ = ("state", "digest", "visit_count", "total_value", "children", "untried")
+    __slots__ = ("state", "_digest", "visit_count", "total_value", "children", "untried")
 
     def __init__(self, state: engine.ModuleState):
         self.state = state
-        self.digest = state.fingerprint.digest
+        self._digest = None
         self.visit_count = 0
         self.total_value = 0.0
         self.children: dict[bytes, SearchNode] = {}
         self.untried: list[engine.Action] | None = None
+
+    @property
+    def digest(self) -> str:
+        digest = self._digest
+        if digest is None:
+            digest = self._digest = self.state.fingerprint.digest
+        return digest
 
 
 def reward(
@@ -172,7 +185,7 @@ def run_search(
 
     root = SearchNode(start)
     table: dict[bytes, SearchNode] = {start.ident: root}
-    seen: set[bytes] = {start.ident}
+    terminals: set[bytes] = set()
 
     for t in range(1, cfg.trajectory_budget + 1):
         node = root
@@ -209,7 +222,6 @@ def run_search(
                 state = node.state
             depth += 1
             path.append(node)
-            seen.add(state.ident)
 
         # Rollout from wherever the tree phase stopped.
         while depth < max_depth:
@@ -221,8 +233,8 @@ def run_search(
                 break
             state = state_cache.apply(state, legal[k])
             depth += 1
-            seen.add(state.ident)
 
+        terminals.add(state.ident)
         candidates.append(state)
         for cand in candidates:
             est = est_of(cand)
@@ -236,4 +248,5 @@ def run_search(
         if trace is not None:
             trace(t, depth, state.fingerprint.digest, r, best_metric)
 
-    return SearchResult(best_state, best_cost, cfg.trajectory_budget, to_best, len(seen))
+    distinct = len(table) + sum(ident not in table for ident in terminals)
+    return SearchResult(best_state, best_cost, cfg.trajectory_budget, to_best, distinct)

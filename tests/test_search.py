@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies
 
 from meshpart import costmodel as cm
-from meshpart import engine, ir, mcts, oracle
+from meshpart import controller as ctl
+from meshpart import engine, ir, mcts, models, oracle
 from _random_graphs import matmul_bias_graph, random_graph, random_mesh
 
 A2 = ir.Mesh((ir.MeshAxis("a", 2),))
 AB = ir.Mesh((ir.MeshAxis("a", 2), ir.MeshAxis("b", 2)))
+BATCH_MODEL = ir.Mesh((ir.MeshAxis("batch", 2), ir.MeshAxis("model", 2)))
 
 
 def est(runtime: float) -> cm.CostEstimate:
@@ -152,6 +154,106 @@ def test_transpositions_collapse_to_distinct_states():
     reachable = len(oracle.enumerate_states(start))
     r = run(graph, AB, budget=500)
     assert r.distinct_states_visited <= reachable
+
+
+def watch_counts(monkeypatch) -> list:
+    """Watch each `run_search` call for the digests its count covers.
+
+    Returns one entry per search: its result, the digests of the states it
+    made tree nodes of, and the terminal digests its trace reported.
+    """
+    searches = []
+    real_init, real_search = mcts.SearchNode.__init__, mcts.run_search
+
+    def init(self, state):
+        real_init(self, state)
+        searches[-1][1].add(state.fingerprint.digest)
+
+    def run_search(*args, trace=None, **kwargs):
+        entry = [None, set(), set()]
+        searches.append(entry)
+
+        def traced(t, depth, digest, r, best):
+            entry[2].add(digest)
+            if trace is not None:
+                trace(t, depth, digest, r, best)
+
+        entry[0] = real_search(*args, trace=traced, **kwargs)
+        return entry[0]
+
+    monkeypatch.setattr(mcts.SearchNode, "__init__", init)
+    monkeypatch.setattr(mcts, "run_search", run_search)
+    return searches
+
+
+def test_each_goal_counts_its_tree_nodes_and_terminals_once(monkeypatch):
+    """`distinct_states_visited` is the number of distinct digests among the
+    tree's nodes and the trajectories' terminals; a terminal that is or
+    later becomes a node counts once."""
+    searches = watch_counts(monkeypatch)
+    graph = models.build_named_model("gns")
+    s = ctl.builtin_schedule("RT_MP_ALL", BATCH_MODEL, 600)
+    out = ctl.run_schedule(engine.initial_state(graph, BATCH_MODEL), s, seed=0)
+    assert [o.result for o in out.goal_outcomes] == [r for r, _, _ in searches]
+    for result, nodes, terminals in searches:
+        assert result.distinct_states_visited == len(nodes | terminals)
+        assert terminals & nodes and terminals - nodes  # both kinds of terminal occur
+
+
+def test_the_count_is_the_tree_nodes_and_terminals_on_random_graphs(monkeypatch):
+    searches = watch_counts(monkeypatch)
+    rng = random.Random(31)
+    for k in range(20):
+        graph = random_graph(rng, max_groups=4, max_ops=6)
+        mesh = random_mesh(rng)
+        axis = rng.choice([None, *(a.name for a in mesh.axes)])
+        start = engine.initial_state(graph, mesh)
+        cfg = mcts.SearchConfig(trajectory_budget=rng.randint(1, 60), seed=k)
+        r = mcts.run_search(start, axis, cfg, cm.default_config(mesh))
+        _, nodes, terminals = searches[-1]
+        # the start counts even when it has no legal action and makes no node
+        assert r.distinct_states_visited == len(nodes | terminals | {start.fingerprint.digest})
+
+
+def test_a_search_builds_no_ident_for_a_state_its_rollout_passes_through(monkeypatch):
+    """Only the start, expansion children (new or grouped) and rollout
+    terminals build an ident; a rollout state that the walk leaves again
+    builds none."""
+    built, applies = [], [[]]
+    real_ident, real_apply = engine.ModuleState.ident.fget, engine.StateCache.apply
+
+    def ident(self):
+        if self._ident is None:
+            built.append(self)
+        return real_ident(self)
+
+    def apply(cache, state, action):
+        made = real_apply(cache, state, action)
+        applies[-1].append((state, made))
+        return made
+
+    monkeypatch.setattr(engine.ModuleState, "ident", property(ident))
+    monkeypatch.setattr(engine.StateCache, "apply", apply)
+    graph = models.build_named_model("gns")
+    start = engine.initial_state(graph, BATCH_MODEL)
+    cfg = mcts.SearchConfig(trajectory_budget=300, seed=2)
+    mcts.run_search(start, None, cfg, cm.default_config(BATCH_MODEL),
+                    trace=lambda *a: applies.append([]))
+    expansion, passed, terminals = [], [], []
+    for made in applies[:-1]:
+        # a trajectory's expansion applies all leave the node being expanded,
+        # a state no apply of this trajectory made; its rollout then walks a
+        # chain from the expansion child, each step leaving the last state
+        chain = len(made) - 1
+        while chain > 0 and made[chain][0] is made[chain - 1][1]:
+            chain -= 1
+        expansion += [m for _, m in made[:chain + 1]]
+        rollout = [m for _, m in made[chain + 1:]]
+        passed += rollout[:-1]
+        terminals += rollout[-1:]
+    assert passed
+    assert not {id(s) for s in built} & {id(s) for s in passed}
+    assert {id(s) for s in built} == {id(s) for s in [start, *expansion, *terminals]}
 
 
 def test_axis_with_no_legal_actions_returns_the_start():
