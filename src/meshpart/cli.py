@@ -265,8 +265,6 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    if args.max_depth is not None and args.max_depth < 0:
-        raise ConfigError(f"--max-depth must be at least 0, got {args.max_depth}")
     graph, mesh, cost_cfg = _load_problem(args)
     axes = None if args.axes is None else tuple(_entries(args.axes, "--axes"))
     start = engine.initial_state(graph, mesh)

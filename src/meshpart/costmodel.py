@@ -48,18 +48,18 @@ bookkeeping that reads the results, so one memo serves every config.
 `estimate` also caches each state's penalty-free analysis (runtime, peak,
 counts), keyed first by the config fields `_analyze` reads
 (`flops_per_second`, `cse_allgather`, `links`) and then by the state's
-row packed and interned in `engine._Compiled.rows`, the one object the
-closure table holds for that row, so the cache holds no copy of it.
-`estimate` packs the state's own row rather than reading the table, which
-need not hold the state's key.  Packing is exact (`_Compiled.unpack`
-inverts it) and the analysis is a pure function of the row and those
-fields, so a hit is exact.  A digest would not do as the key: it
-covers the argument groups only, and states sharing one may differ in
-cost.  The memory limit and penalty slope stay out of the key: `_penalize`
-applies them after the lookup, so every goal's penalty and every seed of
-a command share one analysis per closed state.  `lower` runs `_analyze`
-itself, since it needs the events, and checks its costs with the same
-`_penalize`.
+packed row as the root's closure table holds it (`_Compiled.closed` under
+the state's key), so the cache holds no copy of it.  Every state is made
+by `engine._make_state`, which records its row in that table before it
+returns the state, so the lookup always finds it.  Equal rows are one
+interned object, packing is exact (`_Compiled.unpack` inverts it) and the
+analysis is a pure function of the row and those fields, so a hit is
+exact.  A digest would not do as the key: it covers the argument groups
+only, and states sharing one may differ in cost.  The memory limit and
+penalty slope stay out of the key: `_penalize` applies them after the
+lookup, so every goal's penalty and every seed of a command share one
+analysis per closed state.  `lower` runs `_analyze` itself, since it needs
+the events, and checks its costs with the same `_penalize`.
 """
 
 from __future__ import annotations
@@ -438,13 +438,12 @@ def estimate(state: engine.ModuleState, cfg: CostModelConfig) -> CostEstimate:
     """Simulated step time, peak per-device memory, and collective counts."""
     comp = state._comp
     by_row = comp.analyses.setdefault(_analysis_key(cfg), {})
-    packed = comp.pack(state._row)
-    costs = by_row.get(packed)
+    row = comp.closed[state._key]
+    costs = by_row.get(row)
     if costs is None:
         runtime, peak, counts = _analysis(state, cfg)[1:]
         counts = comp.counts_interned.setdefault(tuple(counts.values()), counts)
-        packed = comp.rows.setdefault(packed, packed)
-        costs = by_row[packed] = runtime, peak, counts
+        costs = by_row[row] = runtime, peak, counts
     return _penalize(cfg, *costs)
 
 

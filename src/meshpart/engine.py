@@ -6,10 +6,11 @@ graph.  Propagation is monotone (axis assignments only grow) and conservative:
 an axis only lands on a dim when divisibility and the single-use rule hold;
 conflicting arrivals are dropped, first writer wins in a canonical order.
 
-A state is made only from a legal action set.  Every state but a root is
-made by `apply_action`, which admits an action only through `_seed_index`,
-the whole legality rule; `replay_plan` and search call it, so they raise
-exactly when it does.
+A state is made only from a legal action set, and only by `_make_state`,
+which records the set's closed row in the closure table before it returns
+the state.  Every state but a root is made by `apply_action`, which admits
+an action only through `_seed_index`, the whole legality rule;
+`replay_plan` and search call it, so they raise exactly when it does.
 
 One table object, `_Compiled(graph, mesh)`, holds everything derived from
 the graph and the mesh: the propagation and lowering tables, the axis
@@ -203,8 +204,9 @@ class _Compiled:
     masks per byte, where `field_bits` is the least power of two at or
     above the axis count: mask i sits in byte `i // per` at bit `(i % per)
     * field_bits`, and the last byte is padded with zero masks (`pack`,
-    `unpack`).  Only `_make_state` reads the table, so a repeated action
-    set costs `apply_action` a table hit and an unpack, not a closure.
+    `unpack`).  Only `_make_state` writes the table, so a repeated action
+    set costs `apply_action` a table hit and an unpack, not a closure, and
+    every state's key is in it when `costmodel.estimate` reads its row.
     """
 
     __slots__ = (
@@ -283,9 +285,10 @@ class _Compiled:
             (self.offsets[self.group_members[gid][0]] + d, f"{gid}.{d}:")
             for gid, d in seed_slots
         )
-        # a row's masks at the digest positions, then the zero slot, so
-        # that one digest slot still gives a tuple (`ModuleState.ident`)
-        self.ident_masks = operator.itemgetter(*(pos for pos, _ in self.digest_slots), zero)
+        # a row's masks at the digest positions, then the zero slot twice,
+        # so that a graph with no digest slot still gives a tuple
+        # (`ModuleState.ident`)
+        self.ident_masks = operator.itemgetter(*(pos for pos, _ in self.digest_slots), zero, zero)
 
         instances: list[tuple] = []
 

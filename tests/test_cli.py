@@ -623,7 +623,7 @@ def test_unwritable_out_exits_three_for_every_command(graph_file, tmp_path, caps
 @pytest.mark.parametrize("argv, message", [
     (["search", "--seeds", "0"], "--seeds must be at least 1"),
     (["search", "--seeds", "-3"], "--seeds must be at least 1"),
-    (["oracle", "--max-depth", "-1"], "--max-depth must be at least 0"),
+    (["oracle", "--max-depth", "-1"], "max_depth must be at least 0"),
     (["oracle", "--axes", ","], "names no mesh axis"),
     (["oracle", "--axes", " "], "names no mesh axis"),
     (["oracle", "--axes", ""], "names no mesh axis"),

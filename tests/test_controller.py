@@ -158,6 +158,30 @@ def test_zero_budget_schedule_is_a_no_op():
     assert out.final_state.fingerprint.digest == "()"
 
 
+def constant_graph() -> ir.Graph:
+    b = ir.GraphBuilder("constant")
+    b.output(b.constant((4,)))
+    return b.build()
+
+
+def scalar_argument_graph() -> ir.Graph:
+    b = ir.GraphBuilder("scalar")
+    b.output(b.arg("x", (), role=ir.Role.PARAMETER, group="x"))
+    return b.build()
+
+
+@pytest.mark.parametrize("build", [constant_graph, scalar_argument_graph])
+def test_a_graph_with_no_digest_slot_searches_to_its_start(build):
+    # no group dim to shard, so an ident reads only the zero slot
+    start = engine.initial_state(build(), A2)
+    result = mcts.run_search(
+        start, "a", mcts.SearchConfig(trajectory_budget=5), cm.default_config(A2)
+    )
+    assert result.best_state is start and result.distinct_states_visited == 1
+    out = ctl.run_schedule(start, sched([ctl.Goal("a", RT)], 5), seed=0)
+    assert out.plan == () and out.final_state is start
+
+
 def test_a_zero_budget_goal_between_searching_goals_never_commits(monkeypatch):
     # One digest can cover states of different cost, so pricing the current
     # state afresh may disagree with the price the search cached for its

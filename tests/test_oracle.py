@@ -131,3 +131,14 @@ def test_walks_reject_empty_repeated_and_unknown_axes(axes, message):
         oracle.count_action_sequences(start, axes=axes, max_depth=2)
     with pytest.raises(ConfigError, match=message):
         oracle.exhaustive_best(start, axes=axes)
+
+
+def test_walks_reject_a_negative_depth():
+    # a negative depth would count sequences of every length, or walk nothing
+    start = engine.initial_state(two_groups(), AB)
+    with pytest.raises(ConfigError, match="max_depth must be at least 0, got -1"):
+        oracle.enumerate_states(start, max_depth=-1)
+    with pytest.raises(ConfigError, match="max_depth must be at least 0, got -1"):
+        oracle.count_action_sequences(start, max_depth=-1)
+    assert oracle.count_action_sequences(start, max_depth=0) == 0
+    assert len(oracle.enumerate_states(start, max_depth=0)) == 1

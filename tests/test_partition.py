@@ -10,7 +10,7 @@ import weakref
 import pytest
 from hypothesis import assume, event, given, settings, strategies
 
-from meshpart import costmodel as cm, engine, ir, models
+from meshpart import costmodel as cm, engine, ir, mcts, models
 from meshpart.errors import ConfigError, IllegalActionError, PlanReplayError, ShapeError
 from _random_graphs import matmul_bias_graph, random_graph, random_mesh, self_tied_graph
 
@@ -704,7 +704,8 @@ def check_cold_and_warm_memos_agree(states: list[engine.ModuleState]) -> None:
 
     The walk's states share one `_Compiled`, so once every state has been
     priced under both configs, each op's result comes from whichever state
-    first met its key.  A state's masks on new tables find empty memos.
+    first met its key.  A state replayed from a new root finds empty memos
+    and closes its row from scratch, and that row must be the warm one.
     """
     cfgs = [cm.default_config(states[0].mesh, cse_allgather=cse) for cse in (False, True)]
     for cfg in cfgs:
@@ -712,10 +713,8 @@ def check_cold_and_warm_memos_agree(states: list[engine.ModuleState]) -> None:
             cm._analyze(state, cfg)
     for state in states:
         for cfg in cfgs:
-            cold = engine.ModuleState(
-                engine._Compiled(state.graph, state.mesh),
-                state._key, state.applied, state._row,
-            )
+            cold = engine.replay_plan(state.graph, state.mesh, state.applied)
+            assert cold._row == state._row
             assert analysis(state, cfg) == analysis(cold, cfg)
 
 
@@ -762,15 +761,16 @@ def check_warm_and_cold_analyses_agree(states: list[engine.ModuleState]) -> None
 
     The states share one root, and each is priced under every config in
     turn, so most of them hit analyses that another config or another state
-    left in the cache.  A state's row on new tables finds the cache empty.
+    left in the cache.  A state replayed from a new root finds the cache
+    empty and closes its row from scratch, and that row must be the warm one.
     """
     cfgs = pricing_configs(states[0].mesh)
     warm = [[cm.estimate(state, cfg) for cfg in cfgs] for state in states]
     for state, estimates in zip(states, warm):
         for cfg, est in zip(cfgs, estimates):
-            cold = cm.estimate(engine.ModuleState(
-                engine._Compiled(state.graph, state.mesh), state._key, state.applied, state._row,
-            ), cfg)
+            replayed = engine.replay_plan(state.graph, state.mesh, state.applied)
+            assert replayed._row == state._row
+            cold = cm.estimate(replayed, cfg)
             assert est.runtime_seconds.hex() == cold.runtime_seconds.hex()
             assert est.penalized_cost.hex() == cold.penalized_cost.hex()
             assert est == cold
@@ -1000,6 +1000,36 @@ def test_every_state_of_a_root_holds_its_tables_row():
         cm.estimate(state, cfg)
     (by_row,) = comp.analyses.values()
     assert all(comp.rows[key] is key for key in by_row)  # each key is the table's packed row
+
+
+def test_pricing_keys_each_analysis_by_the_closure_tables_row(monkeypatch):
+    # `estimate` reads a state's packed row from the table and packs nothing
+    mesh = ir.Mesh((ir.MeshAxis("batch", 2), ir.MeshAxis("model", 2)))
+    root = engine.initial_state(models.build_named_model("gns"), mesh)
+    estimate, pack = cm.estimate, engine._pack
+    priced, pricing, packed_while_pricing = [], [], []
+
+    def watched_estimate(state, cfg):
+        priced.append(state)
+        pricing.append(state)
+        try:
+            return estimate(state, cfg)
+        finally:
+            pricing.pop()
+
+    def watched_pack(row, width):
+        if pricing:
+            packed_while_pricing.append(row)
+        return pack(row, width)
+
+    monkeypatch.setattr(cm, "estimate", watched_estimate)
+    monkeypatch.setattr(engine, "_pack", watched_pack)
+    cfg = mcts.SearchConfig(trajectory_budget=60, seed=0)
+    mcts.run_search(root, None, cfg, cm.default_config(mesh))
+    assert len(priced) > 10 and packed_while_pricing == []
+    comp = root._comp
+    (by_row,) = comp.analyses.values()
+    assert {id(key) for key in by_row} == {id(comp.closed[s._key]) for s in priced}
 
 
 def test_the_closure_table_keeps_four_masks_per_byte_on_a_two_axis_mesh():

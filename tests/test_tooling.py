@@ -181,3 +181,30 @@ def test_the_bench_gate_passes_a_real_search_report(tmp_path, monkeypatch):
     assert cli.main(run.cli_args(wl, 0) + ["--out", str(out)]) == 0
     problems, lower_s = run.check_report(out.read_text(), run.Reference(wl, 0))
     assert problems == [] and lower_s is not None
+
+
+def module_state_calls() -> list[tuple[str, str]]:
+    """(file, innermost enclosing function) of every `ModuleState(...)` call
+    in src/ and tests/; module-level calls name the function `<module>`."""
+    found = []
+
+    def visit(node: ast.AST, path: str, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "ModuleState":
+                    found.append((path, where))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, path, child.name if inner else where)
+
+    for path in sorted([*SRC.rglob("*.py"), *(ROOT / "tests").rglob("*.py")]):
+        rel = path.relative_to(ROOT).as_posix()
+        visit(ast.parse(path.read_text(encoding="utf-8"), rel), rel, "<module>")
+    return found
+
+
+def test_only_make_state_constructs_a_module_state():
+    # `costmodel.estimate` reads a state's row from the root's closure table,
+    # which holds it because `engine._make_state` records it there first
+    assert module_state_calls() == [("src/meshpart/engine.py", "_make_state")]
