@@ -23,6 +23,7 @@ batch-like one):
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 
 from . import costmodel, engine, ir, mcts
@@ -44,6 +45,8 @@ class Goal:
             )
         if self.budget < 0:
             raise ConfigError("goal budget must be >= 0")
+        if not (math.isfinite(self.penalty_scale) and self.penalty_scale >= 0):
+            raise ConfigError(f"penalty_scale must be finite and >= 0, got {self.penalty_scale}")
 
 
 @dataclasses.dataclass(frozen=True)

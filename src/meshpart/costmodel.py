@@ -35,14 +35,17 @@ Peak memory is the maximum over program points of live per-device bytes,
 with Parameter and OptimizerState arguments resident for the whole program.
 The penalized cost multiplies runtime by a soft over-limit factor.
 
-A state is one mask row, laid out by `engine._Compiled`, which also holds
-the pricing memo, its intern table and the analysis cache, and frees them
-with the root state.  Each op's requirement scan and flops are memoized.
-They read only the row's entries at the op's plan positions `(p, q, r)`,
-its flop-term positions `(q, r)` and its operands' partial masks, so that
-tuple of masks is the memo key and the result (flops, gathers, partial
-entries, base values) is a pure function of it: a hit returns exactly what
-the scan would compute.  `cse_allgather` enters only in the per-state
+A state is one mask row, laid out by `engine._Compiled`.  This module owns
+every table that only pricing reads (`_Pricing`): value sizes, resident
+buffers, the per-op memo keys, the pricing memo, its intern table and the
+analysis cache.  They are built from the root's compiled tables on the
+first pricing of one of its states, sit beside them in `_Compiled.pricing`,
+and are freed with them.  Each op's requirement scan and flops are
+memoized.  They read only the row's entries at the op's plan positions
+`(p, q, r)` and its operands' partial masks (`_scan_key`), so that tuple of
+masks is the memo key and the result (flops, gathers, partial entries,
+base values) is a pure function of it: a hit returns exactly what the scan
+would compute.  `cse_allgather` enters only in the per-state
 bookkeeping that reads the results, so one memo serves every config.
 
 `estimate` also caches each state's penalty-free analysis (runtime, peak,
@@ -66,6 +69,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from itertools import accumulate
 from typing import Mapping, Sequence
 
@@ -188,9 +192,6 @@ def _bits(mask: int):
         yield b
 
 
-_OUTPUT = -1  # sentinel consumer: the module boundary itself
-
-
 def _penalize(
     cfg: CostModelConfig, runtime: float, peak: int, counts: dict[str, int]
 ) -> CostEstimate:
@@ -227,13 +228,72 @@ def _analysis(state: engine.ModuleState, cfg: CostModelConfig) -> tuple:
     return events, compute_seconds + comm_seconds, peak, counts
 
 
+class _Pricing:
+    """The cost model's tables for one root, beside its `engine._Compiled`.
+
+    Built from the compiled tables on the first pricing of a state of the
+    root (`_pricing`) and kept in `_Compiled.pricing`.  It holds no
+    reference back to them, so the two are freed together.  Per value:
+    `nbytes`, its full size, and `live_to_end`, whether its buffer stays
+    live to the end of the program; `value_of` gives the value of each dim
+    position.  Per op, `scan_keys` gets its memo key (`_scan_key`) from a
+    row and `scans` maps the key to the op's scan result; `scan_interned`
+    holds one object per distinct key and result, so equal keys of
+    different ops and equal results share it.  `analyses` is `estimate`'s
+    cache of penalty-free analyses: config key -> packed row -> (runtime,
+    peak, counts); rows with equal collective counts share one counts dict,
+    kept in `counts_interned` under its values.
+    """
+
+    def __init__(self, comp: engine._Compiled):
+        args, ops = comp.graph.args, comp.graph.ops
+        self.nbytes = [a.type.byte_size for a in args] + [op.result_type.byte_size for op in ops]
+        self.out_idx = [comp.index[o] for o in comp.graph.outputs]
+        # parameters, optimizer state and outputs stay resident
+        resident = (ir.Role.PARAMETER, ir.Role.OPTIMIZER_STATE)
+        self.live_to_end = [a.role in resident for a in args] + [False] * len(ops)
+        for v in self.out_idx:
+            self.live_to_end[v] = True
+        self.value_of = [v for v, dims in enumerate(comp.dims) for _ in dims]
+        self.scan_keys = [_scan_key(comp, meta) for meta in comp.op_meta]
+        self.scans = [{} for _ in ops]
+        self.scan_interned: dict = {}
+        self.analyses: dict = {}
+        self.counts_interned: dict = {}
+
+
+def _pricing(comp: engine._Compiled) -> _Pricing:
+    """The root's pricing tables, built on its first pricing."""
+    tables = getattr(comp, "pricing", None)  # `_Compiled` leaves the slot unset
+    if tables is None:
+        tables = comp.pricing = _Pricing(comp)
+    return tables
+
+
+def _scan_key(comp: engine._Compiled, meta: engine._OpMeta) -> operator.itemgetter:
+    """The memo key of an op's scan: the row entries `_scan` reads.
+
+    Those are the op's plan positions `(p, q, r)` and its operands'
+    partial masks, less the zero slot, which is 0 in every row.  Each
+    flop-term position `(q, r)` is a plan position too: a result dim's is
+    that of the operand dims tied to it, a contracted dim's that of its
+    pair, and a max-reduced dim's the zero slot.  An op that reads nothing
+    (a constant) keys on the zero slot.
+    """
+    zero = comp.total_dims
+    pos = {p for plan in meta.plans for entry in plan for p in entry}
+    pos.discard(zero)
+    pos.update(comp.partial_base + v for v in meta.operand_idx)
+    return operator.itemgetter(*sorted(pos) or (zero,))
+
+
 def _scan(comp: engine._Compiled, i: int, row: Sequence[int]) -> tuple:
     """(flops, gathers, partial entries, base values) of op `i`.
 
     `row` is a state's mask row (`engine._Compiled`); the result reads only
-    the entries of `comp.scan_keys[i]`, so it is a pure function of that
-    key.  Per operand slot, a dim's producer axes outside its requirement
-    `row[q] & row[r]` are gathered, and each partial bit of the operand is
+    the entries of the op's key (`_scan_key`), so it is a pure function of
+    that key.  Per operand slot, a dim's producer axes outside its
+    requirement `row[q] & row[r]` are gathered, and each partial bit of the operand is
     needed sharded when some dim requires it.  Gathers are distinct
     `(v, gmask)` pairs, partial entries distinct `((v, bit), needs_sharded)`
     pairs, and base values the operands some slot reads as they are, each
@@ -277,18 +337,19 @@ def _analyze(
     bytes, site op index)`; `lower` turns them into ids and `Collective`s.
     """
     comp = state._comp
+    tables = _pricing(comp)
     row = state._row
     prod = comp.prod
     nvals = comp.nvals
     n_ops = len(comp.op_meta)
 
     dmask = [0] * nvals  # per value, the axes on any of its dims
-    for v, m in zip(comp.value_of, row):  # dim positions only
+    for v, m in zip(tables.value_of, row):  # dim positions only
         if m:
             dmask[v] |= m
 
     def local_bytes(v: int) -> int:
-        return comp.nbytes[v] // prod[dmask[v]]
+        return tables.nbytes[v] // prod[dmask[v]]
 
     # --- requirement scan --------------------------------------------------
     # For every operand slot, compare the producer's sharding to what this
@@ -301,10 +362,10 @@ def _analyze(
     ag: dict[tuple[int, int, int], list[int]] = {}
     base_op = [-1] * nvals  # last op with a slot that reads the value's own buffer
     shared = cfg.cse_allgather
-    interned = comp.scan_interned
+    interned = tables.scan_interned
     flops = 0
 
-    for i, key_of, memo in zip(range(n_ops), comp.scan_keys, comp.scans):
+    for i, key_of, memo in zip(range(n_ops), tables.scan_keys, tables.scans):
         key = key_of(row)
         scan = memo.get(key)
         if scan is None:
@@ -319,38 +380,33 @@ def _analyze(
         for v in bases:
             base_op[v] = i
 
-    for o in comp.out_idx:
+    # a partial output needs its full value at the module boundary
+    for o in tables.out_idx:
         for bit in _bits(row[comp.partial_base + o]):
-            part_full.setdefault((o, bit), []).append(_OUTPUT)
+            part_full.setdefault((o, bit), [])
 
     # --- collective placement ---------------------------------------------
     # pre[i]: collectives before op i, gathers then ReduceScatters, each
     # ordered by value and axes; post[i]: (v, bit) AllReduces right after it.
-    # n_events counts the events: the ops and the collectives.
+    # Only op results are partial, and the values are the arguments, then
+    # the op results, so value v is the result of op v + n_ops - nvals.
     pre: list[list[tuple]] = [[] for _ in range(n_ops)]
     post: list[list[tuple[int, int]]] = [[] for _ in range(n_ops)]
-    n_events = n_ops
 
     for (v, gmask, _), consumers in sorted(ag.items()):
         pre[consumers[0]].append(("ag", v, gmask, consumers))
-        n_events += gmask.bit_count()
     for (v, bit), req_ops in sorted(part_req.items()):
-        full_ops = [c for c in part_full.pop((v, bit), []) if c != _OUTPUT]
+        full_ops = part_full.pop((v, bit), [])
         pre[min(req_ops + full_ops)].append(("rs", v, bit, req_ops, full_ops))
-        n_events += 2 if full_ops else 1
     for v, bit in sorted(part_full):
-        post[comp.producer_op[v]].append((v, bit))
-        n_events += 1
+        post[v + n_ops - nvals].append((v, bit))
 
     # --- events and buffers ------------------------------------------------
-    # A buffer live from event `start` through event `end` adds its bytes
-    # to delta[start] and takes them off at delta[end + 1].
     events: list = []
     ev_of_op = [0] * n_ops + [-1]  # the -1 slot serves base_op's "no reader"
     base_read = [-1] * nvals  # last collective that touches the value's own buffer
-    last = max(n_events - 1, 0)
-    delta = [0] * (last + 2)
-    deferred: list[tuple[int, list[int], int]] = []  # ends at consumers' op events
+    # (start event, consumers, bytes) of each collective's output buffer
+    deferred: list[tuple[int, list[int], int]] = []
     comm_seconds = 0.0
     counts = {ALL_GATHER: 0, ALL_REDUCE: 0, REDUCE_SCATTER: 0}
     ring: dict[int, tuple[float, int, float]] = {}  # axis bit -> _ring_terms
@@ -376,11 +432,10 @@ def _analyze(
                 prev: tuple[int, int] | None = None
                 for bit in _bits(gmask):
                     remaining &= ~bit
-                    payload = comp.nbytes[v] // prod[remaining]
+                    payload = tables.nbytes[v] // prod[remaining]
                     e = emit(ALL_GATHER, bit, payload, consumers[0], v)
-                    if prev is not None:
-                        delta[prev[0]] += prev[1]
-                        delta[e + 1] -= prev[1]
+                    if prev is not None:  # the next gather of the chain reads it
+                        deferred.append((prev[0], [e], prev[1]))
                     prev = (e, payload)
                 deferred.append((prev[0], consumers, prev[1]))
             else:
@@ -398,6 +453,10 @@ def _analyze(
         for v, bit in post[i]:
             emit(ALL_REDUCE, bit, local_bytes(v), i, v)
 
+    # A buffer live from event `start` through event `end` adds its bytes
+    # to delta[start] and takes them off at delta[end + 1].
+    last = max(len(events) - 1, 0)
+    delta = [0] * (last + 2)
     for start, consumers, nbytes in deferred:
         end = max(c if c >= start else ev_of_op[c] for c in consumers)
         delta[start] += nbytes
@@ -407,7 +466,7 @@ def _analyze(
     # its op's event (values are the arguments, then the op results)
     def_ev = [0] * (nvals - n_ops) + ev_of_op[:n_ops]
     for pinned, start, coll, op, nbytes, m in zip(
-        comp.live_to_end, def_ev, base_read, base_op, comp.nbytes, dmask
+        tables.live_to_end, def_ev, base_read, base_op, tables.nbytes, dmask
     ):
         end = last if pinned else max(coll, ev_of_op[op], start)
         nbytes //= prod[m]
@@ -437,12 +496,13 @@ def lower(state: engine.ModuleState, cfg: CostModelConfig) -> LoweredProgram:
 def estimate(state: engine.ModuleState, cfg: CostModelConfig) -> CostEstimate:
     """Simulated step time, peak per-device memory, and collective counts."""
     comp = state._comp
-    by_row = comp.analyses.setdefault(_analysis_key(cfg), {})
+    tables = _pricing(comp)
+    by_row = tables.analyses.setdefault(_analysis_key(cfg), {})
     row = comp.closed[state._key]
     costs = by_row.get(row)
     if costs is None:
         runtime, peak, counts = _analysis(state, cfg)[1:]
-        counts = comp.counts_interned.setdefault(tuple(counts.values()), counts)
+        counts = tables.counts_interned.setdefault(tuple(counts.values()), counts)
         costs = by_row[row] = runtime, peak, counts
     return _penalize(cfg, *costs)
 

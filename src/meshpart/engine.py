@@ -12,18 +12,22 @@ the state.  Every state but a root is made by `apply_action`, which admits
 an action only through `_seed_index`, the whole legality rule;
 `replay_plan` and search call it, so they raise exactly when it does.
 
-One table object, `_Compiled(graph, mesh)`, holds everything derived from
-the graph and the mesh: the propagation and lowering tables, the axis
-encoding, one `Action` per seed index, the layout of a state's mask row
-(one immutable `bytes` object: a mesh has at most `ir.MAX_MESH_AXES` = 8
-axes, so every mask fits one byte), the seed writes of every action, the
-closure table of closed rows, packed several masks per byte, and the
-pricing memo and analysis cache that `costmodel` fills.  It belongs to a
-root state: `initial_state` builds it, every state made from that root
-shares it, and a state reads its graph and mesh through it, but holds its
-own unpacked row.  There is no process-wide cache, so each
-`initial_state` call compiles its own tables, and they are freed with the
-last state that holds them; a command builds its root once and hands it to
+One table object, `_Compiled(graph, mesh)`, holds what propagation,
+identity and the closure derive from the graph and the mesh: the
+propagation and lowering tables, the axis encoding, one `Action` per seed
+index, the layout of a state's mask row (one immutable `bytes` object: a
+mesh has at most `ir.MAX_MESH_AXES` = 8 axes, so every mask fits one
+byte), the seed writes of every action, and the closure table of closed
+rows, packed several masks per byte.  The cost model's tables (value
+sizes, resident buffers, the pricing memo and the analysis cache) sit
+beside these in one slot, `_Compiled.pricing`, that only `costmodel`
+reads or writes: it builds them on the first pricing of a state of the
+root.  The tables belong to a root state: `initial_state`
+builds them, every state made from that root shares them, and a state
+reads its graph and mesh through them, but holds its own unpacked row.
+There is no process-wide cache, so each `initial_state` call compiles its
+own tables, and they and the cost model's are freed with the last state
+that holds them; a command builds its root once and hands it to
 every consumer, so the closure runs once per distinct action set per
 command, across its goals and seeds.
 Graphs and meshes are valid by construction, and whether a mesh can shard
@@ -207,16 +211,18 @@ class _Compiled:
     `unpack`).  Only `_make_state` writes the table, so a repeated action
     set costs `apply_action` a table hit and an unpack, not a closure, and
     every state's key is in it when `costmodel.estimate` reads its row.
+
+    `pricing` is the cost model's slot (`costmodel._Pricing`): left unset
+    here, filled on the first pricing of a state of the root, and freed
+    with these tables.  Nothing here reads it.
     """
 
     __slots__ = (
         "graph", "mesh", "axis_names", "bit_of", "name_of_bit", "prod", "nbits", "labels",
-        "ids", "index", "dims", "nbytes", "nvals", "live_to_end",
-        "producer_op", "out_idx", "groups", "group_pos", "group_rank", "group_members",
-        "group_dims", "seed_base", "seed_writes", "offsets", "value_of",
-        "total_dims", "partial_base", "instances", "op_meta", "part_of", "_sweeps",
-        "digest_slots", "scan_keys", "scans", "scan_interned", "analyses", "counts_interned",
-        "actions", "field_bits", "closed", "rows", "ident_masks",
+        "ids", "index", "dims", "nvals", "groups", "group_pos", "group_rank", "group_members",
+        "group_dims", "seed_base", "seed_writes", "offsets", "total_dims", "partial_base",
+        "instances", "op_meta", "part_of", "_sweeps", "digest_slots", "actions",
+        "field_bits", "closed", "rows", "ident_masks", "pricing",
     )
 
     def __init__(self, graph: ir.Graph, mesh: ir.Mesh):
@@ -236,17 +242,8 @@ class _Compiled:
 
         self.ids = [a.id for a in graph.args] + [op.id for op in graph.ops]
         self.index = {vid: i for i, vid in enumerate(self.ids)}
-        types = [a.type for a in graph.args] + [op.result_type for op in graph.ops]
-        self.dims = [t.dims for t in types]
-        self.nbytes = [t.byte_size for t in types]
+        self.dims = [a.type.dims for a in graph.args] + [op.result_type.dims for op in graph.ops]
         self.nvals = len(self.ids)
-        self.producer_op = [-1] * len(graph.args) + list(range(len(graph.ops)))
-        self.out_idx = [self.index[o] for o in graph.outputs]
-        # values whose buffer stays live to the end of the program
-        resident = (ir.Role.PARAMETER, ir.Role.OPTIMIZER_STATE)
-        self.live_to_end = [a.role in resident for a in graph.args] + [False] * len(graph.ops)
-        for v in self.out_idx:
-            self.live_to_end[v] = True
 
         self.offsets = []
         total = 0
@@ -255,7 +252,6 @@ class _Compiled:
             total += len(d)
         self.total_dims = total
         self.partial_base = total + 1
-        self.value_of = [v for v, dims in enumerate(self.dims) for _ in dims]  # per dim position
         zero = total
 
         self.groups = sorted((g.id, tuple(self.index[m] for m in g.members)) for g in graph.groups)
@@ -384,28 +380,6 @@ class _Compiled:
                 (mult, tuple(terms)) if mult else (0, ()),
             ))
         self.instances = tuple(instances)
-
-        # Pricing memo (`costmodel._analyze`): an op's requirement scan and
-        # flops read only a state's row at its plan and flop positions and
-        # its operands' partial masks.  Per op, `scan_keys` gets those
-        # entries and `scans` maps them to the op's scan result.
-        # `scan_interned` holds one object per distinct key and result, so
-        # equal keys of different ops and equal results share it.  An op
-        # that reads nothing (a constant) keys on the zero slot.
-        self.scan_keys = []
-        for meta in self.op_meta:
-            pos = {p for plan in meta.plans for entry in plan for p in entry}
-            pos.update(p for _, q, r in meta.flops[1] for p in (q, r))
-            pos.discard(zero)
-            pos.update(self.partial_base + v for v in meta.operand_idx)
-            self.scan_keys.append(operator.itemgetter(*sorted(pos) or (zero,)))
-        self.scans = [{} for _ in self.op_meta]
-        self.scan_interned: dict = {}
-        # `costmodel.estimate`'s penalty-free analyses: config key -> row
-        # bytes -> (runtime, peak, counts); rows with equal collective counts
-        # share one counts dict, kept in `counts_interned` under its values
-        self.analyses: dict = {}
-        self.counts_interned: dict = {}
 
         # Components of the tie graph over dim positions: union the two
         # positions of every instance.  part_of[pos] is one bit per component

@@ -54,8 +54,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.trajectory_budget < 0:
             raise ValueError("trajectory_budget must be >= 0")
-        if self.uct_c < 0:
-            raise ValueError("uct_c must be >= 0")
+        if not (math.isfinite(self.uct_c) and self.uct_c >= 0):
+            raise ValueError(f"uct_c must be finite and >= 0, got {self.uct_c}")
         if self.max_depth is not None and self.max_depth < 0:
             raise ValueError("max_depth must be >= 0 or None")
 

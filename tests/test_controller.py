@@ -53,6 +53,17 @@ def test_goal_and_schedule_validation():
         ctl.Schedule("s", (ctl.Goal("a", RT),), -5)
 
 
+@pytest.mark.parametrize("scale", [-1.0, float("nan"), float("inf")])
+def test_a_goal_rejects_a_penalty_scale_that_is_not_finite_and_at_least_zero(scale):
+    # a negative scale turns the memory penalty into a reward
+    with pytest.raises(ConfigError, match="penalty_scale must be finite and >= 0, got"):
+        ctl.Goal("a", MP, penalty_scale=scale)
+    assert ctl.Goal("a", MP, penalty_scale=0.0).penalty_scale == 0.0
+    eight = ir.Mesh(tuple(ir.MeshAxis(f"x{i}", 2) for i in range(ir.MAX_MESH_AXES)))
+    s = ctl.builtin_schedule("RT_MP_ALL", eight, 100)
+    assert [g.penalty_scale for g in s.goals] == [float(2**i) for i in range(8)]
+
+
 # --- built-in schedules ------------------------------------------------------
 
 

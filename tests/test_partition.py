@@ -46,7 +46,8 @@ def close_row(comp, row: list[int]) -> list[int]:
     """
     used = row[comp.partial_base:]
     live = 0
-    for v, part, m in zip(comp.value_of, comp.part_of, row):  # dim positions only
+    value_of = [v for v, dims in enumerate(comp.dims) for _ in dims]  # per dim position
+    for v, part, m in zip(value_of, comp.part_of, row):
         if m:
             used[v] |= m
             live |= part
@@ -737,6 +738,50 @@ def test_a_warm_pricing_memo_prices_model_walks_like_a_cold_one(name, picks):
     check_cold_and_warm_memos_agree(states)
 
 
+class RecordingRow:
+    """A mask row that records every index read from it."""
+
+    def __init__(self, row: bytes):
+        self.row = row
+        self.read: set[int] = set()
+
+    def __getitem__(self, i: int) -> int:
+        self.read.add(i)
+        return self.row[i]
+
+
+def check_every_scan_reads_only_its_key(states: list[engine.ModuleState]) -> None:
+    """Each op's `_scan` reads no row entry outside the op's memo key.
+
+    The one exception is the zero slot, which is 0 in every row.
+    """
+    comp = states[0]._comp
+    zero = comp.total_dims
+    for state in states:
+        assert state._row[zero] == 0
+        for i, key_of in enumerate(cm._pricing(comp).scan_keys):
+            key_row, scan_row = RecordingRow(state._row), RecordingRow(state._row)
+            key_of(key_row)
+            cm._scan(comp, i, scan_row)
+            assert scan_row.read - {zero} <= key_row.read, (i, scan_row.read - key_row.read)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph_seed=SEEDS, wide=strategies.booleans(), tied=strategies.booleans(),
+       picks=strategies.lists(PICKS, max_size=5))
+def test_a_scan_reads_only_its_memo_key(graph_seed, wide, tied, picks):
+    check_every_scan_reads_only_its_key(list(walk_states(graph_seed, wide, picks, tied)))
+
+
+@pytest.mark.parametrize("name", sorted(models.MODEL_BUILDERS))
+def test_a_scan_reads_only_its_memo_key_on_model_walks(name):
+    mesh = ir.Mesh((ir.MeshAxis("batch", 2), ir.MeshAxis("model", 2)))
+    graph = models.build_named_model(name)
+    check_every_scan_reads_only_its_key(
+        walks_from_one_root(graph, mesh, [[3, 1, 4, 1, 5], [9, 2, 6], [5, 3, 5, 8]])
+    )
+
+
 def pricing_configs(mesh: ir.Mesh) -> list[cm.CostModelConfig]:
     """Eight configs that differ in each field `estimate` reads.
 
@@ -836,7 +881,7 @@ def test_the_analysis_cache_keys_each_analysis_by_a_priced_row_itself():
     for state in states:
         cm.estimate(state, cfg)
     comp = states[0]._comp
-    (by_row,) = comp.analyses.values()
+    (by_row,) = comp.pricing.analyses.values()
     assert len(by_row) == len({s._row for s in states})
     assert set(by_row) == {comp.pack(s._row) for s in states}
     assert all(comp.rows[key] is key for key in by_row)  # the table's own packed row
@@ -998,7 +1043,7 @@ def test_every_state_of_a_root_holds_its_tables_row():
     cfg = cm.default_config(mesh)
     for state in states:
         cm.estimate(state, cfg)
-    (by_row,) = comp.analyses.values()
+    (by_row,) = comp.pricing.analyses.values()
     assert all(comp.rows[key] is key for key in by_row)  # each key is the table's packed row
 
 
@@ -1028,7 +1073,7 @@ def test_pricing_keys_each_analysis_by_the_closure_tables_row(monkeypatch):
     mcts.run_search(root, None, cfg, cm.default_config(mesh))
     assert len(priced) > 10 and packed_while_pricing == []
     comp = root._comp
-    (by_row,) = comp.analyses.values()
+    (by_row,) = comp.pricing.analyses.values()
     assert {id(key) for key in by_row} == {id(comp.closed[s._key]) for s in priced}
 
 
@@ -1321,21 +1366,24 @@ def test_a_missing_link_fails_only_where_its_axis_carries_a_collective(graph_see
 
 
 def test_compiled_tables_are_freed_with_their_graph():
-    # closing fills the closure table, and pricing the memo, its intern table
-    # and the analysis cache, on the root's tables; they must not hold the
-    # graph or a state
+    # closing fills the closure table on the root's tables, and pricing
+    # builds the cost model's tables beside them and fills the memo, its
+    # intern table and the analysis cache; neither may hold the graph or a
+    # state, and the cost model's tables go with the compiled ones
     mesh = ir.Mesh((ir.MeshAxis("batch", 2), ir.MeshAxis("model", 2)))
     graphs = [models.build_named_model("transformer") for _ in range(20)]
+    pricings = []
     for graph in graphs:
         root = engine.initial_state(graph, mesh)
         state = engine.apply_action(root, engine.legal_actions(root, None)[0])
         for cse in (False, True):
             for s in (root, state):
                 cm.estimate(s, cm.default_config(mesh, cse_allgather=cse))
-        assert root._comp.scans[0]
-        assert [len(by_row) for by_row in root._comp.analyses.values()] == [2, 2]
+        assert root._comp.pricing.scans[0]
+        assert [len(by_row) for by_row in root._comp.pricing.analyses.values()] == [2, 2]
         assert len(root._comp.closed) == len(root._comp.rows) == 2
+        pricings.append(weakref.ref(root._comp.pricing))
     refs = [weakref.ref(graph) for graph in graphs]
     del graphs, graph, root, state, s
     gc.collect()
-    assert all(ref() is None for ref in refs)
+    assert all(ref() is None for ref in refs + pricings)

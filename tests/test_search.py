@@ -85,6 +85,11 @@ def test_search_config_validation():
         mcts.SearchConfig(trajectory_budget=-1)
     with pytest.raises(ValueError):
         mcts.SearchConfig(trajectory_budget=10, uct_c=-0.5)
+    # NaN makes every UCT score NaN; infinity meets `inf * 0` at a fresh node
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="uct_c must be finite"):
+            mcts.SearchConfig(trajectory_budget=10, uct_c=bad)
+    assert mcts.SearchConfig(trajectory_budget=10, uct_c=0.0).uct_c == 0.0
     with pytest.raises(ValueError, match="max_depth"):
         mcts.SearchConfig(trajectory_budget=5, max_depth=-1)
 

@@ -208,3 +208,42 @@ def test_only_make_state_constructs_a_module_state():
     # `costmodel.estimate` reads a state's row from the root's closure table,
     # which holds it because `engine._make_state` records it there first
     assert module_state_calls() == [("src/meshpart/engine.py", "_make_state")]
+
+
+# the tables only pricing reads, which `costmodel._Pricing` owns
+PRICING_FIELDS = {
+    "nbytes", "live_to_end", "out_idx", "value_of", "scan_keys", "scans",
+    "scan_interned", "analyses", "counts_interned",
+}
+
+
+def names_in(path: pathlib.Path) -> set[str]:
+    """Every identifier, attribute and bare-word string constant of one file."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.arg, ast.keyword)) and node.arg:
+            names.add(node.arg)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)  # a `__slots__` entry or a `getattr` name
+    return names
+
+
+def test_pricing_tables_have_one_owner():
+    # `engine` compiles propagation, identity and the closure table; the cost
+    # model builds and keeps everything else in the slot it alone touches
+    naming = sorted(path.name for path in SRC.glob("*.py") if "pricing" in names_in(path))
+    assert naming == ["costmodel.py", "engine.py"]
+    engine_tree = ast.parse((SRC / "engine.py").read_text(encoding="utf-8"))
+    # `engine` only declares the slot, in `_Compiled.__slots__`
+    assert not any(
+        isinstance(node, ast.Attribute) and node.attr == "pricing"
+        for node in ast.walk(engine_tree)
+    )
+    assert names_in(SRC / "engine.py") & PRICING_FIELDS == set()
+    assert not any({"producer_op", "_OUTPUT"} & names_in(path) for path in SRC.glob("*.py"))
