@@ -538,12 +538,6 @@ _CONFIG_KEYS = (
 _AXIS_KEYS = ("name", "bandwidth", "latency")
 
 
-def _reject_unknown_keys(obj: dict, known: tuple[str, ...], where: str) -> None:
-    unknown = sorted(k for k in obj if k not in known)
-    if unknown:
-        raise ConfigError(f"{where} has unknown key(s) {unknown}; expected {list(known)}")
-
-
 def config_from_json(obj: object, mesh: ir.Mesh) -> CostModelConfig:
     """Read a cost config; mesh axes it gives no link get the default link.
 
@@ -555,7 +549,7 @@ def config_from_json(obj: object, mesh: ir.Mesh) -> CostModelConfig:
     """
     if not isinstance(obj, dict):
         raise ConfigError(f"cost config must be a JSON object, got {type(obj).__name__}")
-    _reject_unknown_keys(obj, _CONFIG_KEYS, "cost config")
+    ir.reject_unknown_keys(obj, _CONFIG_KEYS, "cost config", ConfigError)
 
     def number(what: str, value, zero_ok: bool) -> float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -588,7 +582,7 @@ def config_from_json(obj: object, mesh: ir.Mesh) -> CostModelConfig:
     for entry in entries:
         if not isinstance(entry, dict):
             raise ConfigError(f"cost config axes entries must be objects, got {entry!r}")
-        _reject_unknown_keys(entry, _AXIS_KEYS, "cost config axes entry")
+        ir.reject_unknown_keys(entry, _AXIS_KEYS, "cost config axes entry", ConfigError)
         name = entry.get("name")
         if not isinstance(name, str) or not mesh.has_axis(name):
             raise ConfigError(

@@ -46,19 +46,8 @@ and only when asked for, and equal exactly when the fingerprints are.  The
 fingerprint's digest string is built only where it is read (a tie between
 tree nodes, a trace row, a report).
 
-The closure sweeps the propagation instances in one fixed order until a
-sweep changes nothing, but only those of *live* components: the instances
-tie dim positions into connected components, and a sweep runs the
-components that hold an axis at entry (first sweep) or that the sweep
-before changed.  The seeds are the only axes at entry, so whoever writes
-them also records the entry's used masks and live components, from the
-same seed table.  This is exact.  Axes move only along ties, so a component
-with no axis at entry stays empty.  A component that a whole sweep left
-unchanged can change only through its own instances, and what the other
-components do since then only removes candidate axes (it grows the
-per-value used masks), so it never changes again.  The skipped instances
-are no-ops, and the writes, fixpoints and sweep counts are those of
-sweeping every instance.
+The closure sweeps only the instances of *live* tie-graph components, and
+`_close` proves that this gives the writes of sweeping every instance.
 
 Each op is compiled once, as ties; its lowering plan and flop terms follow
 from them (`_OpMeta`).  Propagation rules, per op kind:
@@ -153,6 +142,22 @@ class _OpMeta(NamedTuple):
     flops: tuple[int, tuple[tuple[int, int, int], ...]]
 
 
+class _Group(NamedTuple):
+    """One equi-shard group's entry in `_Compiled.groups`.
+
+    `members` are the members' value indices, in the group's order; every
+    member has the dims `dims` of the first, whose dim d sits at row
+    position `base + d`.  `positions` are the dim positions of every member,
+    and `first_slot` is the seed slot of (group, dim 0).
+    """
+
+    members: tuple[int, ...]
+    base: int
+    dims: tuple[int, ...]
+    positions: tuple[int, ...]
+    first_slot: int
+
+
 # per field width (bits per mask), one `bytes.translate` table per field of
 # a packed byte, low field first: it maps the byte to that field's mask
 _FIELD_TABLES = {
@@ -201,6 +206,11 @@ class _Compiled:
     and a constant's memo key rely on: instances write only dim and partial
     positions, seeds only dim ones.
 
+    `groups` maps each group id, in ascending order, to its `_Group`
+    record: members, dims and dim positions, and first seed slot.  Both
+    legality functions (`legal_actions`, `_seed_index`) read it, and the
+    seed slots, seed writes, digest slots and group ties are built from it.
+
     The closure table maps a state key to its row packed (`closed`), and
     `rows` maps each distinct packed row to the one object that the table
     and the analysis cache (`costmodel.estimate`) hold for it, so neither
@@ -219,10 +229,9 @@ class _Compiled:
 
     __slots__ = (
         "graph", "mesh", "axis_names", "bit_of", "name_of_bit", "prod", "nbits", "labels",
-        "ids", "index", "dims", "nvals", "groups", "group_pos", "group_rank", "group_members",
-        "group_dims", "seed_base", "seed_writes", "offsets", "total_dims", "partial_base",
-        "instances", "op_meta", "part_of", "_sweeps", "digest_slots", "actions",
-        "field_bits", "closed", "rows", "ident_masks", "pricing",
+        "ids", "index", "dims", "nvals", "groups", "seed_writes", "offsets", "total_dims",
+        "partial_base", "instances", "op_meta", "part_of", "_sweeps", "digest_slots",
+        "actions", "field_bits", "closed", "rows", "ident_masks", "pricing",
     )
 
     def __init__(self, graph: ir.Graph, mesh: ir.Mesh):
@@ -254,33 +263,26 @@ class _Compiled:
         self.partial_base = total + 1
         zero = total
 
-        self.groups = sorted((g.id, tuple(self.index[m] for m in g.members)) for g in graph.groups)
-        self.group_members = {gid: members for gid, members in self.groups}
-        self.group_rank = {gid: len(self.dims[members[0]]) for gid, members in self.groups}
-        self.group_pos = {gid: pos for pos, (gid, _) in enumerate(self.groups)}
-        # per group, in `groups` order: the dim positions of all its members
-        self.group_dims = tuple(
-            tuple(self.offsets[m] + d for m in members for d in range(len(self.dims[m])))
-            for _, members in self.groups
-        )
         # Seed slots: one per (group, dim), in (group id, dim) order.  On a
         # mesh of n axes, action (group, dim, axis #k) is seed index
-        # (seed_base[group position] + dim) * n + k, so ascending seed
-        # indices run in (group, dim, axis) order.
-        self.seed_base = []
-        seed_slots = []
-        for gid, members in self.groups:
-            self.seed_base.append(len(seed_slots))
-            seed_slots.extend((gid, d) for d in range(len(self.dims[members[0]])))
+        # (first_slot + dim) * n + k, so ascending seed indices run in
+        # (group, dim, axis) order.
+        self.groups: dict[int, _Group] = {}
+        slots = 0
+        for g in sorted(graph.groups, key=operator.attrgetter("id")):
+            members = tuple(self.index[m] for m in g.members)
+            dims = self.dims[members[0]]
+            positions = tuple(self.offsets[m] + d for m in members for d in range(len(dims)))
+            self.groups[g.id] = _Group(members, self.offsets[members[0]], dims, positions, slots)
+            slots += len(dims)
+        # (group id, record, dim) per seed slot
+        seed_slots = [(gid, g, d) for gid, g in self.groups.items() for d in range(len(g.dims))]
         # one `Action` per seed index, which `legal_actions` hands out
         self.actions = tuple(
-            Action(gid, d, name) for gid, d in seed_slots for name in self.axis_names
+            Action(gid, d, name) for gid, _, d in seed_slots for name in self.axis_names
         )
         # digest entries: the dims of each group's first member, in seed-slot order
-        self.digest_slots = tuple(
-            (self.offsets[self.group_members[gid][0]] + d, f"{gid}.{d}:")
-            for gid, d in seed_slots
-        )
+        self.digest_slots = tuple((g.base + d, f"{gid}.{d}:") for gid, g, d in seed_slots)
         # a row's masks at the digest positions, then the zero slot twice,
         # so that a graph with no digest slot still gives a tuple
         # (`ModuleState.ident`)
@@ -296,11 +298,10 @@ class _Compiled:
                 j, self.offsets[j] + dj, self.dims[j][dj], res,
             ))
 
-        for gid, members in self.groups:
-            first = members[0]
-            for other in members[1:]:
-                for d in range(len(self.dims[first])):
-                    unify(first, d, other, d)
+        for g in self.groups.values():
+            for other in g.members[1:]:
+                for d in range(len(g.dims)):
+                    unify(g.members[0], d, other, d)
 
         # An op's ties give its lowering plan and flop terms.  An operand dim
         # tied to a result dim must carry that dim's axes; a contracting pair
@@ -404,11 +405,8 @@ class _Compiled:
         # it makes, one `(position, value)` per group member.  The members'
         # dims are tied to the first member's, so they share its component.
         self.seed_writes = tuple(
-            (
-                self.part_of[self.offsets[self.group_members[gid][0]] + d],
-                tuple((self.offsets[m] + d, m) for m in self.group_members[gid]),
-            )
-            for gid, d in seed_slots
+            (self.part_of[g.base + d], tuple((self.offsets[m] + d, m) for m in g.members))
+            for _, g, d in seed_slots
         )
         # the closure table (`_make_state`): key -> packed row, and packed
         # row -> itself
@@ -529,7 +527,7 @@ class ModuleState:
     Immutable.  A group is actionable on an axis (`legal_actions`) until any
     member carries that axis anywhere in its sharding, whether from a direct
     action or from propagation.  Arguments are never partial, so this is
-    read off the members' dim masks (`_Compiled.group_dims`).
+    read off the members' dim masks (`_Group.positions`).
 
     A search holds a state per tree node, so a state is stored compactly: one
     `bytes` row of closed masks (`_row`, laid out as `_Compiled` says, one
@@ -650,6 +648,7 @@ def legal_actions(state: ModuleState, active_axis: str | None) -> list[Action]:
     With active_axis=None, actions for every mesh axis are returned in mesh
     declaration order.  An action is legal when its group is still on the
     axis's worklist and the dim remains divisible after adding the axis.
+    Reads each group's record (`_Compiled.groups`) in ascending group id.
     """
     if active_axis is None:
         out = []
@@ -663,15 +662,12 @@ def legal_actions(state: ModuleState, active_axis: str | None) -> list[Action]:
     nbits = comp.nbits
     row = state._row
     actions = []
-    # groups in ascending id
-    for (_, members), positions, seed in zip(comp.groups, comp.group_dims, comp.seed_base):
+    for _, base, dims, positions, first_slot in comp.groups.values():
         for p in positions:
             if row[p] & bit:  # off the axis's worklist
                 break
         else:
-            base = comp.offsets[members[0]]
-            dims = comp.dims[members[0]]
-            first = seed * nbits + bit.bit_length() - 1  # the seed index of dim 0
+            first = first_slot * nbits + bit.bit_length() - 1  # the seed index of dim 0
             for d in range(len(dims)):
                 if dims[d] % comp.prod[row[base + d] | bit] == 0:
                     actions.append(comp.actions[first + d * nbits])
@@ -683,35 +679,35 @@ def _seed_index(state: ModuleState, action: Action) -> int:
 
     This is the one legality rule: the axis and group exist, the dim is in
     range, the group is still on the axis's worklist, and the dim stays
-    divisible with the axis added to the axes it carries.
+    divisible with the axis added to the axes it carries.  Reads the
+    group's record (`_Compiled.groups`).
     """
     comp = state._comp
     if action.axis not in comp.bit_of:
         raise IllegalActionError(
             f"unknown mesh axis {action.axis!r}; mesh has {comp.axis_names}"
         )
-    if action.group not in comp.group_members:
+    group = comp.groups.get(action.group)
+    if group is None:
         raise IllegalActionError(f"unknown group {action.group}")
-    rank = comp.group_rank[action.group]
-    if not 0 <= action.dim < rank:
+    _, base, dims, positions, first_slot = group
+    if not 0 <= action.dim < len(dims):
         raise IllegalActionError(
-            f"dim {action.dim} out of range for group {action.group} of rank {rank}"
+            f"dim {action.dim} out of range for group {action.group} of rank {len(dims)}"
         )
     bit = comp.bit_of[action.axis]
-    group_pos = comp.group_pos[action.group]
-    if any(state._row[p] & bit for p in comp.group_dims[group_pos]):
+    if any(state._row[p] & bit for p in positions):
         raise IllegalActionError(
             f"group {action.group} is no longer actionable on axis {action.axis!r}"
         )
-    first = comp.group_members[action.group][0]
-    pos = comp.offsets[first] + action.dim
-    size = comp.dims[first][action.dim]
-    if size % comp.prod[state._row[pos] | bit] != 0:
+    mask = state._row[base + action.dim]
+    size = dims[action.dim]
+    if size % comp.prod[mask | bit] != 0:
         raise IllegalActionError(
             f"dim {action.dim} of group {action.group} (size {size}) not divisible "
-            f"by axis {action.axis!r} on top of {comp.names(state._row[pos])}"
+            f"by axis {action.axis!r} on top of {comp.names(mask)}"
         )
-    return (comp.seed_base[group_pos] + action.dim) * comp.nbits + bit.bit_length() - 1
+    return (first_slot + action.dim) * comp.nbits + bit.bit_length() - 1
 
 
 def apply_action(state: ModuleState, action: Action) -> ModuleState:

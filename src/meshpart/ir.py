@@ -597,15 +597,44 @@ def _ints(obj: Mapping, key: str, where: str, default=None) -> tuple[int, ...]:
     return tuple(_typed(x, int, f"{where}{key}[{i}]") for i, x in enumerate(items))
 
 
+def reject_unknown_keys(
+    obj: Mapping, known: tuple[str, ...], where: str, error: type[Exception]
+) -> None:
+    """Raise `error` naming every key of the JSON object `obj` not in `known`."""
+    unknown = sorted(k for k in obj if k not in known)
+    if unknown:
+        raise error(f"{where} has unknown key(s) {unknown}; expected {list(known)}")
+
+
+# the keys `graph_to_json` writes: at the top level, in a mesh axis and an
+# argument, and in an op besides `id`, `kind` and `operands`, per kind
+_GRAPH_KEYS = ("name", "mesh", "args", "ops", "outputs")
+_MESH_AXIS_KEYS = ("name", "size")
+_ARG_KEYS = ("id", "dims", "element_bytes", "role", "group")
+_KIND_KEYS = {
+    "DotGeneral": (
+        "lhs_batch_dims", "rhs_batch_dims", "lhs_contracting_dims", "rhs_contracting_dims",
+    ),
+    "Elementwise": ("op_name",),
+    "Reduce": ("reduce_kind", "dims"),
+    "Transpose": ("permutation",),
+    "Reshape": ("target_dims",),
+    "Constant": ("dims", "element_bytes"),
+}
+
+
 def _kind_from_json(obj: Mapping) -> OpKind:
     kind = obj.get("kind")
-    where = f"op {obj.get('id')!r}: "
+    keys = _KIND_KEYS.get(kind) if isinstance(kind, str) else None
+    if keys is None:
+        raise GraphValidationError(f"unknown op kind {kind!r}")
+    op = f"op {obj.get('id')!r}"
+    reject_unknown_keys(
+        obj, ("id", "kind", *keys, "operands"), f"malformed graph JSON: {op}", GraphValidationError
+    )
+    where = f"{op}: "
     if kind == "DotGeneral":
-        return DotGeneral(*(
-            _ints(obj, key, where, ())
-            for key in ("lhs_batch_dims", "rhs_batch_dims",
-                        "lhs_contracting_dims", "rhs_contracting_dims")
-        ))
+        return DotGeneral(*(_ints(obj, key, where, ()) for key in keys))
     if kind == "Elementwise":
         return Elementwise(_typed(obj["op_name"], str, f"{where}'op_name'"))
     if kind == "Reduce":
@@ -614,11 +643,9 @@ def _kind_from_json(obj: Mapping) -> OpKind:
         return Transpose(_ints(obj, "permutation", where))
     if kind == "Reshape":
         return Reshape(_ints(obj, "target_dims", where))
-    if kind == "Constant":
-        return Constant(TensorType(
-            _ints(obj, "dims", where), _typed(obj["element_bytes"], int, f"{where}'element_bytes'")
-        ))
-    raise GraphValidationError(f"unknown op kind {kind!r}")
+    return Constant(TensorType(
+        _ints(obj, "dims", where), _typed(obj["element_bytes"], int, f"{where}'element_bytes'")
+    ))
 
 
 def graph_to_json(graph: Graph, mesh: Mesh | None = None) -> dict:
@@ -648,8 +675,12 @@ def graph_to_json(graph: Graph, mesh: Mesh | None = None) -> dict:
     return out
 
 
-def _entries(obj: Mapping, key: str, entry_type: type, noun: str, where: str = "") -> list:
-    """obj[key] as a list whose every entry has the given JSON type."""
+def _entries(
+    obj: Mapping, key: str, entry_type: type, noun: str, where: str = "",
+    keys: tuple[str, ...] | None = None,
+) -> list:
+    """obj[key] as a list whose every entry has the given JSON type; with
+    `keys`, an entry is an object with no other key."""
     items = obj[key]
     if not isinstance(items, (list, tuple)):
         raise GraphValidationError(f"malformed graph JSON: {where}{key!r} must be a list")
@@ -658,23 +689,31 @@ def _entries(obj: Mapping, key: str, entry_type: type, noun: str, where: str = "
             raise GraphValidationError(
                 f"malformed graph JSON: {where}{key}[{i}] must be {noun}, got {item!r}"
             )
+        if keys is not None:
+            reject_unknown_keys(
+                item, keys, f"malformed graph JSON: {where}{key}[{i}]", GraphValidationError
+            )
     return items
 
 
 def graph_from_json(obj: Mapping) -> tuple[Graph, Mesh | None]:
     """Parse the interchange schema and infer op result types; the Graph and
-    Mesh built from it check themselves."""
+    Mesh built from it check themselves.  Every object holds only the keys
+    that `graph_to_json` writes for it (or for its op kind)."""
     try:
         name = _typed(obj["name"], str, "'name'")
+        reject_unknown_keys(obj, _GRAPH_KEYS, "malformed graph JSON: the top level",
+                            GraphValidationError)
         mesh = None
         if "mesh" in obj:
             mesh = Mesh(tuple(
-                MeshAxis(a["name"], a["size"]) for a in _entries(obj, "mesh", dict, "an object")
+                MeshAxis(a["name"], a["size"])
+                for a in _entries(obj, "mesh", dict, "an object", keys=_MESH_AXIS_KEYS)
             ))
         args = []
         types: dict[str, TensorType] = {}
         group_members: dict[int, list[str]] = {}
-        for i, a in enumerate(_entries(obj, "args", dict, "an object")):
+        for i, a in enumerate(_entries(obj, "args", dict, "an object", keys=_ARG_KEYS)):
             arg_id = _typed(a["id"], str, f"args[{i}]: 'id'")
             where = f"arg {arg_id!r}: "
             t = TensorType(

@@ -42,11 +42,14 @@ from . import costmodel, engine
 TraceFn = Callable[[int, int, str, float, float], None]
 """Called once per trajectory: (index, depth, terminal digest, reward, best metric)."""
 
+UCT_C = 1.0
+"""UCT exploration weight: a child scores its mean value plus `UCT_C *
+sqrt(ln(parent visits) / child visits)`."""
+
 
 @dataclasses.dataclass
 class SearchConfig:
     trajectory_budget: int
-    uct_c: float = 1.0
     max_depth: int | None = None  # None: number of equi-shard groups
     seed: int = 0
     objective: str = costmodel.PENALIZED_RUNTIME
@@ -54,8 +57,6 @@ class SearchConfig:
     def __post_init__(self):
         if self.trajectory_budget < 0:
             raise ValueError("trajectory_budget must be >= 0")
-        if not (math.isfinite(self.uct_c) and self.uct_c >= 0):
-            raise ValueError(f"uct_c must be finite and >= 0, got {self.uct_c}")
         if self.max_depth is not None and self.max_depth < 0:
             raise ValueError("max_depth must be >= 0 or None")
 
@@ -119,7 +120,7 @@ def reward(
     return min(max(ratio, 0.0), 2.0) / 2.0
 
 
-def select_child(node: SearchNode, cfg: SearchConfig) -> SearchNode:
+def select_child(node: SearchNode) -> SearchNode:
     """UCT pick among children; ties go to the smallest digest.
 
     A child reached through several actions is one candidate.  Ties
@@ -133,7 +134,7 @@ def select_child(node: SearchNode, cfg: SearchConfig) -> SearchNode:
             score = math.inf
         else:
             q = child.total_value / child.visit_count
-            score = q + cfg.uct_c * math.sqrt(log_n / child.visit_count)
+            score = q + UCT_C * math.sqrt(log_n / child.visit_count)
         if score > best_score or (score == best_score and child.digest < best.digest):
             best_score = score
             best = child
@@ -218,7 +219,7 @@ def run_search(
             else:  # every action is simulated: descend by UCT
                 if not node.children:
                     break  # terminal: no legal actions at all
-                node = select_child(node, cfg)
+                node = select_child(node)
                 state = node.state
             depth += 1
             path.append(node)

@@ -698,6 +698,29 @@ def test_graph_numbers_must_be_json_integers(tmp_path, capsys, path, bad):
     assert f"{key}" in err and "integer" in err
 
 
+@pytest.mark.parametrize("path, key", [
+    ((), "nmae"),
+    (("mesh", 0), "sise"),
+    (("args", 1), "gruop"),
+    (("ops", 0), "lhs_contract_dims"),
+    (("ops", 1), "dims"),  # a Reduce key, on a Transpose
+    (("ops", 5), "operand"),
+], ids=["top", "mesh", "arg", "dot", "transpose", "add"])
+def test_graph_json_rejects_a_key_that_dump_graph_does_not_write(tmp_path, capsys, path, key):
+    obj = ir.graph_to_json(every_kind_graph(), AB)
+    entry = obj
+    for step in path:
+        entry = entry[step]
+    entry[key] = [1]  # a value a known key might hold
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(json.dumps(obj))
+    plan = tmp_path / "plan.json"
+    plan.write_text("[]")
+    assert run_cli("estimate", "--graph", str(graph_path), "--plan", str(plan)) == 2
+    err = only_error_line(capsys)
+    assert f"unknown key(s) [{key!r}]" in err
+
+
 def test_the_every_kind_graph_loads_unmutated(tmp_path):
     graph_path = tmp_path / "g.json"
     graph_path.write_text(json.dumps(ir.graph_to_json(every_kind_graph(), AB)))

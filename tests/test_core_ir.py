@@ -360,6 +360,28 @@ def test_mistyped_operand_names_its_op():
         ir.graph_from_json(obj)
 
 
+def matmul_json() -> dict:
+    b = ir.GraphBuilder("matmul")
+    b.arg("x", (4, 8), role=ir.Role.DATA, group="x")
+    b.arg("w", (8, 4), role=ir.Role.PARAMETER, group="w")
+    b.output(b.dot("x", "w", lhs_contract=(1,), rhs_contract=(0,)))
+    return ir.graph_to_json(b.build())
+
+
+def test_a_misspelt_contracting_key_is_an_error_not_an_outer_product():
+    obj = matmul_json()
+    op = obj["ops"][0]
+    op["lhs_contract_dims"] = op.pop("lhs_contracting_dims")
+    op["rhs_contract_dims"] = op.pop("rhs_contracting_dims")
+    # dropped, the misspelt keys would leave both contracting lists empty,
+    # and the op would load as an outer product with dims (4, 8, 8, 4)
+    pattern = r"op 'v0' has unknown key\(s\) \['lhs_contract_dims', 'rhs_contract_dims'\]"
+    with pytest.raises(GraphValidationError, match=pattern):
+        ir.graph_from_json(obj)
+    graph, _ = ir.graph_from_json(matmul_json())
+    assert graph.ops[0].result_type.dims == (4, 4)
+
+
 def test_json_round_trip_on_random_graphs():
     from _random_graphs import random_graph
 

@@ -24,16 +24,23 @@ def build(fn) -> ir.Graph:
     return b.build()
 
 
+def member_positions(state: engine.ModuleState, member: str) -> range:
+    """The row positions of an argument's dims (`comp.offsets`)."""
+    comp = state._comp
+    v = comp.index[member]
+    return range(comp.offsets[v], comp.offsets[v] + len(comp.dims[v]))
+
+
 def worklists(state: engine.ModuleState) -> dict[str, frozenset[int]]:
     """Per mesh axis, the ids of the groups still actionable on it: those
     with no member carrying the axis on any dim."""
-    comp, row = state._comp, state._row
+    row = state._row
     return {
         name: frozenset(
-            gid for (gid, _), dims in zip(comp.groups, comp.group_dims)
-            if not any(row[p] & bit for p in dims)
+            g.id for g in state.graph.groups
+            if not any(row[p] & bit for m in g.members for p in member_positions(state, m))
         )
-        for name, bit in comp.bit_of.items()
+        for name, bit in state._comp.bit_of.items()
     }
 
 
@@ -447,14 +454,15 @@ def reference_state(state: engine.ModuleState) -> tuple[list[int], list[int], di
     comp = state._comp
     fm = [0] * comp.total_dims
     partials = [0] * comp.nvals
+    members = {g.id: g.members for g in state.graph.groups}
     for a in state.applied:
-        for m in comp.group_members[a.group]:
-            fm[comp.offsets[m] + a.dim] |= comp.bit_of[a.axis]
+        for m in members[a.group]:
+            fm[member_positions(state, m)[a.dim]] |= comp.bit_of[a.axis]
     used = reference_close(comp, fm, partials)
     actionable = {
         name: frozenset(
-            gid for gid, members in comp.groups
-            if all(used[m] & comp.bit_of[name] == 0 for m in members)
+            g.id for g in state.graph.groups
+            if all(used[comp.index[m]] & comp.bit_of[name] == 0 for m in g.members)
         )
         for name in comp.axis_names
     }
@@ -465,13 +473,11 @@ def reference_digest(state: engine.ModuleState) -> str:
     """The digest spelled out group by group, dim by dim."""
     comp, row = state._comp, state._row
     parts = []
-    for gid, members in comp.groups:
-        first = members[0]
-        base = comp.offsets[first]
-        for d in range(len(comp.dims[first])):
-            mask = row[base + d]
+    for g in sorted(state.graph.groups, key=lambda g: g.id):
+        for d, pos in enumerate(member_positions(state, g.members[0])):
+            mask = row[pos]
             if mask:
-                parts.append(f"{gid}.{d}:{'+'.join(sorted(comp.names(mask)))}")
+                parts.append(f"{g.id}.{d}:{'+'.join(sorted(comp.names(mask)))}")
     return ";".join(parts) if parts else "()"
 
 
@@ -536,8 +542,8 @@ def test_apply_action_admits_exactly_the_legal_actions(graph_seed, picks):
     comp = state._comp
     # every group and one unknown, every dim and one past the widest rank,
     # every axis and one unknown
-    gids = [gid for gid, _ in comp.groups] + [len(comp.groups)]
-    dims = range(max(comp.group_rank.values()) + 1)
+    gids = [g.id for g in graph.groups] + [len(graph.groups)]
+    dims = range(max(len(a.type.dims) for a in graph.args) + 1)  # every argument is grouped
     axes = mesh.axis_names + ("zz",)
     for pick in [*picks, None]:
         accepted = set()
@@ -562,9 +568,9 @@ def test_an_action_on_the_eighth_axis_sets_the_top_bit_of_its_mask():
     state = engine.initial_state(graph, WIDE)
     a = engine.legal_actions(state, "ax7")[0]
     state = engine.apply_action(state, a)
-    first = state._comp.group_members[a.group][0]
-    assert state._row[state._comp.offsets[first] + a.dim] == 1 << 7
-    assert state.shardings[graph.args[first].id].per_dim[a.dim].axes == ("ax7",)
+    first = next(g.members[0] for g in graph.groups if g.id == a.group)
+    assert state._row[member_positions(state, first)[a.dim]] == 1 << 7
+    assert state.shardings[first].per_dim[a.dim].axes == ("ax7",)
     assert f"{a.group}.{a.dim}:ax7" in state.fingerprint.digest.split(";")
     check_against_reference(state)
 
@@ -602,7 +608,7 @@ def test_model_states_made_from_random_action_sets_match_the_list_closure(name):
     mesh = ir.Mesh((ir.MeshAxis("batch", 2), ir.MeshAxis("model", 2)))
     comp = engine._Compiled(models.build_named_model(name), mesh)
     if name != "unet":  # seeds that write two or more members
-        assert max(len(members) for _, members in comp.groups) >= 2
+        assert max(len(g.members) for g in comp.graph.groups) >= 2
     rng = random.Random(0)
     for _ in range(20):
         check_against_reference(engine._make_state(comp, *random_action_set(comp, rng)))

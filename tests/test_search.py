@@ -51,11 +51,8 @@ def parented(children: dict[bytes, mcts.SearchNode]) -> mcts.SearchNode:
 def test_uct_balances_value_against_visit_count():
     a, b = node(2, 0.6), node(8, 3.2)
     parent = parented({"s_a": a, "s_b": b})
-    explore = mcts.SearchConfig(trajectory_budget=1, uct_c=1.0)
     # 0.3 + sqrt(ln 10 / 2) = 1.373 beats 0.4 + sqrt(ln 10 / 8) = 0.936
-    assert mcts.select_child(parent, explore) is a
-    greedy = mcts.SearchConfig(trajectory_budget=1, uct_c=0.0)
-    assert mcts.select_child(parent, greedy) is b
+    assert mcts.select_child(parent) is a
 
 
 def test_unvisited_children_have_priority_and_ties_pick_smallest_digest():
@@ -70,26 +67,18 @@ def test_unvisited_children_have_priority_and_ties_pick_smallest_digest():
     fresh_late, fresh_early = node(state=late), node(state=early)
     seasoned = node(5, 5.0, state=other)
     parent = parented({n.state.ident: n for n in (fresh_late, fresh_early, seasoned)})
-    cfg = mcts.SearchConfig(trajectory_budget=1)
     # both unvisited score inf, and the smaller digest wins
-    assert mcts.select_child(parent, cfg) is fresh_early
+    assert mcts.select_child(parent) is fresh_early
 
 
 def test_select_child_requires_children():
     with pytest.raises(ValueError):
-        mcts.select_child(node(), mcts.SearchConfig(trajectory_budget=1))
+        mcts.select_child(node())
 
 
 def test_search_config_validation():
     with pytest.raises(ValueError):
         mcts.SearchConfig(trajectory_budget=-1)
-    with pytest.raises(ValueError):
-        mcts.SearchConfig(trajectory_budget=10, uct_c=-0.5)
-    # NaN makes every UCT score NaN; infinity meets `inf * 0` at a fresh node
-    for bad in (float("nan"), float("inf"), -float("inf")):
-        with pytest.raises(ValueError, match="uct_c must be finite"):
-            mcts.SearchConfig(trajectory_budget=10, uct_c=bad)
-    assert mcts.SearchConfig(trajectory_budget=10, uct_c=0.0).uct_c == 0.0
     with pytest.raises(ValueError, match="max_depth"):
         mcts.SearchConfig(trajectory_budget=5, max_depth=-1)
 

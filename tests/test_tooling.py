@@ -247,3 +247,48 @@ def test_pricing_tables_have_one_owner():
     )
     assert names_in(SRC / "engine.py") & PRICING_FIELDS == set()
     assert not any({"producer_op", "_OUTPUT"} & names_in(path) for path in SRC.glob("*.py"))
+
+
+# the group tables that `_Compiled.groups`, one record per group, replaced
+DELETED_GROUP_FIELDS = {"group_members", "group_rank", "group_pos", "group_dims", "seed_base"}
+
+
+def test_every_compiled_slot_is_read_outside_its_constructor():
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for path in sorted([*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py")])
+    }
+    compiled = next(
+        node for node in trees[SRC / "engine.py"].body
+        if isinstance(node, ast.ClassDef) and node.name == "_Compiled"
+    )
+    slots = next(
+        ast.literal_eval(node.value) for node in compiled.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__slots__"
+    )
+    init = next(
+        node for node in compiled.body
+        if isinstance(node, ast.FunctionDef) and node.name == "__init__"
+    )
+    built = {id(node) for node in ast.walk(init)}
+    read = set()
+    for node in (node for path in SRC.glob("*.py") for node in ast.walk(trees[path])):
+        if id(node) in built:
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif (isinstance(node, ast.Call) and ast.unparse(node.func) == "getattr"
+              and isinstance(node.args[1], ast.Constant)):
+            read.add(node.args[1].value)  # how `costmodel` reads the unset `pricing`
+    # a slot that only the constructor touches is a dead table
+    assert sorted(set(slots) - read) == []
+    # no module or test reaches a deleted group table, as an attribute or,
+    # in src/, as a `__slots__` or `getattr` string
+    for path, tree in trees.items():
+        named = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        if path.parent == SRC:
+            named |= {
+                node.value for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            }
+        assert named & DELETED_GROUP_FIELDS == set(), path.name
