@@ -69,8 +69,8 @@ def _load_model_cfg(text: str | None) -> dict:
     if not text:
         return {}
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
+        obj = json.loads(text, object_pairs_hook=ir.reject_duplicate_keys)
+    except ValueError as e:  # not JSON, or a key given twice
         raise ConfigError(f"--model-cfg is not valid JSON: {e}") from e
     if not isinstance(obj, dict):
         raise ConfigError("--model-cfg must be a JSON object")

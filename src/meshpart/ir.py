@@ -449,7 +449,6 @@ class GraphBuilder:
         self._ops: list[Operation] = []
         self._outputs: list[str] = []
         self._types: dict[str, TensorType] = {}
-        self._group_order: list[str] = []
         self._group_members: dict[str, list[str]] = {}
         self._counter = 0
 
@@ -467,10 +466,7 @@ class GraphBuilder:
             raise ShapeError(f"duplicate value id {id!r}")
         self._args.append(Argument(id, t, role))
         self._types[id] = t
-        if group not in self._group_members:
-            self._group_order.append(group)
-            self._group_members[group] = []
-        self._group_members[group].append(id)
+        self._group_members.setdefault(group, []).append(id)
         return id
 
     def _emit(self, kind: OpKind, operands: tuple[str, ...], name: str | None) -> str:
@@ -533,8 +529,8 @@ class GraphBuilder:
 
     def build(self) -> Graph:
         groups = tuple(
-            EquiShardGroup(i, tuple(self._group_members[label]))
-            for i, label in enumerate(self._group_order)
+            EquiShardGroup(i, tuple(members))
+            for i, members in enumerate(self._group_members.values())
         )
         return Graph(
             name=self.name,
@@ -547,35 +543,26 @@ class GraphBuilder:
 
 # --- JSON serialization ------------------------------------------------------
 
-_KIND_NAMES = {
-    DotGeneral: "DotGeneral",
-    Elementwise: "Elementwise",
-    Reduce: "Reduce",
-    Transpose: "Transpose",
-    Reshape: "Reshape",
-    Constant: "Constant",
+# The op-kind dataclasses are the schema: a kind is written under its class
+# name, and each field under its own name, but for DotGeneral's dim lists.
+# A Constant writes its type as `dims` and `element_bytes`.
+_KINDS = {cls.__name__: cls for cls in (DotGeneral, Elementwise, Reduce, Transpose, Reshape)}
+_DOT_KEYS = {
+    "lhs_batch": "lhs_batch_dims", "rhs_batch": "rhs_batch_dims",
+    "lhs_contract": "lhs_contracting_dims", "rhs_contract": "rhs_contracting_dims",
 }
 
 
 def _kind_to_json(kind: OpKind) -> dict:
-    out: dict = {"kind": _KIND_NAMES[type(kind)]}
-    if isinstance(kind, DotGeneral):
-        out["lhs_batch_dims"] = list(kind.lhs_batch)
-        out["rhs_batch_dims"] = list(kind.rhs_batch)
-        out["lhs_contracting_dims"] = list(kind.lhs_contract)
-        out["rhs_contracting_dims"] = list(kind.rhs_contract)
-    elif isinstance(kind, Elementwise):
-        out["op_name"] = kind.op_name
-    elif isinstance(kind, Reduce):
-        out["reduce_kind"] = kind.reduce_kind
-        out["dims"] = list(kind.dims)
-    elif isinstance(kind, Transpose):
-        out["permutation"] = list(kind.permutation)
-    elif isinstance(kind, Reshape):
-        out["target_dims"] = list(kind.target_dims)
-    elif isinstance(kind, Constant):
-        out["dims"] = list(kind.type.dims)
-        out["element_bytes"] = kind.type.element_bytes
+    if isinstance(kind, Constant):
+        t = kind.type
+        return {"kind": "Constant", "dims": list(t.dims), "element_bytes": t.element_bytes}
+    out: dict = {"kind": type(kind).__name__}
+    for field in dataclasses.fields(kind):
+        value = getattr(kind, field.name)
+        out[_DOT_KEYS.get(field.name, field.name)] = (
+            list(value) if isinstance(value, tuple) else value
+        )
     return out
 
 
@@ -587,9 +574,9 @@ def _typed(value, kind: type, what: str):
     return value
 
 
-def _ints(obj: Mapping, key: str, where: str, default=None) -> tuple[int, ...]:
-    """obj[key] as a tuple of JSON integers; `default` stands in when absent."""
-    items = obj[key] if default is None else obj.get(key, default)
+def _ints(obj: Mapping, key: str, where: str) -> tuple[int, ...]:
+    """obj[key] as a tuple of JSON integers."""
+    items = obj[key]
     if not isinstance(items, (list, tuple)):
         raise GraphValidationError(
             f"malformed graph JSON: {where}{key!r} must be a list of integers, got {items!r}"
@@ -606,45 +593,56 @@ def reject_unknown_keys(
         raise error(f"{where} has unknown key(s) {unknown}; expected {list(known)}")
 
 
+def _require_keys(obj: Mapping, keys: tuple[str, ...], where: str) -> None:
+    """Raise GraphValidationError naming every key in `keys` that the JSON
+    object `obj` lacks."""
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise GraphValidationError(f"malformed graph JSON: {where} has no key(s) {missing}")
+
+
+def reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's (key, value) pairs as a dict; a key given twice is a
+    ValueError (a `json.load` object_pairs_hook)."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} is given twice")
+        obj[key] = value
+    return obj
+
+
 # the keys `graph_to_json` writes: at the top level, in a mesh axis and an
-# argument, and in an op besides `id`, `kind` and `operands`, per kind
+# argument (an op's come from its kind)
 _GRAPH_KEYS = ("name", "mesh", "args", "ops", "outputs")
 _MESH_AXIS_KEYS = ("name", "size")
 _ARG_KEYS = ("id", "dims", "element_bytes", "role", "group")
-_KIND_KEYS = {
-    "DotGeneral": (
-        "lhs_batch_dims", "rhs_batch_dims", "lhs_contracting_dims", "rhs_contracting_dims",
-    ),
-    "Elementwise": ("op_name",),
-    "Reduce": ("reduce_kind", "dims"),
-    "Transpose": ("permutation",),
-    "Reshape": ("target_dims",),
-    "Constant": ("dims", "element_bytes"),
-}
+_CONSTANT_KEYS = ("dims", "element_bytes")
 
 
-def _kind_from_json(obj: Mapping) -> OpKind:
-    kind = obj.get("kind")
-    keys = _KIND_KEYS.get(kind) if isinstance(kind, str) else None
-    if keys is None:
-        raise GraphValidationError(f"unknown op kind {kind!r}")
-    op = f"op {obj.get('id')!r}"
-    reject_unknown_keys(
-        obj, ("id", "kind", *keys, "operands"), f"malformed graph JSON: {op}", GraphValidationError
-    )
+def _kind_from_json(obj: Mapping, op: str) -> OpKind:
+    """The kind of the op JSON object `obj`, which `op` names in errors.  The
+    object holds exactly the keys that `_kind_to_json` writes for its kind,
+    besides `id` and `operands`: no key is optional."""
+    _require_keys(obj, ("kind",), op)
+    name = obj["kind"]
+    cls = _KINDS.get(name) if isinstance(name, str) else None
+    if cls is None and name != "Constant":
+        raise GraphValidationError(f"unknown op kind {name!r}")
+    fields = dataclasses.fields(cls) if cls else ()
+    keys = tuple(_DOT_KEYS.get(f.name, f.name) for f in fields) if cls else _CONSTANT_KEYS
+    known = ("id", "kind", *keys, "operands")
+    reject_unknown_keys(obj, known, f"malformed graph JSON: {op}", GraphValidationError)
+    _require_keys(obj, known, op)
     where = f"{op}: "
-    if kind == "DotGeneral":
-        return DotGeneral(*(_ints(obj, key, where, ()) for key in keys))
-    if kind == "Elementwise":
-        return Elementwise(_typed(obj["op_name"], str, f"{where}'op_name'"))
-    if kind == "Reduce":
-        return Reduce(obj["reduce_kind"], _ints(obj, "dims", where))
-    if kind == "Transpose":
-        return Transpose(_ints(obj, "permutation", where))
-    if kind == "Reshape":
-        return Reshape(_ints(obj, "target_dims", where))
-    return Constant(TensorType(
-        _ints(obj, "dims", where), _typed(obj["element_bytes"], int, f"{where}'element_bytes'")
+    if cls is None:
+        return Constant(TensorType(
+            _ints(obj, "dims", where), _typed(obj["element_bytes"], int, f"{where}'element_bytes'")
+        ))
+    return cls(*(
+        _ints(obj, key, where) if f.type == "tuple[int, ...]"
+        else _typed(obj[key], str, f"{where}{key!r}")
+        for f, key in zip(fields, keys)
     ))
 
 
@@ -680,7 +678,7 @@ def _entries(
     keys: tuple[str, ...] | None = None,
 ) -> list:
     """obj[key] as a list whose every entry has the given JSON type; with
-    `keys`, an entry is an object with no other key."""
+    `keys`, an entry is an object with exactly those keys."""
     items = obj[key]
     if not isinstance(items, (list, tuple)):
         raise GraphValidationError(f"malformed graph JSON: {where}{key!r} must be a list")
@@ -693,17 +691,22 @@ def _entries(
             reject_unknown_keys(
                 item, keys, f"malformed graph JSON: {where}{key}[{i}]", GraphValidationError
             )
+            _require_keys(item, keys, f"{where}{key}[{i}]")
     return items
 
 
 def graph_from_json(obj: Mapping) -> tuple[Graph, Mesh | None]:
     """Parse the interchange schema and infer op result types; the Graph and
-    Mesh built from it check themselves.  Every object holds only the keys
-    that `graph_to_json` writes for it (or for its op kind)."""
+    Mesh built from it check themselves.  Every object holds exactly the keys
+    that `graph_to_json` writes for it (or for its op kind): none is optional
+    but the top level's `mesh`.  `read_json_file` rejects a key given twice."""
     try:
-        name = _typed(obj["name"], str, "'name'")
+        if not isinstance(obj, dict):
+            raise GraphValidationError(f"graph JSON must be an object, got {type(obj).__name__}")
         reject_unknown_keys(obj, _GRAPH_KEYS, "malformed graph JSON: the top level",
                             GraphValidationError)
+        _require_keys(obj, tuple(k for k in _GRAPH_KEYS if k != "mesh"), "the top level")
+        name = _typed(obj["name"], str, "'name'")
         mesh = None
         if "mesh" in obj:
             mesh = Mesh(tuple(
@@ -724,8 +727,8 @@ def graph_from_json(obj: Mapping) -> tuple[Graph, Mesh | None]:
             group_members.setdefault(_typed(a["group"], int, f"{where}'group'"), []).append(arg_id)
         ops = []
         for i, o in enumerate(_entries(obj, "ops", dict, "an object")):
+            kind = _kind_from_json(o, f"op {o['id']!r}" if "id" in o else f"ops[{i}]")
             op_id = _typed(o["id"], str, f"ops[{i}]: 'id'")
-            kind = _kind_from_json(o)
             operands = tuple(_entries(o, "operands", str, "a value id", f"op {op_id!r}: "))
             missing = [r for r in operands if r not in types]
             if missing:
@@ -755,14 +758,14 @@ def read_json_file(path: str, what: str, invalid: type[Exception] = ConfigError)
     """Parse a JSON file; `what` names it in errors.
 
     An unreadable file raises ConfigError, and text that is not JSON (or not
-    UTF-8) raises `invalid`.
+    UTF-8, or gives a key of one object twice) raises `invalid`.
     """
     try:
         with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
+            return json.load(f, object_pairs_hook=reject_duplicate_keys)
     except OSError as e:
         raise ConfigError(f"cannot read {what} {path!r}: {e}") from e
-    except ValueError as e:  # not JSON, or not UTF-8
+    except ValueError as e:  # not JSON, not UTF-8, or a key given twice
         raise invalid(f"{what} {path!r} is not valid JSON: {e}") from e
 
 

@@ -269,7 +269,8 @@ def only_error_line(capsys) -> str:
                                 "operands": ["x", "w"]}),
      "Transpose takes 1 operand, got 2"),
     (lambda g: g["ops"].append({"id": "b", "kind": "DotGeneral", "lhs_batch_dims": [0],
-                                "rhs_batch_dims": [0], "operands": ["x", "w"]}),
+                                "rhs_batch_dims": [0], "lhs_contracting_dims": [],
+                                "rhs_contracting_dims": [], "operands": ["x", "w"]}),
      "batch pair 0: lhs dim 0 (8) != rhs dim 0 (4)"),
     (lambda g: g["ops"].append({"id": "k", "kind": "Constant", "dims": [2],
                                 "element_bytes": 4, "operands": ["x"]}),
@@ -719,6 +720,64 @@ def test_graph_json_rejects_a_key_that_dump_graph_does_not_write(tmp_path, capsy
     assert run_cli("estimate", "--graph", str(graph_path), "--plan", str(plan)) == 2
     err = only_error_line(capsys)
     assert f"unknown key(s) [{key!r}]" in err
+
+
+def every_written_key() -> list[tuple[tuple, str]]:
+    """(path, key) of every key that `graph_to_json` writes for the
+    every-kind graph on the mesh AB, but the top-level `mesh`."""
+    obj = ir.graph_to_json(every_kind_graph(), AB)
+    return [((), key) for key in obj if key != "mesh"] + [
+        ((part, i), key) for part in ("mesh", "args", "ops")
+        for i, entry in enumerate(obj[part]) for key in entry
+    ]
+
+
+@pytest.mark.parametrize("path, key", every_written_key(),
+                         ids=[f"{''.join(map(str, p)) or 'top'}-{k}"
+                              for p, k in every_written_key()])
+def test_graph_json_requires_every_key_dump_graph_writes(tmp_path, capsys, path, key):
+    obj = ir.graph_to_json(every_kind_graph(), AB)
+    entry = obj
+    for step in path:
+        entry = entry[step]
+    del entry[key]
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(json.dumps(obj))
+    plan = tmp_path / "plan.json"
+    plan.write_text("[]")
+    assert run_cli("estimate", "--graph", str(graph_path), "--plan", str(plan)) == 2
+    where = f"{path[0]}[{path[1]}]" if path else "the top level"
+    if path[:1] == ("ops",) and key != "id":
+        where = f"op {entry['id']!r}"  # an op is named by its id while it has one
+    assert f"{where} has no key(s) [{key!r}]" in only_error_line(capsys)
+
+
+@pytest.mark.parametrize("which, text, code, key", [
+    ("graph", None, 2, "name"),
+    ("graph", None, 2, "lhs_contracting_dims"),
+    ("plan", '[{"group": 0, "dim": 0, "axis": "a", "axis": "b"}]', 3, "axis"),
+    ("cost", '{"flops_per_second": 1e12, "flops_per_second": 2e12}', 3, "flops_per_second"),
+    ("model-cfg", '{"layers": 1, "layers": 2}', 3, "layers"),
+], ids=["graph-top", "graph-op", "plan", "cost", "model-cfg"])
+def test_a_json_key_given_twice_is_an_error(tmp_path, capsys, which, text, code, key):
+    graph = json.dumps(ir.graph_to_json(every_kind_graph(), AB))
+    if which == "graph":  # give the key a second time, as the object's first entry
+        first = graph.index(f'"{key}": ')
+        start = graph.rindex("{", 0, first) + 1
+        end = graph.index(", ", first)
+        graph = graph[:start] + graph[first:end] + ", " + graph[start:]
+        json.loads(graph)  # still JSON, so only the repeated key is at fault
+    paths = {name: tmp_path / f"{name}.json" for name in ("graph", "plan", "cost")}
+    paths["graph"].write_text(graph)
+    paths["plan"].write_text(text if which == "plan" else "[]")
+    paths["cost"].write_text(text if which == "cost" else "{}")
+    argv = ["estimate", "--graph", str(paths["graph"]), "--plan", str(paths["plan"]),
+            "--cost-cfg", str(paths["cost"])]
+    if which == "model-cfg":
+        argv = ["estimate", "--model", "transformer", "--mesh", "batch=2,model=2",
+                "--plan", str(paths["plan"]), "--model-cfg", text]
+    assert run_cli(*argv) == code
+    assert f"key {key!r} is given twice" in only_error_line(capsys)
 
 
 def test_the_every_kind_graph_loads_unmutated(tmp_path):

@@ -382,12 +382,28 @@ def test_a_misspelt_contracting_key_is_an_error_not_an_outer_product():
     assert graph.ops[0].result_type.dims == (4, 4)
 
 
+def test_a_missing_contracting_key_is_an_error_not_an_outer_product():
+    obj = matmul_json()
+    op = obj["ops"][0]
+    del op["lhs_contracting_dims"], op["rhs_contracting_dims"]
+    pattern = r"op 'v0' has no key\(s\) \['lhs_contracting_dims', 'rhs_contracting_dims'\]"
+    with pytest.raises(GraphValidationError, match=pattern):
+        ir.graph_from_json(obj)
+
+
+@pytest.mark.parametrize("obj", [[], [{"name": "g"}], ["name"], "g", None, 5])
+def test_a_graph_that_is_no_json_object_is_an_error(obj):
+    with pytest.raises(GraphValidationError, match="graph JSON must be an object, got"):
+        ir.graph_from_json(obj)
+
+
 def test_json_round_trip_on_random_graphs():
     from _random_graphs import random_graph
+    from test_cli import every_kind_graph
 
-    for seed in range(8):
-        g = random_graph(random.Random(seed))
+    graphs = [random_graph(random.Random(seed)) for seed in range(8)] + [every_kind_graph()]
+    for g in graphs:
         g2, _ = ir.graph_from_json(ir.graph_to_json(g))
         assert ir.validate_graph(g2) == []
-        assert [o.id for o in g2.ops] == [o.id for o in g.ops]
+        assert (g2.name, g2.args, g2.ops, g2.outputs) == (g.name, g.args, g.ops, g.outputs)
         assert g2.groups == g.groups

@@ -112,6 +112,16 @@ def test_the_readme_report_example_has_the_keys_of_a_real_report(tmp_path):
     assert keys(example) == keys(report)
 
 
+def test_the_readme_names_every_key_graph_json_writes_for_an_op():
+    from test_cli import every_kind_graph
+
+    text = " ".join(README.split())
+    start = text.index("In graph JSON,")
+    paragraph = text[start:text.index("exits 2.", start)]
+    written = {key for op in ir.graph_to_json(every_kind_graph())["ops"] for key in op}
+    assert written - set(re.findall(r"`(\w+)`", paragraph)) == set()
+
+
 def test_the_readme_states_the_mesh_axis_limit_of_the_code():
     # the input rules give the limit twice: what `--mesh` rejects, and why
     text = " ".join(README.split())
